@@ -1,10 +1,9 @@
 """Command-line surface: every lab as a reproducible, seed-controlled verb.
 
 One binary with subcommands gen, sample, coverage, bound, covertime, wl,
-wwl, distinguish, invariance, reconstruct, bench. All randomness is
-surfaced as flags; identical flags (at any --threads value) produce
-byte-identical output, except for bench, which reports wall-clock
-measurements. Failures exit nonzero with a JSON error object on stderr.
+wwl, distinguish, invariance, reconstruct. All randomness is surfaced as
+flags; identical flags produce byte-identical output. Failures exit
+nonzero with a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import coverage as cov
 from . import invariance as inv
@@ -24,7 +22,10 @@ from .graphs import (
     read_edge_list,
     save_edge_list,
 )
-from .samplers import derive_rng, sample_set, sample_walk, sample_dfs
+# sample_dfs is unused here; it stays bound as walksearch.cli.sample_dfs
+# because test_tracer_wraps_every_binding_and_restores_them checks that the
+# span tracer wraps this binding too
+from .samplers import derive_rng, sample_dfs, sample_set  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -84,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--length", type=int)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out")
 
     sp = sub.add_parser("bound", help="full-edge-coverage sample-size bound")
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", help="take n, C, d_max from a graph and verify")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out")
 
     sp = sub.add_parser("covertime", help="walk cover-time estimate (JSON)")
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--cap", type=int)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out")
 
     for name in ("wl", "wwl"):
@@ -136,21 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--perm-seed", type=int, required=True)
     sp.add_argument("--trials", type=int, default=2000)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out")
 
     sp = sub.add_parser("reconstruct", help="edge recovery from sampled searches")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--window", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("bench", help="per-sample wall time for walks vs searches")
-    sp.add_argument("--sizes", default="64,128,256")
-    sp.add_argument("--family", default="cycle")
-    sp.add_argument("--m", type=int, default=200)
-    sp.add_argument("--repeats", type=int, default=3)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out")
     return p
@@ -203,7 +192,6 @@ def _cmd_coverage(args) -> None:
         trials=args.trials,
         seed=args.seed,
         length=args.length,
-        threads=args.threads,
     )
     _emit(cov.curve_rows_to_csv(rows), args.out)
 
@@ -213,9 +201,7 @@ def _cmd_bound(args) -> None:
         if args.seed is None:
             raise _UsageError("--seed is required when verifying against a graph")
         g = read_edge_list(args.graph)
-        report = cov.bound_check_report(
-            g, args.delta, args.trials, args.seed, threads=args.threads
-        )
+        report = cov.bound_check_report(g, args.delta, args.trials, args.seed)
         _emit_json(report, args.out)
         return
     if args.n is None or args.c is None or args.d_max is None:
@@ -243,7 +229,6 @@ def _cmd_covertime(args) -> None:
         trials=args.trials,
         cap=args.cap,
         seed=args.seed,
-        threads=args.threads,
     )
     _emit_json(
         {
@@ -308,9 +293,7 @@ def _cmd_invariance(args) -> None:
         return
     if args.seed is None:
         raise _UsageError("--seed is required for sampled mode")
-    report = inv.invariance_sampled(
-        g, perm, args.trials, args.seed, threads=args.threads
-    )
+    report = inv.invariance_sampled(g, perm, args.trials, args.seed)
     _emit_json(
         {
             "graph": args.graph,
@@ -333,42 +316,6 @@ def _cmd_reconstruct(args) -> None:
     _emit_json(report.to_dict(g.n, args.m, args.window), args.out)
 
 
-def bench_rows(
-    sizes, family: str = "cycle", m: int = 200, repeats: int = 3, seed: int = 0
-):
-    """Per-sample wall time (microseconds) for walks of length n versus
-    searches, on one graph per size. The best of `repeats` batch timings
-    is kept, which damps scheduler noise."""
-    rows = []
-    for kind in ("walks", "searches"):
-        for n in sizes:
-            g = gen_family(family, seed=seed, n=n)
-            rng = derive_rng(seed, kind, n)
-            best = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                if kind == "walks":
-                    for _ in range(m):
-                        sample_walk(g, g.n, rng)
-                else:
-                    for _ in range(m):
-                        sample_dfs(g, rng)
-                elapsed = time.perf_counter() - start
-                best = elapsed if best is None else min(best, elapsed)
-            rows.append((kind, n, m, best / m * 1e6))
-    return rows
-
-
-def _cmd_bench(args) -> None:
-    rows = bench_rows(
-        _int_list(args.sizes), args.family, args.m, args.repeats, args.seed
-    )
-    lines = ["kind,n,m,mean_us"]
-    for kind, n, m, mean_us in rows:
-        lines.append(f"{kind},{n},{m},{mean_us:.3f}")
-    _emit("\n".join(lines) + "\n", args.out)
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "sample": _cmd_sample,
@@ -380,7 +327,6 @@ _COMMANDS = {
     "distinguish": _cmd_distinguish,
     "invariance": _cmd_invariance,
     "reconstruct": _cmd_reconstruct,
-    "bench": _cmd_bench,
 }
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .graphs import Graph, degree_stats
 from .samplers import (
@@ -20,7 +21,6 @@ from .samplers import (
     WalkPolicy,
     derive_rng,
     enumerate_dfs,
-    map_trials,
     sample_dfs,
 )
 
@@ -210,12 +210,12 @@ class BoundQuery:
 def bound_query(c: float, n: int, d_max: int, delta: float) -> BoundQuery:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if c * n < 1.0:
-        raise ValueError("C*n must be at least 1")
     if d_max <= 1:
         return BoundQuery(
             c=c, n=n, d_max=d_max, delta=delta, m_required=1, degenerate=True
         )
+    if c * n < 1.0:
+        raise ValueError("C*n must be at least 1")
     raw = math.log(c * n / delta) / math.log(d_max / (d_max - 1))
     return BoundQuery(
         c=c,
@@ -232,9 +232,7 @@ def sample_bound_m(c: float, n: int, d_max: int, delta: float) -> int:
     return bound_query(c, n, d_max, delta).m_required
 
 
-def full_coverage_probability(
-    g: Graph, m: int, trials: int, seed: int, threads: int = 1
-) -> float:
+def full_coverage_probability(g: Graph, m: int, trials: int, seed: int) -> float:
     """Fraction of trials in which m independent DFS trees cover all of E."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -249,19 +247,15 @@ def full_coverage_probability(
                 return 1
         return 0
 
-    return sum(map_trials(one_trial, trials, threads)) / trials
+    return sum(one_trial(i) for i in range(trials)) / trials
 
 
-def bound_check_report(
-    g: Graph, delta: float, trials: int, seed: int, threads: int = 1
-) -> dict:
+def bound_check_report(g: Graph, delta: float, trials: int, seed: int) -> dict:
     """Eq-style bound versus Monte Carlo: JSON-ready dict with the bound
     inputs, m_required, and the empirical full-coverage success rate."""
     stats = degree_stats(g)
     q = bound_query(stats.sparsity_c, g.n, stats.d_max, delta)
-    success = full_coverage_probability(
-        g, q.m_required, trials, seed, threads=threads
-    )
+    success = full_coverage_probability(g, q.m_required, trials, seed)
     return {
         "C": stats.sparsity_c,
         "n": g.n,
@@ -297,7 +291,6 @@ def cover_time_estimate(
     trials: int = 100,
     cap: int | None = None,
     seed: int = 0,
-    threads: int = 1,
 ) -> CoverTimeReport:
     """Monte Carlo walk cover times.
 
@@ -308,41 +301,36 @@ def cover_time_estimate(
     """
     if target not in ("node", "edge"):
         raise ValueError("target must be 'node' or 'edge'")
-    if not g.is_connected() or g.n < 2:
-        raise ValueError("cover times need a connected graph on >= 2 nodes")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if cap is None:
         cap = 50 * g.n * g.n
     pol = WalkPolicy(g, policy)
-    want_nodes = g.n
     want_edges = g.edge_count
 
     def one_trial(i: int) -> int | None:
-        rng = derive_rng(seed, i)
-        cur = pol.start(rng)
-        prev = None
+        walk = pol.walk(derive_rng(seed, i))
+        cur = next(walk)
         if target == "node":
             seen = bytearray(g.n)
             seen[cur] = 1
-            remaining = want_nodes - 1
-            for step in range(1, cap + 1):
-                nxt = pol.step(cur, prev, rng)
+            remaining = g.n - 1
+            for step, nxt in zip(range(1, cap + 1), walk):
                 if not seen[nxt]:
                     seen[nxt] = 1
                     remaining -= 1
                     if remaining == 0:
                         return step
-                prev, cur = cur, nxt
             return None
         seen_edges: set[tuple[int, int]] = set()
-        for step in range(1, cap + 1):
-            nxt = pol.step(cur, prev, rng)
+        for step, nxt in zip(range(1, cap + 1), walk):
             seen_edges.add((cur, nxt) if cur < nxt else (nxt, cur))
             if len(seen_edges) == want_edges:
                 return step
-            prev, cur = cur, nxt
+            cur = nxt
         return None
 
-    results = map_trials(one_trial, trials, threads)
+    results = [one_trial(i) for i in range(trials)]
     finished = sorted(r for r in results if r is not None)
     censored = trials - len(finished)
 
@@ -392,7 +380,6 @@ def coverage_curve(
     trials: int,
     seed: int,
     length: int | None = None,
-    threads: int = 1,
 ) -> list[CoverageCurveRow]:
     """Mean coverage fractions as the sample count m grows.
 
@@ -403,21 +390,22 @@ def coverage_curve(
     """
     if not m_list:
         raise ValueError("m_list must be nonempty")
-    if not g.is_connected() or g.n < 2:
-        raise ValueError("coverage curves need a connected graph on >= 2 nodes")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    walk_pol = WalkPolicy(g, "uniform")
     m_list = sorted(set(int(m) for m in m_list))
     if m_list[0] < 1:
         raise ValueError("all m must be >= 1")
     max_m = m_list[-1]
-    ell = g.n if length is None else length
-    all_edges = g.edges()
+    # a walk of length <= 0 is its start node alone
+    nodes_per_walk = max(g.n if length is None else length, 0) + 1
+    edge_count = g.edge_count
     rows = []
-    walk_pol = WalkPolicy(g, "uniform")
     for kind in kinds:
         if kind not in ("walks", "searches"):
             raise ValueError(f"unknown kind {kind!r}")
 
-        def one_trial(t: int, kind=kind, pol=walk_pol):
+        def one_trial(t: int, kind=kind):
             rng = derive_rng(seed, kind, t)
             node_fracs = []
             edge_fracs = []
@@ -426,26 +414,22 @@ def coverage_curve(
             targets = set(m_list)
             for j in range(1, max_m + 1):
                 if kind == "walks":
-                    cur = pol.start(rng)
-                    prev = None
-                    covered_nodes.add(cur)
-                    for _ in range(ell):
-                        nxt = pol.step(cur, prev, rng)
-                        covered_nodes.add(nxt)
-                        covered_edges.add(
-                            (cur, nxt) if cur < nxt else (nxt, cur)
-                        )
-                        prev, cur = cur, nxt
+                    nodes = list(islice(walk_pol.walk(rng), nodes_per_walk))
+                    covered_nodes.update(nodes)
+                    covered_edges.update(
+                        (a, b) if a < b else (b, a)
+                        for a, b in zip(nodes, nodes[1:])
+                    )
                 else:
                     rec = sample_dfs(g, rng)
                     covered_nodes.update(rec.visit_order)
                     covered_edges.update(rec.tree_edges)
                 if j in targets:
                     node_fracs.append(len(covered_nodes) / g.n)
-                    edge_fracs.append(len(covered_edges) / len(all_edges))
+                    edge_fracs.append(len(covered_edges) / edge_count)
             return node_fracs, edge_fracs
 
-        per_trial = map_trials(one_trial, trials, threads)
+        per_trial = [one_trial(t) for t in range(trials)]
         for idx, m in enumerate(m_list):
             rows.append(
                 CoverageCurveRow(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, relabel
-from .samplers import derive_rng, enumerate_dfs, map_trials, sample_dfs
+from .samplers import derive_rng, enumerate_dfs, sample_dfs
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,12 @@ def tv_permutation_pvalue(samples_a, samples_b, reps, rng) -> float:
     return (1 + at_least) / (reps + 1)
 
 
-def sample_visit_orders(
-    g: Graph, trials: int, seed: int, tag: str = "", threads: int = 1
-):
+def sample_visit_orders(g: Graph, trials: int, seed: int, tag: str = ""):
     """Draw `trials` DFS visit orders with per-trial derived RNGs."""
-    return map_trials(
-        lambda i: sample_dfs(g, derive_rng(seed, tag, i)).visit_order,
-        trials,
-        threads,
-    )
+    return [
+        sample_dfs(g, derive_rng(seed, tag, i)).visit_order
+        for i in range(trials)
+    ]
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,6 @@ def invariance_sampled(
     trials: int,
     seed: int,
     permutation_reps: int = 200,
-    threads: int = 1,
 ) -> InvarianceSampleReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -143,11 +139,11 @@ def invariance_sampled(
     h = relabel(g, perm)
     pushed = [
         tuple(perm[v] for v in order)
-        for order in sample_visit_orders(g, trials, seed, "g", threads)
+        for order in sample_visit_orders(g, trials, seed, "g")
     ]
-    direct = sample_visit_orders(h, trials, seed, "h", threads)
-    base_a = sample_visit_orders(g, trials, seed, "base_a", threads)
-    base_b = sample_visit_orders(g, trials, seed, "base_b", threads)
+    direct = sample_visit_orders(h, trials, seed, "h")
+    base_a = sample_visit_orders(g, trials, seed, "base_a")
+    base_b = sample_visit_orders(g, trials, seed, "base_b")
     pvalue = tv_permutation_pvalue(
         pushed, direct, permutation_reps, derive_rng(seed, "permtest")
     )

@@ -17,6 +17,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from .graphs import Graph
 
@@ -37,21 +38,6 @@ def derive_seed(seed: int, *key) -> int:
 
 def derive_rng(seed: int, *key) -> random.Random:
     return random.Random(derive_seed(seed, *key))
-
-
-def map_trials(fn, trials: int, threads: int = 1) -> list:
-    """Run fn(0..trials-1), optionally across threads.
-
-    Results are aggregated in trial order either way, and each trial must
-    seed its own RNG from its index, so the output is independent of the
-    thread count.
-    """
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(trials)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,34 +134,57 @@ def min_degree_weight(g: Graph, u: int, v: int) -> float:
 
 
 class WalkPolicy:
-    """Transition sampler for a fixed graph and walk policy."""
+    """Walk sampler for a fixed graph and walk policy.
+
+    Walks need a connected graph on at least 2 nodes: on a disconnected
+    graph a walk is trapped in one component, so such graphs are rejected
+    here, once, rather than on every walk.
+    """
 
     def __init__(self, g: Graph, policy: str = "uniform", weight_fn=None):
+        if not g.is_connected():
+            raise ValueError("walks require a connected graph")
+        if g.n < 2:
+            raise ValueError("walks require at least 2 nodes")
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
         self.g = g
         self.policy = policy
-        self._weights: list[list[float]] | None = None
+        self._cum_weights: list[list[float]] | None = None
         if policy == "local_rule":
             fn = weight_fn if weight_fn is not None else min_degree_weight
-            self._weights = [
-                [fn(g, u, v) for v in g.adjacency[u]] for u in range(g.n)
+            self._cum_weights = [
+                list(accumulate(fn(g, u, v) for v in g.adjacency[u]))
+                for u in range(g.n)
             ]
 
-    def start(self, rng: random.Random) -> int:
-        return rng.randrange(self.g.n)
-
-    def step(self, cur: int, prev: int | None, rng: random.Random) -> int:
-        nbrs = self.g.adjacency[cur]
+    def walk(self, rng: random.Random, start: int | None = None):
+        """Yield the start node (uniform over V unless given), then one
+        node per step, without end; callers take an ``islice``."""
+        adjacency = self.g.adjacency
+        cur = rng.randrange(self.g.n) if start is None else start
+        yield cur
+        randrange = rng.randrange
         if self.policy == "uniform":
-            return nbrs[rng.randrange(len(nbrs))]
-        if self.policy == "non_backtracking":
-            if prev is None or len(nbrs) == 1:
-                # a degree-1 node forces backtracking
-                return nbrs[rng.randrange(len(nbrs))]
-            choices = [v for v in nbrs if v != prev]
-            return choices[rng.randrange(len(choices))]
-        return rng.choices(nbrs, weights=self._weights[cur])[0]
+            while True:
+                nbrs = adjacency[cur]
+                cur = nbrs[randrange(len(nbrs))]
+                yield cur
+        elif self.policy == "non_backtracking":
+            prev = None
+            while True:
+                nbrs = adjacency[cur]
+                # never step back to prev, unless it is the only neighbor
+                if prev is not None and len(nbrs) > 1:
+                    nbrs = [v for v in nbrs if v != prev]
+                prev, cur = cur, nbrs[randrange(len(nbrs))]
+                yield cur
+        else:
+            choices = rng.choices
+            cum_weights = self._cum_weights
+            while True:
+                cur = choices(adjacency[cur], cum_weights=cum_weights[cur])[0]
+                yield cur
 
 
 def sample_walk(
@@ -189,24 +198,13 @@ def sample_walk(
     """Sample a walk of `length` steps (so the record holds length+1 nodes).
 
     The start node is uniform over V unless forced. Requires a connected
-    graph with at least one edge; a walk on a disconnected graph would be
-    trapped in one component, so it is rejected up front.
+    graph on at least 2 nodes (see `WalkPolicy`).
     """
     if length < 1:
         raise ValueError("walk length must be >= 1")
-    if not g.is_connected():
-        raise ValueError("walks require a connected graph")
-    if g.n < 2:
-        raise ValueError("walks require at least 2 nodes")
-    pol = WalkPolicy(g, policy, weight_fn)
-    cur = pol.start(rng) if start is None else start
-    nodes = [cur]
-    prev: int | None = None
-    for _ in range(length):
-        nxt = pol.step(cur, prev, rng)
-        nodes.append(nxt)
-        prev, cur = cur, nxt
-    return WalkRecord(nodes=tuple(nodes), policy=policy, start=nodes[0])
+    walk = WalkPolicy(g, policy, weight_fn).walk(rng, start)
+    nodes = tuple(islice(walk, length + 1))
+    return WalkRecord(nodes=nodes, policy=policy, start=nodes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +217,11 @@ def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchR
     The root is uniform over V unless forced. On first visiting a node its
     neighbors are put in an independently uniform random order, and
     exploration follows that order, skipping nodes already visited. The
-    visit order records first visits only, so its length is exactly n.
+    visit order records first visits only, so its length is exactly n; a
+    shorter one means the graph is disconnected, which is rejected.
     """
     if g.n < 1:
         raise ValueError("empty graph")
-    if not g.is_connected():
-        raise ValueError("searches require a connected graph")
     adjacency = g.adjacency
     if root is None:
         root = rng.randrange(g.n)
@@ -239,7 +236,6 @@ def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchR
     pop = stack.pop
     while stack:
         u, it = stack[-1]
-        advanced = False
         for v in it:
             if not visited[v]:
                 visited[v] = 1
@@ -248,10 +244,11 @@ def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchR
                 child_nbrs = list(adjacency[v])
                 rng.shuffle(child_nbrs)
                 push((v, iter(child_nbrs)))
-                advanced = True
                 break
-        if not advanced:
+        else:
             pop()
+    if len(order) != g.n:
+        raise ValueError("searches require a connected graph")
     return SearchRecord(
         visit_order=tuple(order), tree_edges=frozenset(tree), root=root
     )

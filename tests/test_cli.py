@@ -9,6 +9,8 @@ CYCLE6 = "# n=6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
 PATH3 = "# n=3\n0 1\n1 2\n"
 TRIANGLE = "# n=3\n0 1\n0 2\n1 2\n"
 STAR3 = "# n=3\n0 1\n0 2\n"
+TWO_EDGES = "# n=4\n0 1\n2 3\n"
+ONE_NODE = "# n=1\n"
 
 
 def write(tmp_path, name, text):
@@ -96,18 +98,6 @@ class TestCoverage:
                 "--m-list", "1,2,4", "--trials", "10", "--seed", "0"])
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 4
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        graph = write(tmp_path, "c.el", CYCLE6)
-        outs = []
-        for threads, name in ((1, "t1.csv"), (4, "t4.csv")):
-            out = tmp_path / name
-            run_ok(["coverage", "--graph", graph, "--kinds",
-                    "walks,searches", "--m-list", "1,2", "--trials", "25",
-                    "--seed", "7", "--threads", str(threads),
-                    "--out", str(out)])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestBound:
@@ -235,3 +225,41 @@ class TestErrorsAndDeterminism:
             run_ok(argv + ["--out", str(out)])
             contents.append(out.read_bytes())
         assert contents[0] == contents[1]
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["coverage", "--m-list", "1", "--trials", "0", "--seed", "0"],
+             CYCLE6, "trials must be >= 1"),
+            (["covertime", "--trials", "0", "--seed", "0"],
+             CYCLE6, "trials must be >= 1"),
+            (["coverage", "--m-list", "1", "--trials", "5", "--seed", "0"],
+             TWO_EDGES, "walks require a connected graph"),
+            (["covertime", "--trials", "5", "--seed", "0"],
+             TWO_EDGES, "walks require a connected graph"),
+            (["coverage", "--m-list", "1", "--trials", "5", "--seed", "0"],
+             ONE_NODE, "walks require at least 2 nodes"),
+            (["covertime", "--trials", "5", "--seed", "0"],
+             ONE_NODE, "walks require at least 2 nodes"),
+            (["bound", "--delta", "0.1", "--trials", "5", "--seed", "0"],
+             ONE_NODE, None),
+        ],
+        ids=["coverage-trials0", "covertime-trials0",
+             "coverage-disconnected", "covertime-disconnected",
+             "coverage-one-node", "covertime-one-node", "bound-one-node"],
+    )
+    def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
+        graph = write(tmp_path, "g.el", text)
+        code = main(argv + ["--graph", graph])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if message is None:
+            # one node: degenerate bound, and one search covers it
+            assert code == 0
+            payload = json.loads(captured.out)
+            assert payload["m_required"] == 1
+            assert payload["empirical_success"] == 1.0
+        else:
+            assert code == 1
+            err = json.loads(captured.err)
+            assert err == {"error": "ValueError", "message": message}

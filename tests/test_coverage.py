@@ -188,12 +188,6 @@ class TestFullCoverage:
     def test_cycle_single_search_never_covers(self):
         assert full_coverage_probability(cycle_graph(6), 1, 50, seed=0) == 0.0
 
-    def test_threads_do_not_change_result(self):
-        g = hex_chain(2)
-        a = full_coverage_probability(g, 4, 60, seed=9, threads=1)
-        b = full_coverage_probability(g, 4, 60, seed=9, threads=4)
-        assert a == b
-
     def test_union_monotone_in_m(self):
         g = hex_chain(2)
         from walksearch.samplers import derive_rng
