@@ -255,7 +255,7 @@ def _cmd_refine(args, test: str) -> None:
     lines = []
     for r in range(len(run.history)):
         for gi in range(len(graphs)):
-            blocks = run.partition(r, gi).sorted_blocks()
+            blocks = run.sorted_blocks(r, gi)
             lines.append(f"graph={gi} round={r} blocks={json.dumps(blocks)}")
     lines.append(f"stable_round={run.stable_round}")
     _emit("\n".join(lines) + "\n", args.out)

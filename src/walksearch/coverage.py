@@ -305,6 +305,8 @@ def cover_time_estimate(
         raise ValueError("trials must be >= 1")
     if cap is None:
         cap = 50 * g.n * g.n
+    elif cap < 1:
+        raise ValueError("cap must be >= 1")
     pol = WalkPolicy(g, policy)
     want_edges = g.edge_count
 
@@ -386,24 +388,30 @@ def coverage_curve(
     Within a trial the m values share one sampled stream (the m-record
     coverage is a prefix of the (m+1)-record coverage), so the mean curve
     is nondecreasing in m by construction and each row's marginal law is
-    that of m independent records.
+    that of m independent records. Walks (of `length` steps, default n)
+    need a connected graph on at least 2 nodes; searches need a connected
+    graph, and on one node they cover it with no edge to miss.
     """
+    kinds = tuple(kinds)
     if not m_list:
         raise ValueError("m_list must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    walk_pol = WalkPolicy(g, "uniform")
     m_list = sorted(set(int(m) for m in m_list))
     if m_list[0] < 1:
         raise ValueError("all m must be >= 1")
-    max_m = m_list[-1]
-    # a walk of length <= 0 is its start node alone
-    nodes_per_walk = max(g.n if length is None else length, 0) + 1
-    edge_count = g.edge_count
-    rows = []
     for kind in kinds:
         if kind not in ("walks", "searches"):
             raise ValueError(f"unknown kind {kind!r}")
+    if "walks" in kinds:
+        if length is not None and length < 1:
+            raise ValueError("walk length must be >= 1")
+        walk_length = g.n if length is None else length
+        walk_pol = WalkPolicy(g, "uniform")
+    max_m = m_list[-1]
+    edge_count = g.edge_count
+    rows = []
+    for kind in kinds:
 
         def one_trial(t: int, kind=kind):
             rng = derive_rng(seed, kind, t)
@@ -414,7 +422,7 @@ def coverage_curve(
             targets = set(m_list)
             for j in range(1, max_m + 1):
                 if kind == "walks":
-                    nodes = list(islice(walk_pol.walk(rng), nodes_per_walk))
+                    nodes = list(islice(walk_pol.walk(rng), walk_length + 1))
                     covered_nodes.update(nodes)
                     covered_edges.update(
                         (a, b) if a < b else (b, a)
@@ -426,7 +434,10 @@ def coverage_curve(
                     covered_edges.update(rec.tree_edges)
                 if j in targets:
                     node_fracs.append(len(covered_nodes) / g.n)
-                    edge_fracs.append(len(covered_edges) / edge_count)
+                    # a graph without edges (one node) has none to miss
+                    edge_fracs.append(
+                        len(covered_edges) / edge_count if edge_count else 1.0
+                    )
             return node_fracs, edge_fracs
 
         per_trial = [one_trial(t) for t in range(trials)]

@@ -384,7 +384,11 @@ def sample_set(
     policy: str = "uniform",
     weight_fn=None,
 ) -> SampleSet:
-    """Draw m independent records; trial i uses an RNG derived from (seed, i)."""
+    """Draw m independent records; trial i uses an RNG derived from (seed, i).
+
+    Walk records share one `WalkPolicy`, so the graph is checked (and a
+    local-rule weight table built) once per call, not once per walk.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if kind not in ("walks", "searches"):
@@ -392,10 +396,12 @@ def sample_set(
     items = []
     if kind == "walks":
         ell = g.n if length is None else length
+        if ell < 1:
+            raise ValueError("walk length must be >= 1")
+        walk_pol = WalkPolicy(g, policy, weight_fn)
         for i in range(m):
-            items.append(
-                sample_walk(g, ell, derive_rng(seed, i), policy, weight_fn)
-            )
+            nodes = tuple(islice(walk_pol.walk(derive_rng(seed, i)), ell + 1))
+            items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))
     else:
         for i in range(m):
             items.append(sample_dfs(g, derive_rng(seed, i)))

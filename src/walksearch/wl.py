@@ -1,24 +1,29 @@
 """Color refinement: classic 1-WL and its walk-based variant, plus
 unfolding trees.
 
-Both refinements run jointly over one or more graphs with a single
-run-scoped color dictionary, so colors are comparable across the graphs
-of one run (and only there). The classic update hashes (current color,
-multiset of neighbor colors); the walk variant hashes (current color,
-multiset of colored terminating walks of length 1..ell), where a colored
-walk is the tuple of colors along its nodes. Color tuples of different
-walk lengths are distinct tuples, so payloads are length-aware by
-construction.
+Both refinements run jointly over one or more graphs, so colors are
+comparable across the graphs of one run (and only there). The classic
+update hashes (current color, multiset of neighbor colors); the walk
+variant hashes (current color, multiset of colored terminating walks of
+length 1..ell), where a colored walk is the tuple of colors along its
+nodes. Color tuples of different walk lengths are distinct tuples, so
+payloads are length-aware by construction.
+
+Colors are interned one round at a time: each round's payloads get fresh
+ids from a running counter, in order of first appearance (graph by
+graph, node by node). Since every payload names a color of the previous
+round, no payload can recur in a later round, so this gives the ids a
+single run-wide dictionary would, while holding one round's payloads.
 
 Stabilization is detected as partition equality between consecutive
-rounds; color ids themselves are run-relative and never compared across
-runs.
+rounds, tested by class count (see `_run_refinement`); color ids
+themselves are run-relative and never compared across runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph
 
@@ -88,7 +93,6 @@ class RefinementRun:
     graphs: tuple[Graph, ...]
     history: tuple[tuple[tuple[int, ...], ...], ...]
     stable_round: int | None
-    dictionary: dict = field(repr=False, compare=False)
 
     @property
     def rounds(self) -> int:
@@ -99,6 +103,18 @@ class RefinementRun:
 
     def partition(self, round_idx: int, graph_idx: int) -> Partition:
         return partition_of(self.history[round_idx][graph_idx])
+
+    def sorted_blocks(self, round_idx: int, graph_idx: int) -> list[list[int]]:
+        """`partition(round_idx, graph_idx).sorted_blocks()`, built directly.
+
+        Nodes are grouped in node order, so each block is ascending, and a
+        block enters the (insertion-ordered) dict at its least node, so the
+        blocks come out ordered by least node, as sorting would give.
+        """
+        groups: dict = defaultdict(list)
+        for node, c in enumerate(self.history[round_idx][graph_idx]):
+            groups[c].append(node)
+        return list(groups.values())
 
     def joint_partition(self, round_idx: int) -> Partition:
         groups: dict = defaultdict(list)
@@ -118,64 +134,65 @@ class RefinementRun:
         return Counter(self.history[self.stable_round][graph_idx])
 
 
+def _intern_round(payloads_per_graph, first_id: int):
+    """Number one round's payloads from `first_id` in order of first
+    appearance; return (colors per graph, number of distinct payloads)."""
+    table: dict = {}
+    setdefault = table.setdefault
+    colors = tuple(
+        tuple([setdefault(p, first_id + len(table)) for p in payloads])
+        for payloads in payloads_per_graph
+    )
+    return colors, len(table)
+
+
 def _run_refinement(graphs, update, rounds, init):
     """Shared driver: intern initial colors, apply `update` per round.
 
-    `update(colors_per_graph, intern)` returns the next colors. Runs for
-    `rounds` updates when given, else until the joint partition repeats.
+    `update(colors_per_graph)` returns one hashable payload per node per
+    graph, each holding the node's current color. Runs for `rounds`
+    updates when given, else until the joint partition repeats.
+
+    Each round is interned in its own table, with ids continuing from the
+    previous round's. Round 0's payloads are the initial labels; a later
+    round's name only colors of the round before, whose ids are fresh by
+    induction, so no payload of one round equals one of another and the
+    ids are those of one run-wide dictionary.
+
+    Because each payload carries the node's current color, round r+1's
+    joint partition refines round r's; the two are equal exactly when
+    they have as many classes, i.e. when both rounds interned as many
+    distinct payloads.
     """
     graphs = tuple(graphs)
     if not graphs:
         raise ValueError("need at least one graph")
-    dictionary: dict = {}
-
-    def intern(payload) -> int:
-        cid = dictionary.get(payload)
-        if cid is None:
-            cid = len(dictionary)
-            dictionary[payload] = cid
-        return cid
-
     if init is None:
-        colors = tuple(
-            tuple(intern(("init", 0)) for _ in range(g.n)) for g in graphs
-        )
+        init = tuple((0,) * g.n for g in graphs)
     else:
         init = tuple(tuple(labels) for labels in init)
         if len(init) != len(graphs) or any(
             len(labels) != g.n for labels, g in zip(init, graphs)
         ):
             raise ValueError("init must give one label per node per graph")
-        colors = tuple(
-            tuple(intern(("init", lab)) for lab in labels) for labels in init
-        )
+    colors, classes = _intern_round(init, 0)
+    next_id = classes
 
     history = [colors]
     total_nodes = sum(g.n for g in graphs)
     max_rounds = rounds if rounds is not None else total_nodes + 1
     stable_round = None
-
-    def joint_key(cols):
-        groups: dict = defaultdict(list)
-        for gi, colseq in enumerate(cols):
-            for node, c in enumerate(colseq):
-                groups[c].append((gi, node))
-        return frozenset(frozenset(v) for v in groups.values())
-
     for _ in range(max_rounds):
-        colors = update(colors, intern)
+        colors, new_classes = _intern_round(update(colors), next_id)
+        next_id += new_classes
         history.append(colors)
-        if stable_round is None and joint_key(history[-2]) == joint_key(
-            history[-1]
-        ):
+        if stable_round is None and new_classes == classes:
             stable_round = len(history) - 2
             if rounds is None:
                 break
+        classes = new_classes
     return RefinementRun(
-        graphs=graphs,
-        history=tuple(history),
-        stable_round=stable_round,
-        dictionary=dictionary,
+        graphs=graphs, history=tuple(history), stable_round=stable_round
     )
 
 
@@ -183,22 +200,13 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
     """Joint 1-WL refinement: hash (color, multiset of neighbor colors)."""
     graphs = tuple(graphs)
 
-    def update(colors, intern):
+    def update(colors):
         result = []
         for g, cur in zip(graphs, colors):
-            result.append(
-                tuple(
-                    intern(
-                        (
-                            "wl",
-                            cur[u],
-                            tuple(sorted(cur[v] for v in g.adjacency[u])),
-                        )
-                    )
-                    for u in range(g.n)
-                )
-            )
-        return tuple(result)
+            color_of = cur.__getitem__
+            sigs = [tuple(sorted(map(color_of, nbrs))) for nbrs in g.adjacency]
+            result.append(list(zip(cur, sigs)))
+        return result
 
     return _run_refinement(graphs, update, rounds, init)
 
@@ -256,17 +264,16 @@ def wwl_refine(
         for g in graphs
     ]
 
-    def update(colors, intern):
+    def update(colors):
         result = []
-        for g, cur, walks_by_node in zip(graphs, colors, walks_per_graph):
-            new = []
-            for u in range(g.n):
-                colored = sorted(
-                    tuple(cur[w] for w in walk) for walk in walks_by_node[u]
-                )
-                new.append(intern(("wwl", cur[u], tuple(colored))))
-            result.append(tuple(new))
-        return tuple(result)
+        for cur, walks_by_node in zip(colors, walks_per_graph):
+            color_of = cur.__getitem__
+            colored = [
+                tuple(sorted([tuple(map(color_of, walk)) for walk in walks]))
+                for walks in walks_by_node
+            ]
+            result.append(list(zip(cur, colored)))
+        return result
 
     return _run_refinement(graphs, update, rounds, init)
 

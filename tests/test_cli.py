@@ -4,6 +4,9 @@ import pytest
 
 from walksearch.cli import main
 from walksearch.graphs import load_edge_list
+from walksearch.wl import partition_of
+
+from .test_wl import naive_wl, naive_wwl
 
 CYCLE6 = "# n=6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
 PATH3 = "# n=3\n0 1\n1 2\n"
@@ -11,6 +14,9 @@ TRIANGLE = "# n=3\n0 1\n0 2\n1 2\n"
 STAR3 = "# n=3\n0 1\n0 2\n"
 TWO_EDGES = "# n=4\n0 1\n2 3\n"
 ONE_NODE = "# n=1\n"
+PATH5 = "# n=5\n0 1\n1 2\n2 3\n3 4\n"
+# two hexagons sharing the edge 2-3
+HEX2 = "# n=10\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n2 9\n3 6\n6 7\n7 8\n8 9\n"
 
 
 def write(tmp_path, name, text):
@@ -146,6 +152,37 @@ class TestRefinementVerbs:
         out = capsys.readouterr().out
         assert "graph=1" in out
 
+    @pytest.mark.parametrize(
+        "verb, texts",
+        [
+            ("wl", [PATH5]),
+            ("wl", [HEX2, CYCLE6]),
+            ("wwl", [PATH5]),
+            ("wwl", [HEX2, PATH3]),
+        ],
+        ids=["wl", "wl-graph2", "wwl", "wwl-graph2"],
+    )
+    def test_blocks_match_naive_oracle(self, tmp_path, capsys, verb, texts):
+        paths = [write(tmp_path, f"g{i}.el", t) for i, t in enumerate(texts)]
+        argv = [verb, "--graph", paths[0]]
+        if len(paths) == 2:
+            argv += ["--graph2", paths[1]]
+        graphs = [load_edge_list(t) for t in texts]
+        if verb == "wl":
+            history, stable = naive_wl(graphs)
+        else:
+            history, stable = naive_wwl(graphs, 2)
+            argv += ["--length", "2"]
+        run_ok(argv)
+        lines = [
+            f"graph={gi} round={r} "
+            f"blocks={json.dumps(partition_of(colors).sorted_blocks())}"
+            for r, round_colors in enumerate(history)
+            for gi, colors in enumerate(round_colors)
+        ]
+        lines.append(f"stable_round={stable}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
     def test_distinguish_verdict(self, tmp_path, capsys):
         g1 = write(tmp_path, "p.el", PATH3)
         g2 = write(tmp_path, "t.el", TRIANGLE)
@@ -243,22 +280,45 @@ class TestErrorsAndDeterminism:
              ONE_NODE, "walks require at least 2 nodes"),
             (["bound", "--delta", "0.1", "--trials", "5", "--seed", "0"],
              ONE_NODE, None),
+            (["covertime", "--trials", "5", "--seed", "0", "--cap", "0"],
+             CYCLE6, "cap must be >= 1"),
+            (["covertime", "--trials", "5", "--seed", "0", "--cap", "-2"],
+             CYCLE6, "cap must be >= 1"),
+            (["coverage", "--m-list", "1", "--trials", "5", "--seed", "0",
+              "--length", "0"], CYCLE6, "walk length must be >= 1"),
+            (["coverage", "--m-list", "1", "--trials", "5", "--seed", "0",
+              "--length", "-1"], CYCLE6, "walk length must be >= 1"),
+            (["coverage", "--kinds", "searches", "--m-list", "1,2",
+              "--trials", "5", "--seed", "0"], ONE_NODE, None),
+            (["coverage", "--kinds", "searches", "--m-list", "1",
+              "--trials", "5", "--seed", "0"],
+             TWO_EDGES, "searches require a connected graph"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
-             "coverage-one-node", "covertime-one-node", "bound-one-node"],
+             "coverage-one-node", "covertime-one-node", "bound-one-node",
+             "covertime-cap0", "covertime-cap-2", "coverage-length0",
+             "coverage-length-1", "coverage-searches-one-node",
+             "coverage-searches-disconnected"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)
         code = main(argv + ["--graph", graph])
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
-        if message is None:
+        if message is None and argv[0] == "bound":
             # one node: degenerate bound, and one search covers it
             assert code == 0
             payload = json.loads(captured.out)
             assert payload["m_required"] == 1
             assert payload["empirical_success"] == 1.0
+        elif message is None:
+            # one node: every search covers it, with no edge to miss
+            assert code == 0
+            assert captured.out.splitlines()[1:] == [
+                "searches,1,1.0,1.0,5,0",
+                "searches,2,1.0,1.0,5,0",
+            ]
         else:
             assert code == 1
             err = json.loads(captured.err)

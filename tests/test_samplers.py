@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -205,6 +206,39 @@ class TestSampleSets:
     def test_single_search_union_on_cycle6(self):
         ss = sample_set(cycle_graph(6), "searches", 1, seed=4)
         assert len(ss.items[0].tree_edges) == 5
+
+    @pytest.mark.parametrize(
+        "policy", ["uniform", "non_backtracking", "local_rule"]
+    )
+    def test_walks_match_per_record_sampler(self, policy, monkeypatch):
+        g = BULL
+        calls = []
+        is_connected = Graph.is_connected
+
+        def counted(self):
+            calls.append(self)
+            return is_connected(self)
+
+        monkeypatch.setattr(Graph, "is_connected", counted)
+        for length in (None, 1, 7):
+            calls.clear()
+            ss = sample_set(g, "walks", 6, 21, length=length, policy=policy)
+            assert len(calls) == 1
+            ell = g.n if length is None else length
+            expected = SampleSet(
+                kind="walks",
+                items=tuple(
+                    sample_walk(g, ell, derive_rng(21, i), policy)
+                    for i in range(6)
+                ),
+                seed=21,
+            )
+            assert json.dumps(ss.to_dict()) == json.dumps(expected.to_dict())
+
+    def test_walk_length_must_be_positive(self):
+        for length in (0, -1):
+            with pytest.raises(ValueError, match="walk length must be >= 1"):
+                sample_set(PAW, "walks", 2, 0, length=length)
 
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError, match="m must be"):

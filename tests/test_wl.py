@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +28,54 @@ from .corpus import all_connected_graphs_upto, random_connected_corpus
 from .strategies import connected_graphs
 
 TWO_TRIANGLES = disjoint_union(cycle_graph(3), cycle_graph(3))
+
+
+def _naive_refinement(graphs, payload, rounds, init):
+    """Reference law: every round's payloads interned into one run-wide
+    dictionary, stability tested as equality of frozenset partitions."""
+    dictionary: dict = {}
+
+    def intern(p):
+        return dictionary.setdefault(p, len(dictionary))
+
+    def joint(cols):
+        groups = defaultdict(set)
+        for gi, colseq in enumerate(cols):
+            for u, c in enumerate(colseq):
+                groups[c].add((gi, u))
+        return frozenset(frozenset(b) for b in groups.values())
+
+    labels = init if init is not None else [[0] * g.n for g in graphs]
+    history = [tuple(tuple(intern(("init", x)) for x in lab) for lab in labels)]
+    max_rounds = rounds if rounds is not None else sum(g.n for g in graphs) + 1
+    stable_round = None
+    for _ in range(max_rounds):
+        cur = history[-1]
+        history.append(tuple(
+            tuple(intern(payload(g, cur[gi], u)) for u in range(g.n))
+            for gi, g in enumerate(graphs)
+        ))
+        if stable_round is None and joint(history[-2]) == joint(history[-1]):
+            stable_round = len(history) - 2
+            if rounds is None:
+                break
+    return tuple(history), stable_round
+
+
+def naive_wl(graphs, rounds=None, init=None):
+    def payload(g, cur, u):
+        return ("wl", cur[u], tuple(sorted(cur[v] for v in g.adjacency[u])))
+
+    return _naive_refinement(graphs, payload, rounds, init)
+
+
+def naive_wwl(graphs, length, rounds=None, init=None):
+    def payload(g, cur, u):
+        walks = terminating_walks(g, u, length)
+        colored = sorted(tuple(cur[w] for w in walk) for walk in walks)
+        return ("wwl", cur[u], tuple(colored))
+
+    return _naive_refinement(graphs, payload, rounds, init)
 
 
 class TestPartitions:
@@ -67,10 +115,47 @@ class TestClassicRefinement:
         run = wl_refine([path_graph(5)], rounds=1)
         assert run.rounds == 1
 
-    def test_dictionary_ids_injective(self):
-        run = wl_refine([path_graph(4), cycle_graph(5)])
-        values = list(run.dictionary.values())
-        assert len(values) == len(set(values))
+
+
+class TestNaiveOracle:
+    """History (the color ids themselves) and stable round match the
+    run-wide-dictionary reference law exactly."""
+
+    @staticmethod
+    def check(graphs, rounds=None, init=None):
+        run = wl_refine(graphs, rounds=rounds, init=init)
+        assert (run.history, run.stable_round) == naive_wl(graphs, rounds, init)
+        for ell in (1, 2):
+            run = wwl_refine(graphs, ell, rounds=rounds, init=init)
+            assert (run.history, run.stable_round) == naive_wwl(
+                graphs, ell, rounds, init
+            )
+
+    def test_single_graphs(self):
+        for g in random_connected_corpus(25, seed=15, n_max=7):
+            self.check([g])
+
+    def test_joint_pairs(self):
+        corpus = random_connected_corpus(16, seed=16, n_max=6)
+        for g, h in zip(corpus[::2], corpus[1::2]):
+            self.check([g, h])
+        self.check([TWO_TRIANGLES, cycle_graph(6)])
+        self.check([path_graph(7), path_graph(7), cycle_graph(4)])
+
+    def test_init_labels(self):
+        for g in random_connected_corpus(10, seed=17, n_max=7):
+            self.check([g], init=[g.degrees()])
+            self.check([g, g], init=[[u % 2 for u in range(g.n)], g.degrees()])
+
+    def test_round_budgets(self):
+        for g in random_connected_corpus(8, seed=18, n_max=7):
+            for rounds in (0, 1, 3):
+                self.check([g], rounds=rounds)
+                init = [g.degrees(), [1, 0, 0, 1]]
+                self.check([g, path_graph(4)], rounds=rounds, init=init)
+
+    def test_long_path(self):
+        self.check([path_graph(30)])
 
 
 class TestTerminatingWalks:
