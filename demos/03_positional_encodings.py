@@ -23,9 +23,11 @@ rng = random.Random(3)
 w = sample_walk(g, length=6, rng=rng)
 print("walk:", w.nodes)
 print("identity encoding (window 4, column j = 'same node j steps back'):")
-print(identity_encoding(w, s=4))
+for row in identity_encoding(w, s=4).tolist():
+    print(row)
 print("adjacency encoding (window 4, first column = consecutive pair is an edge):")
-print(adjacency_encoding(g, w.nodes, s=4))
+for row in adjacency_encoding(g, w.nodes, s=4).tolist():
+    print(row)
 
 # DFS on a graph with pendants must jump back after dead ends, and the
 # first adjacency column flags exactly those discontinuities.

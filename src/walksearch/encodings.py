@@ -5,14 +5,13 @@ adjacency encodings mark true edges among windowed pairs (including pairs
 a search sequence jumps between without traversing an edge), and
 anonymous encodings replace node ids by first-appearance ranks. With both
 identity (s columns) and adjacency (s-1 columns) present the combined
-width is 2s-1.
+width is 2s-1. Identity and adjacency encodings are read-only byte
+matrices: memoryviews of format "b" and shape (rows, cols).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graphs import Graph
 from .samplers import SearchRecord, WalkRecord
@@ -26,8 +25,15 @@ def _nodes_of(seq) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def identity_encoding(seq, s: int, self_column: bool = True) -> np.ndarray:
-    """Binary matrix marking windowed node repetitions.
+def _byte_matrix(buf: bytearray, rows: int, cols: int) -> memoryview:
+    """Read-only (rows, cols) view of `buf`; a view's shape cannot hold 0."""
+    if not rows:
+        raise ValueError("empty sequence")
+    return memoryview(buf).cast("b", (rows, cols)).toreadonly()
+
+
+def identity_encoding(seq, s: int, self_column: bool = True) -> memoryview:
+    """Read-only byte view marking windowed node repetitions.
 
     Entry [i, j] is 1 iff i >= 1, i-j >= 0, and w_i == w_{i-j}, with
     columns j = 0..s-1: column j says the current node appeared exactly j
@@ -40,18 +46,18 @@ def identity_encoding(seq, s: int, self_column: bool = True) -> np.ndarray:
         raise ValueError("window must be >= 1")
     nodes = _nodes_of(seq)
     rows = len(nodes)
-    out = np.zeros((rows, s), dtype=np.int8)
+    buf = bytearray(rows * s)
     offset = 0 if self_column else 1
     for i in range(1, rows):
         for col in range(s):
             k = i - (col + offset)
             if k >= 0 and nodes[i] == nodes[k]:
-                out[i, col] = 1
-    return out
+                buf[i * s + col] = 1
+    return _byte_matrix(buf, rows, s)
 
 
-def adjacency_encoding(g: Graph, seq, s: int) -> np.ndarray:
-    """Binary matrix marking true edges among windowed pairs.
+def adjacency_encoding(g: Graph, seq, s: int) -> memoryview:
+    """Read-only byte view marking true edges among windowed pairs.
 
     Entry [i, j-1] is 1 iff i-j >= 0 and (w_i, w_{i-j}) is an edge of g,
     with columns j = 1..s-1. The sequence need not be a walk: search
@@ -68,14 +74,14 @@ def adjacency_encoding(g: Graph, seq, s: int) -> np.ndarray:
             raise ValueError(f"node id {w} out of range")
     rows = len(nodes)
     nbr = g.neighbor_sets()
-    out = np.zeros((rows, s - 1), dtype=np.int8)
+    buf = bytearray(rows * (s - 1))
     for i in range(1, rows):
-        wi = nodes[i]
-        row_nbrs = nbr[wi]
+        row_nbrs = nbr[nodes[i]]
+        row = i * (s - 1)
         for j in range(1, min(s - 1, i) + 1):
             if nodes[i - j] in row_nbrs:
-                out[i, j - 1] = 1
-    return out
+                buf[row + j - 1] = 1
+    return _byte_matrix(buf, rows, s - 1)
 
 
 @dataclass(frozen=True)
@@ -125,15 +131,3 @@ def anonymous_tags(first_search: SearchRecord) -> TagMap:
         tags={v: i + 1 for i, v in enumerate(first_search.visit_order)}
     )
 
-
-def encoding_to_json(mat: np.ndarray) -> dict:
-    """Row-major 0/1 array with declared shape, ready for json.dumps."""
-    return {
-        "shape": [int(d) for d in mat.shape],
-        "data": [int(x) for x in mat.reshape(-1)],
-    }
-
-
-def encoding_from_json(payload: dict) -> np.ndarray:
-    shape = tuple(payload["shape"])
-    return np.array(payload["data"], dtype=np.int8).reshape(shape)

@@ -5,7 +5,8 @@ node and the node j steps back). Unioning those pairs across a sample of
 searches recovers edges; with window s >= n+1 a single search already
 sees every earlier position, so all edges among visited nodes appear.
 Recovery can only ever miss edges, never invent them, as long as the
-encodings were computed from the actual graph.
+encodings were computed from the actual graph. Decoding steps from set
+cell to set cell with `bytes.find` over an encoding's row-major bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ def reconstruct_from_searches(
 
     `seqs` holds node sequences, `encodings` the matching adjacency
     matrices, each shaped (len(seq), s-1) for the same window s. The
-    entry at row i, column j-1 asserts the edge (seq[i], seq[i-j]).
+    entry at row i, column j-1 asserts the edge (seq[i], seq[i-j]);
+    entries with j > i lie outside the sequence and are ignored.
     """
     if len(seqs) != len(encodings):
         raise ValueError("need one encoding per sequence")
@@ -56,11 +58,13 @@ def reconstruct_from_searches(
             )
         if n is not None and any(not 0 <= w < n for w in seq):
             raise ValueError("node id out of range")
-        for i in range(1, len(seq)):
-            for j in range(1, min(s - 1, i) + 1):
-                if enc[i, j - 1]:
-                    a, b = seq[i], seq[i - j]
-                    recovered.add((a, b) if a < b else (b, a))
+        cells = enc.tobytes()
+        k = -1
+        while (k := cells.find(1, k + 1)) >= 0:
+            i, col = divmod(k, s - 1)
+            if col < i:
+                a, b = seq[i], seq[i - col - 1]
+                recovered.add((a, b) if a < b else (b, a))
     return frozenset(recovered)
 
 

@@ -313,8 +313,8 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
 
     Outcomes are keyed by visit order (which determines the tree), and
     their probabilities sum to exactly 1. Raises EnumerationBudgetError
-    once more than `budget` branch states have been expanded: the graph is
-    too large for exact enumeration.
+    once more than `budget` branch states have been expanded or a search
+    outruns the recursion limit: the graph is too large to enumerate.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -358,7 +358,12 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
             entry[0] += prob
 
     for root in range(n):
-        expand((root,), frozenset((root,)), (root,), (), Fraction(1, n))
+        try:
+            expand((root,), frozenset((root,)), (root,), (), Fraction(1, n))
+        except RecursionError:
+            raise EnumerationBudgetError(
+                "too large for exact enumeration (recursion limit exceeded)"
+            ) from None
 
     result = []
     for order, (prob, tree) in sorted(outcomes.items()):

@@ -116,13 +116,6 @@ class RefinementRun:
             groups[c].append(node)
         return list(groups.values())
 
-    def joint_partition(self, round_idx: int) -> Partition:
-        groups: dict = defaultdict(list)
-        for gi, colors in enumerate(self.history[round_idx]):
-            for node, c in enumerate(colors):
-                groups[c].append((gi, node))
-        return Partition(blocks=frozenset(frozenset(v) for v in groups.values()))
-
     def stable_partition(self, graph_idx: int) -> Partition:
         if self.stable_round is None:
             raise ValueError("run did not stabilize within its round budget")
@@ -167,6 +160,8 @@ def _run_refinement(graphs, update, rounds, init):
     graphs = tuple(graphs)
     if not graphs:
         raise ValueError("need at least one graph")
+    if rounds is not None and rounds < 0:
+        raise ValueError("rounds must be >= 0")
     if init is None:
         init = tuple((0,) * g.n for g in graphs)
     else:

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import walksearch
 from walksearch.cli import main
-from walksearch.graphs import load_edge_list
+from walksearch.graphs import hex_chain, load_edge_list, save_edge_list
 from walksearch.wl import partition_of
 
 from .test_wl import naive_wl, naive_wwl
@@ -223,6 +227,26 @@ class TestReconstructVerb:
         assert payload == {"n": 6, "m": 1, "s": 7, "missing_count": 0,
                            "spurious_count": 0, "exact": True}
 
+    def test_runs_with_numpy_blocked(self, tmp_path):
+        # the package has no runtime dependency: with numpy made
+        # unimportable, the package and the CLI import and reconstruct
+        g = hex_chain(2)
+        graph = write(tmp_path, "h.el", save_edge_list(g))
+        src = str(Path(walksearch.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import walksearch\n"
+            "from walksearch.cli import main\n"
+            f"sys.exit(main(['reconstruct', '--graph', {graph!r}, '--m', '1',"
+            f" '--window', '{g.n + 1}', '--seed', '3']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["exact"] is True
+
 
 class TestErrorsAndDeterminism:
     def test_unknown_family_error_json(self, capsys):
@@ -293,13 +317,17 @@ class TestErrorsAndDeterminism:
             (["coverage", "--kinds", "searches", "--m-list", "1",
               "--trials", "5", "--seed", "0"],
              TWO_EDGES, "searches require a connected graph"),
+            (["wl", "--rounds", "-1"], CYCLE6, "rounds must be >= 0"),
+            (["wwl", "--length", "2", "--rounds", "-2"],
+             CYCLE6, "rounds must be >= 0"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
              "coverage-one-node", "covertime-one-node", "bound-one-node",
              "covertime-cap0", "covertime-cap-2", "coverage-length0",
              "coverage-length-1", "coverage-searches-one-node",
-             "coverage-searches-disconnected"],
+             "coverage-searches-disconnected", "wl-rounds-1",
+             "wwl-rounds-2"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)

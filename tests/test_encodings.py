@@ -2,7 +2,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +10,6 @@ from walksearch.encodings import (
     adjacency_encoding,
     anonymous_encoding,
     anonymous_tags,
-    encoding_from_json,
-    encoding_to_json,
     identity_encoding,
 )
 from walksearch.graphs import complete_graph, path_graph, relabel
@@ -28,12 +25,13 @@ class TestIdentityEncoding:
 
     def test_row_zero_all_zeros(self):
         mat = identity_encoding((4, 4, 4, 4), 4)
-        assert mat[0].tolist() == [0, 0, 0, 0]
+        assert mat.tolist()[0] == [0, 0, 0, 0]
 
     def test_distinct_nodes_only_self_column(self):
         mat = identity_encoding((0, 1, 2, 3), 4)
-        assert mat[:, 0].tolist() == [0, 1, 1, 1]
-        assert not mat[:, 1:].any()
+        rows = mat.tolist()
+        assert [row[0] for row in rows] == [0, 1, 1, 1]
+        assert not any(any(row[1:]) for row in rows)
 
     def test_without_self_column(self):
         mat = identity_encoding((0, 1, 0), 3, self_column=False)
@@ -43,6 +41,10 @@ class TestIdentityEncoding:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             identity_encoding((0, 1), 0)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            identity_encoding((), 3)
 
 
 class TestAdjacencyEncoding:
@@ -83,12 +85,16 @@ class TestAdjacencyEncoding:
         with pytest.raises(ValueError, match="out of range"):
             adjacency_encoding(path_graph(2), (0, 5), 2)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            adjacency_encoding(path_graph(2), (), 3)
+
     @settings(max_examples=40)
     @given(connected_graphs(min_n=2, max_n=7))
     def test_walk_first_column_all_ones(self, g):
         w = sample_walk(g, 10, random.Random(5))
         mat = adjacency_encoding(g, w.nodes, 4)
-        assert mat[1:, 0].all()
+        assert all(row[0] for row in mat.tolist()[1:])
 
     @settings(max_examples=40)
     @given(connected_graphs(min_n=2, max_n=7))
@@ -177,11 +183,29 @@ class TestAnonymousTags:
         assert sum(pushed.values()) == Fraction(1)
 
 
-class TestJsonRoundTrip:
-    def test_round_trip(self):
-        mat = identity_encoding((0, 1, 0, 2), 3)
-        payload = encoding_to_json(mat)
-        assert payload["shape"] == [4, 3]
-        assert all(isinstance(x, int) for x in payload["data"])
-        back = encoding_from_json(payload)
-        assert np.array_equal(back, mat)
+class TestByteMatrices:
+    @pytest.mark.parametrize("s", [1, 2, 4])
+    def test_identity_is_read_only_byte_view(self, s):
+        mat = identity_encoding((0, 1, 0, 2, 1), s)
+        assert isinstance(mat, memoryview)
+        assert mat.readonly
+        assert mat.format == "b"
+        assert mat.shape == (5, s)
+        with pytest.raises(TypeError):
+            mat[1, 0] = 0
+
+    @pytest.mark.parametrize("s", [2, 3, 6])
+    def test_adjacency_is_read_only_byte_view(self, s):
+        g = path_graph(4)
+        mat = adjacency_encoding(g, (0, 1, 2, 3, 2), s)
+        assert isinstance(mat, memoryview)
+        assert mat.readonly
+        assert mat.format == "b"
+        assert mat.shape == (5, s - 1)
+        with pytest.raises(TypeError):
+            mat[1, 0] = 0
+
+    def test_cells_are_row_major_bytes(self):
+        mat = adjacency_encoding(path_graph(3), (0, 1, 2), 3)
+        assert mat.tobytes() == bytes([0, 0, 1, 0, 1, 0])
+        assert mat == adjacency_encoding(path_graph(3), (0, 1, 2), 3)

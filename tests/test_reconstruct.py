@@ -21,6 +21,23 @@ from walksearch.samplers import sample_set
 from .strategies import connected_graphs
 
 
+def per_cell_decode(seqs, encodings, s):
+    """Reference decode: read every in-window cell, one at a time."""
+    recovered = set()
+    for seq, enc in zip(seqs, encodings):
+        seq = tuple(seq)
+        for i in range(1, len(seq)):
+            for j in range(1, min(s - 1, i) + 1):
+                if enc[i, j - 1]:
+                    a, b = seq[i], seq[i - j]
+                    recovered.add((a, b) if a < b else (b, a))
+    return frozenset(recovered)
+
+
+def byte_view(cells, rows, cols):
+    return memoryview(bytearray(cells)).cast("b", (rows, cols)).toreadonly()
+
+
 class TestSingleSearchWindows:
     def test_star_full_window_exact(self):
         g = star_graph(4)
@@ -56,6 +73,43 @@ class TestSingleSearchWindows:
                 t, sample_set(t, "searches", 1, seed=seed), t.n + 1
             )
             assert rep.exact
+
+
+class TestDecodeOracle:
+    @settings(max_examples=40)
+    @given(connected_graphs(min_n=2, max_n=8), st.integers(0, 10**6))
+    def test_matches_per_cell_decode(self, g, seed):
+        for m in range(1, 4):
+            ss = sample_set(g, "searches", m, seed=seed)
+            seqs = [rec.visit_order for rec in ss.items]
+            for s in range(2, g.n + 2):
+                encs = [adjacency_encoding(g, seq, s) for seq in seqs]
+                assert reconstruct_from_searches(
+                    seqs, encs, s, n=g.n
+                ) == per_cell_decode(seqs, encs, s)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_per_cell_decode_on_arbitrary_cells(self, data):
+        rows = data.draw(st.integers(1, 8))
+        s = data.draw(st.integers(2, 10))
+        seq = data.draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows))
+        cells = data.draw(st.lists(
+            st.integers(0, 1), min_size=rows * (s - 1), max_size=rows * (s - 1)
+        ))
+        enc = byte_view(cells, rows, s - 1)
+        assert reconstruct_from_searches([seq], [enc], s) == per_cell_decode(
+            [seq], [enc], s
+        )
+
+    def test_cells_before_the_sequence_start_are_ignored(self):
+        # cell [i, col] names seq[i - col - 1]; with col >= i that lies
+        # before position 0, so the cell names no pair
+        seq = (0, 1, 2)
+        enc = byte_view([1, 1, 1,
+                         0, 1, 1,
+                         1, 1, 1], 3, 3)
+        assert reconstruct_from_searches([seq], [enc], 4) == {(1, 2), (0, 2)}
 
 
 class TestReportAndErrors:

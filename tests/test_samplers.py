@@ -167,6 +167,12 @@ class TestExactEnumeration:
         with pytest.raises(EnumerationBudgetError, match="too large"):
             enumerate_dfs(cycle_graph(6), budget=5)
 
+    def test_deep_search_takes_budget_error(self):
+        # a search deeper than the recursion limit is refused like an
+        # exhausted budget, not with a RecursionError
+        with pytest.raises(EnumerationBudgetError, match="too large"):
+            enumerate_dfs(path_graph(1200))
+
     def test_probabilities_sum_to_one_on_small_corpus(self):
         for g in all_connected_graphs_upto(5):
             outs = enumerate_dfs(g)
