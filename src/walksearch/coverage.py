@@ -210,13 +210,20 @@ class BoundQuery:
 def bound_query(c: float, n: int, d_max: int, delta: float) -> BoundQuery:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
     if d_max <= 1:
         return BoundQuery(
             c=c, n=n, d_max=d_max, delta=delta, m_required=1, degenerate=True
         )
     if c * n < 1.0:
         raise ValueError("C*n must be at least 1")
-    raw = math.log(c * n / delta) / math.log(d_max / (d_max - 1))
+    ratio = c * n / delta
+    if not math.isfinite(ratio):
+        raise ValueError("C*n/delta must be finite")
+    raw = math.log(ratio) / math.log(d_max / (d_max - 1))
     return BoundQuery(
         c=c,
         n=n,
@@ -393,6 +400,10 @@ def coverage_curve(
     graph, and on one node they cover it with no edge to miss.
     """
     kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError("kinds must be nonempty")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("kinds must not repeat")
     if not m_list:
         raise ValueError("m_list must be nonempty")
     if trials < 1:

@@ -73,14 +73,19 @@ def adjacency_encoding(g: Graph, seq, s: int) -> memoryview:
         if not 0 <= w < g.n:
             raise ValueError(f"node id {w} out of range")
     rows = len(nodes)
-    nbr = g.neighbor_sets()
+    adjacency = g.adjacency
     buf = bytearray(rows * (s - 1))
-    for i in range(1, rows):
-        row_nbrs = nbr[nodes[i]]
+    # seen[v] lists the earlier positions of v; row i sets the cell of
+    # each position p of a neighbor with lag i - p inside the window
+    seen: dict[int, list[int]] = {}
+    for i, w in enumerate(nodes):
         row = i * (s - 1)
-        for j in range(1, min(s - 1, i) + 1):
-            if nodes[i - j] in row_nbrs:
-                buf[row + j - 1] = 1
+        for v in adjacency[w]:
+            for p in reversed(seen.get(v, ())):
+                if i - p >= s:
+                    break
+                buf[row + i - p - 1] = 1
+        seen.setdefault(w, []).append(i)
     return _byte_matrix(buf, rows, s - 1)
 
 

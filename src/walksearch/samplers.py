@@ -3,7 +3,9 @@
 Three walk policies (uniform, non-backtracking, and a pluggable local
 rule), a randomized depth-first search whose visit sequence induces a
 spanning tree, and an exact enumerator of all DFS outcomes with rational
-probabilities. The enumerator is the ground-truth oracle used by the
+probabilities. Both DFS routines step from the top of the stack to a
+uniform unvisited neighbor: the sampler draws one, the enumerator
+branches on all of them and is the ground-truth oracle used by the
 coverage and invariance labs.
 
 Randomness contract: every sampler takes an explicit ``random.Random``;
@@ -214,39 +216,36 @@ def sample_walk(
 def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchRecord:
     """Sample a random depth-first search.
 
-    The root is uniform over V unless forced. On first visiting a node its
-    neighbors are put in an independently uniform random order, and
-    exploration follows that order, skipping nodes already visited. The
-    visit order records first visits only, so its length is exactly n; a
-    shorter one means the graph is disconnected, which is rejected.
+    The root is uniform over V unless forced. At every step the search
+    moves from the top of its stack to a uniformly chosen unvisited
+    neighbor, or pops the top once it has none: the rule `enumerate_dfs`
+    branches on. The visit order records first visits only, so its
+    length is exactly n; a shorter one means the graph is disconnected,
+    which is rejected.
     """
     if g.n < 1:
         raise ValueError("empty graph")
     adjacency = g.adjacency
+    randrange = rng.randrange
     if root is None:
-        root = rng.randrange(g.n)
+        root = randrange(g.n)
     visited = bytearray(g.n)
     visited[root] = 1
     order = [root]
     tree: list[tuple[int, int]] = []
-    nbrs = list(adjacency[root])
-    rng.shuffle(nbrs)
-    stack = [(root, iter(nbrs))]
-    push = stack.append
-    pop = stack.pop
+    stack = [root]
     while stack:
-        u, it = stack[-1]
-        for v in it:
-            if not visited[v]:
-                visited[v] = 1
-                order.append(v)
-                tree.append((u, v) if u < v else (v, u))
-                child_nbrs = list(adjacency[v])
-                rng.shuffle(child_nbrs)
-                push((v, iter(child_nbrs)))
-                break
-        else:
-            pop()
+        u = stack[-1]
+        options = [v for v in adjacency[u] if not visited[v]]
+        if not options:
+            stack.pop()
+            continue
+        # a lone option needs no draw
+        v = options[randrange(len(options))] if len(options) > 1 else options[0]
+        visited[v] = 1
+        order.append(v)
+        tree.append((u, v) if u < v else (v, u))
+        stack.append(v)
     if len(order) != g.n:
         raise ValueError("searches require a connected graph")
     return SearchRecord(
@@ -302,10 +301,8 @@ def validate_search_record(g: Graph, rec: SearchRecord) -> None:
 # exact DFS enumeration
 #
 # Branches on the uniform choice among the currently-unvisited neighbors of
-# the stack top. This is distribution-equal to drawing an independent
-# uniform neighbor permutation per vertex up front: conditioned on any
-# prefix, the first not-yet-visited entry remaining in a uniformly random
-# permutation is uniform over the not-yet-visited neighbors.
+# the stack top; `sample_dfs` takes one branch of this enumeration with
+# that branch's probability.
 
 
 def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcome]:

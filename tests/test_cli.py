@@ -140,6 +140,33 @@ class TestBound:
                                 "empirical_success", "trials"}
         assert payload["empirical_success"] >= 0.9
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "10", "--C", "inf", "--d-max", "3", "--delta", "0.1"],
+             "C*n/delta must be finite"),
+            (["--n", "10", "--C", "1e308", "--d-max", "3", "--delta",
+              "1e-308"], "C*n/delta must be finite"),
+            (["--n", "10", "--C", "nan", "--d-max", "3", "--delta", "0.1"],
+             "C*n/delta must be finite"),
+            (["--n", "-5", "--C", "-1", "--d-max", "3", "--delta", "0.1"],
+             "n must be >= 1"),
+            (["--n", "-5", "--C", "1.0", "--d-max", "1", "--delta", "0.1"],
+             "n must be >= 1"),
+            (["--n", "10", "--C", "1.0", "--d-max", "-4", "--delta", "0.1"],
+             "d_max must be >= 0"),
+        ],
+        ids=["C-inf", "overflow", "C-nan", "n-negative",
+             "n-negative-degenerate", "d-max-negative"],
+    )
+    def test_rejects_impossible_inputs(self, capsys, flags, message):
+        assert main(["bound"] + flags) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": message
+        }
+
 
 class TestRefinementVerbs:
     def test_wl_prints_rounds_and_stable(self, tmp_path, capsys):
@@ -320,6 +347,11 @@ class TestErrorsAndDeterminism:
             (["wl", "--rounds", "-1"], CYCLE6, "rounds must be >= 0"),
             (["wwl", "--length", "2", "--rounds", "-2"],
              CYCLE6, "rounds must be >= 0"),
+            (["coverage", "--kinds", ",", "--m-list", "1", "--trials", "5",
+              "--seed", "0"], CYCLE6, "kinds must be nonempty"),
+            (["coverage", "--kinds", "searches,searches", "--m-list", "1",
+              "--trials", "5", "--seed", "0"], CYCLE6,
+             "kinds must not repeat"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
@@ -327,7 +359,8 @@ class TestErrorsAndDeterminism:
              "covertime-cap0", "covertime-cap-2", "coverage-length0",
              "coverage-length-1", "coverage-searches-one-node",
              "coverage-searches-disconnected", "wl-rounds-1",
-             "wwl-rounds-2"],
+             "wwl-rounds-2", "coverage-kinds-empty",
+             "coverage-kinds-repeat"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)

@@ -13,9 +13,26 @@ from walksearch.encodings import (
     identity_encoding,
 )
 from walksearch.graphs import complete_graph, path_graph, relabel
-from walksearch.samplers import enumerate_dfs, sample_dfs, sample_walk
+from walksearch.samplers import (
+    derive_rng,
+    enumerate_dfs,
+    sample_dfs,
+    sample_walk,
+)
 
+from .corpus import all_connected_graphs_upto
 from .strategies import connected_graphs, graphs_with_permutation
+
+
+def window_scan_adjacency(g, nodes, s):
+    """Reference fill: test every windowed pair of positions."""
+    nbr = g.neighbor_sets()
+    rows = [[0] * (s - 1) for _ in nodes]
+    for i in range(1, len(nodes)):
+        for j in range(1, min(s - 1, i) + 1):
+            if nodes[i - j] in nbr[nodes[i]]:
+                rows[i][j - 1] = 1
+    return rows
 
 
 class TestIdentityEncoding:
@@ -104,6 +121,18 @@ class TestAdjacencyEncoding:
         for i in range(1, g.n):
             adjacent = g.has_edge(rec.visit_order[i], rec.visit_order[i - 1])
             assert bool(mat[i, 0]) == adjacent
+
+    def test_matches_window_scan_on_searches_and_walks(self):
+        # searches visit each node once; walks of 2n steps revisit nodes
+        for idx, g in enumerate(all_connected_graphs_upto(5)):
+            seqs = [sample_dfs(g, derive_rng(idx, "search")).visit_order]
+            if g.n >= 2:
+                walk = sample_walk(g, 2 * g.n, derive_rng(idx, "walk"))
+                seqs.append(walk.nodes)
+            for nodes in seqs:
+                for s in range(2, len(nodes) + 3):
+                    mat = adjacency_encoding(g, nodes, s)
+                    assert mat.tolist() == window_scan_adjacency(g, nodes, s)
 
 
 class TestAnonymousEncoding:

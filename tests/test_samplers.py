@@ -25,11 +25,45 @@ from walksearch.samplers import (
     validate_search_record,
 )
 
-from .corpus import all_connected_graphs_upto
+from .corpus import all_connected_graphs_upto, random_connected_corpus
 from .strategies import connected_graphs
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 BULL = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+
+
+class ScriptedRng:
+    """Answers `randrange(k)` from `script`, then with 0; records each k."""
+
+    def __init__(self, script):
+        self.script = script
+        self.ks = []
+
+    def randrange(self, k):
+        i = len(self.ks)
+        self.ks.append(k)
+        return self.script[i] if i < len(self.script) else 0
+
+
+def exact_sampler_law(g):
+    """Law of `sample_dfs` over (visit order, tree edges), run once per
+    draw sequence: each run branches on every draw past its script."""
+    law = Counter()
+    scripts = [[]]
+    while scripts:
+        script = scripts.pop()
+        rng = ScriptedRng(script)
+        rec = sample_dfs(g, rng)
+        weight = Fraction(1)
+        for k in rng.ks:
+            weight /= k
+        law[rec.visit_order, rec.tree_edges] += weight
+        # past the root draw, a draw is made only between >= 2 options
+        assert all(k >= 2 for k in rng.ks[1:])
+        for j in range(len(script), len(rng.ks)):
+            zeros = [0] * (j - len(script))
+            scripts.extend(script + zeros + [a] for a in range(1, rng.ks[j]))
+    return law
 
 
 class TestSeedDerivation:
@@ -195,6 +229,21 @@ class TestExactEnumeration:
             abs(counts.get(k, 0) / trials - p) for k, p in exact.items()
         )
         assert tv <= 0.01
+
+    def test_sampler_law_is_exact(self):
+        # every draw sequence of the sampler, weighted by its probability,
+        # gives exactly the enumerated law
+        corpus = all_connected_graphs_upto(5) + tuple(
+            random_connected_corpus(20, seed=3)
+        )
+        for g in corpus:
+            exact = Counter(
+                {
+                    (o.record.visit_order, o.record.tree_edges): o.probability
+                    for o in enumerate_dfs(g)
+                }
+            )
+            assert exact_sampler_law(g) == exact
 
 
 class TestSampleSets:
