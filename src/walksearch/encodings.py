@@ -75,16 +75,32 @@ def adjacency_encoding(g: Graph, seq, s: int) -> memoryview:
     rows = len(nodes)
     adjacency = g.adjacency
     buf = bytearray(rows * (s - 1))
-    # seen[v] lists the earlier positions of v; row i sets the cell of
-    # each position p of a neighbor with lag i - p inside the window
+    # Each row runs the cheaper of two loops. Looking up the earlier
+    # positions of each neighbor in `seen` costs the degree plus the set
+    # cells, which in a search are at most the degree again; testing each
+    # windowed position against the neighbor set (built once per node)
+    # costs the window width. A row looks up when twice its degree is
+    # below its width, so it costs O(min(degree, width) + its set cells),
+    # and the sets O(m) at most.
     seen: dict[int, list[int]] = {}
+    nbr_sets: dict[int, set[int]] = {}
     for i, w in enumerate(nodes):
         row = i * (s - 1)
-        for v in adjacency[w]:
-            for p in reversed(seen.get(v, ())):
-                if i - p >= s:
-                    break
-                buf[row + i - p - 1] = 1
+        width = min(s - 1, i)
+        nbrs = adjacency[w]
+        if 2 * len(nbrs) < width:
+            for v in nbrs:
+                for p in reversed(seen.get(v, ())):
+                    if i - p >= s:
+                        break
+                    buf[row + i - p - 1] = 1
+        elif width:
+            row_nbrs = nbr_sets.get(w)
+            if row_nbrs is None:
+                row_nbrs = nbr_sets[w] = set(nbrs)
+            for j in range(1, width + 1):
+                if nodes[i - j] in row_nbrs:
+                    buf[row + j - 1] = 1
         seen.setdefault(w, []).append(i)
     return _byte_matrix(buf, rows, s - 1)
 

@@ -216,12 +216,12 @@ def sample_walk(
 def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchRecord:
     """Sample a random depth-first search.
 
-    The root is uniform over V unless forced. At every step the search
-    moves from the top of its stack to a uniformly chosen unvisited
-    neighbor, or pops the top once it has none: the rule `enumerate_dfs`
-    branches on. The visit order records first visits only, so its
-    length is exactly n; a shorter one means the graph is disconnected,
-    which is rejected.
+    The root is uniform over V unless forced. Each step moves from the
+    stack top to a uniform unvisited neighbor, or pops the top if it has
+    none: the rule `enumerate_dfs` branches on. An entry's candidates are
+    the neighbors unvisited when it was pushed; a draw found visited is
+    dropped and redrawn, so a search reads each neighbor list once and
+    draws at most 2m + 1 times. A disconnected graph is rejected.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -233,19 +233,22 @@ def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchR
     visited[root] = 1
     order = [root]
     tree: list[tuple[int, int]] = []
-    stack = [root]
+    stack = [(root, list(adjacency[root]))]
     while stack:
-        u = stack[-1]
-        options = [v for v in adjacency[u] if not visited[v]]
-        if not options:
+        u, candidates = stack[-1]
+        while candidates:
+            # swap-remove a uniform candidate; a lone one needs no draw
+            r = randrange(len(candidates)) if len(candidates) > 1 else 0
+            candidates[r], candidates[-1] = candidates[-1], candidates[r]
+            v = candidates.pop()
+            if not visited[v]:
+                visited[v] = 1
+                order.append(v)
+                tree.append((u, v) if u < v else (v, u))
+                stack.append((v, [w for w in adjacency[v] if not visited[w]]))
+                break
+        else:
             stack.pop()
-            continue
-        # a lone option needs no draw
-        v = options[randrange(len(options))] if len(options) > 1 else options[0]
-        visited[v] = 1
-        order.append(v)
-        tree.append((u, v) if u < v else (v, u))
-        stack.append(v)
     if len(order) != g.n:
         raise ValueError("searches require a connected graph")
     return SearchRecord(
@@ -405,6 +408,5 @@ def sample_set(
             nodes = tuple(islice(walk_pol.walk(derive_rng(seed, i)), ell + 1))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))
     else:
-        for i in range(m):
-            items.append(sample_dfs(g, derive_rng(seed, i)))
+        items.extend(sample_dfs(g, derive_rng(seed, i)) for i in range(m))
     return SampleSet(kind=kind, items=tuple(items), seed=seed)

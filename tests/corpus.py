@@ -39,6 +39,25 @@ def all_connected_graphs_upto(nmax: int) -> tuple[Graph, ...]:
     return tuple(reps)
 
 
+def counting_graph(g: Graph) -> tuple[Graph, list[int]]:
+    """A copy of `g` whose neighbor lists tally what is read from them:
+    `reads[v]` counts the entries iterated out of v's list."""
+    reads = [0] * g.n
+
+    class Row(tuple):
+        def __iter__(self):
+            for w in tuple.__iter__(self):
+                reads[self.node] += 1
+                yield w
+
+    rows = []
+    for v, nbrs in enumerate(g.adjacency):
+        row = Row(nbrs)
+        row.node = v
+        rows.append(row)
+    return Graph(n=g.n, adjacency=tuple(rows), edge_count=g.edge_count), reads
+
+
 def random_connected_graph(
     rng: random.Random, n: int, p: float, max_tries: int = 2000
 ) -> Graph:

@@ -12,7 +12,13 @@ from walksearch.encodings import (
     anonymous_tags,
     identity_encoding,
 )
-from walksearch.graphs import complete_graph, path_graph, relabel
+from walksearch.graphs import (
+    complete_graph,
+    hex_chain,
+    path_graph,
+    relabel,
+    star_graph,
+)
 from walksearch.samplers import (
     derive_rng,
     enumerate_dfs,
@@ -20,7 +26,7 @@ from walksearch.samplers import (
     sample_walk,
 )
 
-from .corpus import all_connected_graphs_upto
+from .corpus import all_connected_graphs_upto, counting_graph
 from .strategies import connected_graphs, graphs_with_permutation
 
 
@@ -134,6 +140,28 @@ class TestAdjacencyEncoding:
                     mat = adjacency_encoding(g, nodes, s)
                     assert mat.tolist() == window_scan_adjacency(g, nodes, s)
 
+    @pytest.mark.parametrize(
+        "g",
+        [star_graph(60), complete_graph(20), hex_chain(4)],
+        ids=["star60", "K20", "hex4"],
+    )
+    def test_row_reads_at_most_min_degree_window(self, g):
+        # a high-degree node in a small window is scanned, not looked up;
+        # a walk on a star comes back to the hub every other step
+        counted, reads = counting_graph(g)
+        seqs = [
+            sample_dfs(g, derive_rng(1, "search")).visit_order,
+            sample_walk(g, 3 * g.n, derive_rng(1, "walk")).nodes,
+        ]
+        for nodes in seqs:
+            for s in (2, 3, 10, len(nodes) + 1):
+                reads[:] = [0] * g.n
+                mat = adjacency_encoding(counted, nodes, s)
+                assert mat.tolist() == window_scan_adjacency(g, nodes, s)
+                bound = 2 * g.edge_count + sum(
+                    min(g.degree(w), s - 1, i) for i, w in enumerate(nodes)
+                )
+                assert sum(reads) <= bound
 
 class TestAnonymousEncoding:
     def test_basic_relabeling(self):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 
 from walksearch.graphs import (
     Graph,
+    complete_graph,
     cycle_graph,
     disjoint_union,
+    hex_chain,
     path_graph,
     star_graph,
 )
@@ -25,7 +27,11 @@ from walksearch.samplers import (
     validate_search_record,
 )
 
-from .corpus import all_connected_graphs_upto, random_connected_corpus
+from .corpus import (
+    all_connected_graphs_upto,
+    counting_graph,
+    random_connected_corpus,
+)
 from .strategies import connected_graphs
 
 PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
@@ -58,12 +64,22 @@ def exact_sampler_law(g):
         for k in rng.ks:
             weight /= k
         law[rec.visit_order, rec.tree_edges] += weight
-        # past the root draw, a draw is made only between >= 2 options
+        # past the root draw, a draw is made only among >= 2 candidates
         assert all(k >= 2 for k in rng.ks[1:])
         for j in range(len(script), len(rng.ks)):
             zeros = [0] * (j - len(script))
             scripts.extend(script + zeros + [a] for a in range(1, rng.ks[j]))
     return law
+
+
+class DrawCounter(random.Random):
+    """A `random.Random` that counts its `randrange` calls."""
+
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
 
 
 class TestSeedDerivation:
@@ -167,6 +183,21 @@ class TestRandomDfs:
         rec = sample_dfs(g, random.Random(11))
         validate_search_record(g, rec)
         assert set(rec.visit_order) == set(range(g.n))
+
+    @pytest.mark.parametrize(
+        "g",
+        [star_graph(400), complete_graph(40), hex_chain(6), path_graph(50)],
+        ids=["star400", "K40", "hex6", "path50"],
+    )
+    def test_reads_each_neighbor_list_once(self, g):
+        # a hub that the search keeps coming back to must not be rescanned
+        counted, reads = counting_graph(g)
+        for seed in range(5):
+            reads[:] = [0] * g.n
+            rng = DrawCounter(seed)
+            validate_search_record(g, sample_dfs(counted, rng))
+            assert reads == g.degrees()
+            assert rng.draws <= 2 * g.edge_count + 1
 
 
 class TestExactEnumeration:
