@@ -9,6 +9,7 @@ nonzero with a JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +47,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True) + "\n", out)
+    _emit(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 def _int_list(text: str) -> list[int]:
@@ -143,6 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out")
     return p
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser (each call fills a new
+    # Namespace), so one parser serves every main() call in a process
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +339,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         _COMMANDS[args.command](args)
         return 0
     except _UsageError as exc:

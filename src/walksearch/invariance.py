@@ -5,7 +5,10 @@ through the same permutation must give identical distributions. On small
 graphs this is checked exactly over the full enumerated distribution
 (rational arithmetic, expected discrepancy exactly 0); on larger graphs a
 two-sample comparison of sampled visit orders is calibrated against a
-self-vs-self baseline instead of a hand-picked threshold.
+self-vs-self baseline instead of a hand-picked threshold. The
+permutation test behind that comparison counts in exact integers: each
+distinct visit order is coded once as a small int and every reshuffle's
+statistic is 2*na*nb*TV, so no float tolerance decides a tie.
 """
 
 from __future__ import annotations
@@ -82,20 +85,39 @@ def two_sample_tv(samples_a, samples_b) -> float:
     return 0.5 * sum(abs(ca[k] / na - cb[k] / nb) for k in keys)
 
 
+def _scaled_tv(first, weights, na: int, n: int) -> int:
+    """2*na*nb*TV of a split of n = na + nb pooled draws whose first na
+    draws have the counts `first`; `weights[k]` is na times the pooled
+    count of code k. A code absent from the first part adds its weight,
+    so only the codes present there are summed."""
+    return na * n + sum(
+        abs(ca * n - weights[k]) - weights[k] for k, ca in first.items()
+    )
+
+
 def tv_permutation_pvalue(samples_a, samples_b, reps, rng) -> float:
     """Permutation test of 'same distribution' using TV as the statistic.
 
     Pools the samples, reshuffles the labels `reps` times, and reports
     the fraction of reshuffles whose TV is at least the observed one
-    (with the +1 correction).
+    (with the +1 correction). Each distinct sample is coded once as a
+    small int and TV is compared as the exact integer 2*na*nb*TV.
     """
-    observed = two_sample_tv(samples_a, samples_b)
-    pool = list(samples_a) + list(samples_b)
-    na = len(samples_a)
+    na, nb = len(samples_a), len(samples_b)
+    if na == 0 or nb == 0:
+        raise ValueError("both samples must be nonempty")
+    n = na + nb
+    codes: dict = {}
+    pool = [codes.setdefault(s, len(codes)) for s in samples_a]
+    pool += [codes.setdefault(s, len(codes)) for s in samples_b]
+    weights = [0] * len(codes)
+    for k in pool:
+        weights[k] += na
+    observed = _scaled_tv(Counter(pool[:na]), weights, na, n)
     at_least = 0
     for _ in range(reps):
         rng.shuffle(pool)
-        if two_sample_tv(pool[:na], pool[na:]) >= observed - 1e-12:
+        if _scaled_tv(Counter(pool[:na]), weights, na, n) >= observed:
             at_least += 1
     return (1 + at_least) / (reps + 1)
 

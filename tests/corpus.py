@@ -13,24 +13,41 @@ from functools import lru_cache
 from walksearch.graphs import Graph
 
 
+def _labeled_connected_graphs(n: int):
+    """(edges, graph) for every connected graph on nodes 0..n-1, in the
+    order of the bitmask over sorted node pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        g = Graph.from_edges(n, edges)
+        if g.is_connected():
+            yield edges, g
+
+
+@lru_cache(maxsize=None)
+def all_labeled_connected_graphs_upto(nmax: int) -> tuple[Graph, ...]:
+    """Every labeled connected graph with 1..nmax nodes: 1, 2, 6, 44, 772
+    graphs for nmax = 1..5, so isomorphic copies appear many times."""
+    return tuple(
+        g for n in range(1, nmax + 1) for _, g in _labeled_connected_graphs(n)
+    )
+
+
 @lru_cache(maxsize=None)
 def all_connected_graphs_upto(nmax: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of connected graphs with
-    1..nmax nodes. Brute-force canonicalization: only use for nmax <= 5."""
+    1..nmax nodes: 1, 2, 4, 10, 31 graphs for nmax = 1..5. Brute-force
+    canonicalization (the least sorted edge tuple over all relabelings):
+    only use for nmax <= 5."""
     reps: list[Graph] = []
     for n in range(1, nmax + 1):
-        pairs = list(itertools.combinations(range(n), 2))
         perms = list(itertools.permutations(range(n)))
-        seen: set[frozenset] = set()
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            g = Graph.from_edges(n, edges)
-            if not g.is_connected():
-                continue
+        seen: set[tuple] = set()
+        for edges, g in _labeled_connected_graphs(n):
             canon = min(
-                frozenset(
+                tuple(sorted(
                     (min(p[u], p[v]), max(p[u], p[v])) for u, v in edges
-                )
+                ))
                 for p in perms
             )
             if canon not in seen:

@@ -50,7 +50,7 @@ from walksearch.wl import distinguish, leaf_paths, partition_refines, \
     terminating_walks, unfolding_tree, wl_refine, wwl_refine
 
 from .corpus import (
-    all_connected_graphs_upto,
+    all_labeled_connected_graphs_upto,
     random_bounded_sparse_graph,
     random_connected_corpus,
 )
@@ -250,7 +250,7 @@ def test_criterion_6_leaf_path_walk_bijection():
 def test_criterion_7_probabilistic_invariance():
     with criterion(7, "exact DFS-law invariance; sampled check within baseline"):
         rng = random.Random(7007)
-        for g in all_connected_graphs_upto(5):
+        for g in all_labeled_connected_graphs_upto(5):
             for _ in range(20):
                 perm = random_permutation(g.n, rng)
                 assert invariance_exact(g, perm) == 0

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import walksearch
+from walksearch import cli
 from walksearch.cli import main
 from walksearch.graphs import hex_chain, load_edge_list, save_edge_list
 from walksearch.wl import partition_of
@@ -155,9 +156,16 @@ class TestBound:
              "n must be >= 1"),
             (["--n", "10", "--C", "1.0", "--d-max", "-4", "--delta", "0.1"],
              "d_max must be >= 0"),
+            (["--n", "10", "--C", "nan", "--d-max", "1", "--delta", "0.1"],
+             "C must be finite and >= 0"),
+            (["--n", "10", "--C", "inf", "--d-max", "1", "--delta", "0.1"],
+             "C must be finite and >= 0"),
+            (["--n", "10", "--C", "-1", "--d-max", "1", "--delta", "0.1"],
+             "C must be finite and >= 0"),
         ],
         ids=["C-inf", "overflow", "C-nan", "n-negative",
-             "n-negative-degenerate", "d-max-negative"],
+             "n-negative-degenerate", "d-max-negative", "C-nan-degenerate",
+             "C-inf-degenerate", "C-negative-degenerate"],
     )
     def test_rejects_impossible_inputs(self, capsys, flags, message):
         assert main(["bound"] + flags) == 1
@@ -166,6 +174,26 @@ class TestBound:
         assert json.loads(captured.err) == {
             "error": "ValueError", "message": message
         }
+
+
+    def test_zero_C_is_degenerate_not_an_error(self, capsys):
+        run_ok(["bound", "--n", "1", "--C", "0", "--d-max", "0",
+                "--delta", "0.1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["m_required"] == 1 and payload["degenerate"] is True
+
+    def test_non_finite_float_is_a_json_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        # no verb prints NaN or Infinity, which are not JSON
+        monkeypatch.setattr(cli.cov, "bound_check_report",
+                            lambda *args: {"C": float("nan")})
+        graph = write(tmp_path, "c.el", CYCLE6)
+        out = tmp_path / "out.json"
+        assert main(["bound", "--graph", graph, "--delta", "0.1",
+                     "--seed", "0", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert json.loads(captured.err)["error"] == "ValueError"
 
 
 class TestRefinementVerbs:
@@ -384,3 +412,56 @@ class TestErrorsAndDeterminism:
             assert code == 1
             err = json.loads(captured.err)
             assert err == {"error": "ValueError", "message": message}
+
+
+class TestParserReuse:
+    def test_calls_in_either_order_print_the_same(self, tmp_path, capsys):
+        graph = write(tmp_path, "c.el", CYCLE6)
+        path = write(tmp_path, "p.el", PATH5)
+        argvs = [
+            ["wl", "--rounds", "9"],
+            ["wl", "--graph", path, "--rounds", "1"],
+            ["wl", "--graph", path],
+            ["sample", "--graph", graph, "--kind", "walks", "--m", "2",
+             "--seed", "1", "--length", "3"],
+            ["sample", "--graph", graph, "--kind", "walks", "--m", "2",
+             "--seed", "1"],
+            ["invariance", "--graph", graph, "--mode", "sampled",
+             "--perm-seed", "2", "--trials", "50", "--seed", "4"],
+            ["invariance", "--graph", graph, "--perm-seed", "2"],
+        ]
+
+        def run_all(order):
+            results = {}
+            for i in order:
+                code = main(list(argvs[i]))
+                captured = capsys.readouterr()
+                results[i] = (code, captured.out, captured.err)
+            return results
+
+        forward = run_all(range(len(argvs)))
+        backward = run_all(reversed(range(len(argvs))))
+        assert forward == backward
+        assert forward[0][0] == 2
+        assert all(forward[i][0] == 0 for i in range(1, len(argvs)))
+        # an unset flag keeps its default after a call that set it
+        assert "round=2" in forward[2][1] and "round=2" not in forward[1][1]
+        assert forward[3][1] != forward[4][1]
+        assert json.loads(forward[6][1])["mode"] == "exact"
+
+    def test_main_builds_one_parser_per_process(self, tmp_path, capsys,
+                                                monkeypatch):
+        graph = write(tmp_path, "p.el", PATH3)
+        argv = ["wl", "--graph", graph]
+        run_ok(argv)
+        first = capsys.readouterr().out
+
+        def no_rebuild():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        run_ok(argv)
+        assert capsys.readouterr().out == first
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

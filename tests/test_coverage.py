@@ -26,7 +26,7 @@ from walksearch.graphs import (
 )
 from walksearch.samplers import SampleSet, WalkRecord, sample_dfs, sample_set
 
-from .corpus import all_connected_graphs_upto
+from .corpus import all_labeled_connected_graphs_upto
 
 
 class TestCoverageReport:
@@ -97,7 +97,7 @@ class TestEscapeSets:
             escape_set(path_graph(3), (0, 2), side=0)
 
     def test_tau_bounded_by_degree(self):
-        for g in all_connected_graphs_upto(5):
+        for g in all_labeled_connected_graphs_upto(5):
             for u, v in g.edges():
                 assert escape_set(g, (u, v), u).tau <= g.degree(u) - 1
                 assert escape_set(g, (u, v), v).tau <= g.degree(v) - 1
@@ -132,7 +132,7 @@ class TestEdgeInclusion:
         assert rep.trials == 20000 and rep.stderr is not None
 
     def test_bound_chain_exhaustive_small(self):
-        for g in all_connected_graphs_upto(5):
+        for g in all_labeled_connected_graphs_upto(5):
             if g.n < 2:
                 continue
             d_max = degree_stats(g).d_max

@@ -26,7 +26,7 @@ from walksearch.samplers import (
     sample_walk,
 )
 
-from .corpus import all_connected_graphs_upto, counting_graph
+from .corpus import all_labeled_connected_graphs_upto, counting_graph
 from .strategies import connected_graphs, graphs_with_permutation
 
 
@@ -130,7 +130,7 @@ class TestAdjacencyEncoding:
 
     def test_matches_window_scan_on_searches_and_walks(self):
         # searches visit each node once; walks of 2n steps revisit nodes
-        for idx, g in enumerate(all_connected_graphs_upto(5)):
+        for idx, g in enumerate(all_labeled_connected_graphs_upto(5)):
             seqs = [sample_dfs(g, derive_rng(idx, "search")).visit_order]
             if g.n >= 2:
                 walk = sample_walk(g, 2 * g.n, derive_rng(idx, "walk"))

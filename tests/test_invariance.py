@@ -22,7 +22,7 @@ from walksearch.invariance import (
     two_sample_tv,
 )
 
-from .corpus import all_connected_graphs_upto
+from .corpus import all_labeled_connected_graphs_upto
 
 
 class TestDistributions:
@@ -83,7 +83,7 @@ class TestExactInvariance:
 
     def test_random_perms_on_small_classes(self):
         rng = random.Random(0)
-        for g in all_connected_graphs_upto(4):
+        for g in all_labeled_connected_graphs_upto(4):
             for _ in range(5):
                 perm = random_permutation(g.n, rng)
                 assert invariance_exact(g, perm) == 0
@@ -98,6 +98,71 @@ class TestExactInvariance:
             dfs_distribution(path_graph(3)), dfs_distribution(star_graph(3))
         )
         assert gap > 0
+
+
+def float_tv_pvalue(samples_a, samples_b, reps, rng):
+    """The float permutation loop tv_permutation_pvalue replaced: TV of
+    every reshuffle recomputed from the tuples, with a 1e-12 tolerance."""
+    observed = two_sample_tv(samples_a, samples_b)
+    pool = list(samples_a) + list(samples_b)
+    na = len(samples_a)
+    at_least = 0
+    for _ in range(reps):
+        rng.shuffle(pool)
+        if two_sample_tv(pool[:na], pool[na:]) >= observed - 1e-12:
+            at_least += 1
+    return (1 + at_least) / (reps + 1)
+
+
+class TestPermutationPvalue:
+    def same_as_float_loop(self, a, b, reps, seed):
+        exact = tv_permutation_pvalue(a, b, reps, random.Random(seed))
+        assert exact == float_tv_pvalue(a, b, reps, random.Random(seed))
+        return exact
+
+    @pytest.mark.parametrize("na, nb", [(300, 300), (120, 410), (411, 37)])
+    def test_matches_float_loop(self, na, nb):
+        g = hex_chain(2)
+        for seed in range(3):
+            a = sample_visit_orders(g, na, seed, "a")
+            b = sample_visit_orders(g, nb, seed, "b")
+            self.same_as_float_loop(a, b, 150, seed)
+
+    def test_one_distinct_value_gives_one(self):
+        a, b = [(0, 1)] * 40, [(0, 1)] * 25
+        assert self.same_as_float_loop(a, b, 60, 1) == 1.0
+
+    def test_path3_vs_star3_control(self):
+        a = sample_visit_orders(path_graph(3), 400, seed=7, tag="a")
+        b = sample_visit_orders(star_graph(3), 300, seed=7, tag="b")
+        assert self.same_as_float_loop(a, b, 200, 0) < 0.05
+
+    def test_disjoint_supports(self):
+        # TV = 1 is the largest value, so only reshuffles that reach it count
+        a = sample_visit_orders(path_graph(3), 400, seed=7, tag="a")
+        b = [tuple(v + 3 for v in order) for order in
+             sample_visit_orders(star_graph(3), 300, seed=7, tag="b")]
+        assert two_sample_tv(a, b) == 1.0
+        assert self.same_as_float_loop(a, b, 200, 0) == 1 / 201
+        tiny_a, tiny_b = [(0,), (1,)], [(2,)]
+        assert self.same_as_float_loop(tiny_a, tiny_b, 50, 3) == 1.0
+
+    def test_many_ties(self):
+        rng = random.Random(9)
+        for na, nb in [(50, 50), (33, 71)]:
+            a = [rng.randrange(3) for _ in range(na)]
+            b = [rng.randrange(4) for _ in range(nb)]
+            for seed in range(5):
+                self.same_as_float_loop(a, b, 300, seed)
+
+    def test_zero_reps(self):
+        a = sample_visit_orders(cycle_graph(4), 30, seed=2, tag="a")
+        b = sample_visit_orders(cycle_graph(4), 20, seed=2, tag="b")
+        assert self.same_as_float_loop(a, b, 0, 0) == 1.0
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            tv_permutation_pvalue([], [(0,)], 10, random.Random(0))
 
 
 class TestSampledInvariance:

@@ -28,7 +28,7 @@ from walksearch.samplers import (
 )
 
 from .corpus import (
-    all_connected_graphs_upto,
+    all_labeled_connected_graphs_upto,
     counting_graph,
     random_connected_corpus,
 )
@@ -239,7 +239,7 @@ class TestExactEnumeration:
             enumerate_dfs(path_graph(1200))
 
     def test_probabilities_sum_to_one_on_small_corpus(self):
-        for g in all_connected_graphs_upto(5):
+        for g in all_labeled_connected_graphs_upto(5):
             outs = enumerate_dfs(g)
             assert sum(o.probability for o in outs) == 1
             for o in outs:
@@ -264,7 +264,7 @@ class TestExactEnumeration:
     def test_sampler_law_is_exact(self):
         # every draw sequence of the sampler, weighted by its probability,
         # gives exactly the enumerated law
-        corpus = all_connected_graphs_upto(5) + tuple(
+        corpus = all_labeled_connected_graphs_upto(5) + tuple(
             random_connected_corpus(20, seed=3)
         )
         for g in corpus:

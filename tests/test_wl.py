@@ -24,7 +24,7 @@ from walksearch.wl import (
     wwl_refine,
 )
 
-from .corpus import all_connected_graphs_upto, random_connected_corpus
+from .corpus import all_labeled_connected_graphs_upto, random_connected_corpus
 from .strategies import connected_graphs
 
 TWO_TRIANGLES = disjoint_union(cycle_graph(3), cycle_graph(3))
@@ -325,7 +325,7 @@ class TestDistinguish:
             distinguish(path_graph(3), cycle_graph(3), test="wwl")
 
     def test_agreement_on_exhaustive_small_classes(self):
-        reps = [g for g in all_connected_graphs_upto(4) if g.n >= 2]
+        reps = [g for g in all_labeled_connected_graphs_upto(4) if g.n >= 2]
         for i, g in enumerate(reps):
             for h in reps[i + 1 :]:
                 if g.n != h.n:
