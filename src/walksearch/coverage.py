@@ -214,10 +214,9 @@ def bound_query(c: float, n: int, d_max: int, delta: float) -> BoundQuery:
         raise ValueError("n must be >= 1")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
+    if not 0.0 <= c < math.inf:
+        raise ValueError("C must be finite and >= 0")
     if d_max <= 1:
-        # for d_max >= 2 the checks on C*n below reject these values too
-        if not 0.0 <= c < math.inf:
-            raise ValueError("C must be finite and >= 0")
         return BoundQuery(
             c=c, n=n, d_max=d_max, delta=delta, m_required=1, degenerate=True
         )

@@ -15,6 +15,13 @@ graph, node by node). Since every payload names a color of the previous
 round, no payload can recur in a later round, so this gives the ids a
 single run-wide dictionary would, while holding one round's payloads.
 
+1-WL does not build its payloads. It keeps a class index per node and
+derives each round from the previous round's splits: only the smaller
+pieces of a class that just split tell their neighbors, so a run reads
+O(m log n) adjacency entries instead of 2m per round (see `wl_refine`).
+Its class indices share exactly the payloads' equalities, so interning
+them gives the same ids.
+
 Stabilization is detected as partition equality between consecutive
 rounds, tested by class count (see `_run_refinement`); color ids
 themselves are run-relative and never compared across runs.
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Graph
 
@@ -142,20 +150,25 @@ def _intern_round(payloads_per_graph, first_id: int):
 def _run_refinement(graphs, update, rounds, init):
     """Shared driver: intern initial colors, apply `update` per round.
 
-    `update(colors_per_graph)` returns one hashable payload per node per
-    graph, each holding the node's current color. Runs for `rounds`
-    updates when given, else until the joint partition repeats.
+    `update(colors_per_graph)` returns one hashable key per node per
+    graph, equal for two nodes exactly when their payloads are: the
+    node's current color with what the refinement hashes. The walk
+    refinement returns those payloads; 1-WL returns class indices. Runs
+    for `rounds` updates when given, else until the joint partition
+    repeats.
 
     Each round is interned in its own table, with ids continuing from the
     previous round's. Round 0's payloads are the initial labels; a later
     round's name only colors of the round before, whose ids are fresh by
     induction, so no payload of one round equals one of another and the
-    ids are those of one run-wide dictionary.
+    ids are those of one run-wide dictionary. A round's ids depend only
+    on which nodes share a key, so any key with the payloads' equalities
+    gives them.
 
-    Because each payload carries the node's current color, round r+1's
-    joint partition refines round r's; the two are equal exactly when
+    Because each payload carries the node's current color (and 1-WL
+    classes only split), round r+1's joint partition refines round r's; the two are equal exactly when
     they have as many classes, i.e. when both rounds interned as many
-    distinct payloads.
+    distinct keys.
     """
     graphs = tuple(graphs)
     if not graphs:
@@ -192,16 +205,87 @@ def _run_refinement(graphs, update, rounds, init):
 
 
 def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
-    """Joint 1-WL refinement: hash (color, multiset of neighbor colors)."""
+    """Joint 1-WL refinement: hash (color, multiset of neighbor colors).
+
+    Rounds are driven by the previous round's splits rather than by
+    re-hashing every node. Nodes carry a class index over the joint node
+    set. In round 1 every class pushes its index to the neighbors of its
+    nodes; in a later round only the pieces of a class that split in the
+    round before do, except one largest piece per split class. A class
+    then splits by the pushes its nodes received, the nodes that got
+    none forming one more group.
+
+    This is sound because two nodes of one class had equal neighbor
+    counts in every class of the round before. A skipped piece's count
+    is the old class's count minus the pushed pieces' counts, and an
+    unsplit class's count is equal throughout the class, so the pushes
+    decide the naive payload. After round 1 a node lies in a pushed
+    piece at most log2(N) times, as that piece is at most half its old
+    class, so a run over N nodes and m edges reads at most
+    2m(log2(N) + 1) adjacency entries (Paige and Tarjan's "process the
+    smaller half").
+
+    `_run_refinement` interns the class indices. Naive ids are an offset
+    plus the rank of first appearance of a node's payload, and equal
+    payloads are exactly equal class indices, so the ids are the naive
+    ones; a round is stable exactly when no class split.
+    """
     graphs = tuple(graphs)
+    # joint node x = its graph's start + its index there
+    spans, graph_of, rows = [], [], []
+    for gi, g in enumerate(graphs):
+        spans.append((len(rows), len(rows) + g.n))
+        graph_of.extend([gi] * g.n)
+        rows.extend(g.adjacency)
+    cls: list[int] = []
+    members: list[set[int]] = []
+    pushers = None
 
     def update(colors):
-        result = []
-        for g, cur in zip(graphs, colors):
-            color_of = cur.__getitem__
-            sigs = [tuple(sorted(map(color_of, nbrs))) for nbrs in g.adjacency]
-            result.append(list(zip(cur, sigs)))
-        return result
+        nonlocal pushers
+        if pushers is None:
+            # round 0's ids are 0, 1, ..., so they serve as class indices
+            cls.extend(chain.from_iterable(colors))
+            members.extend(set() for _ in range(max(cls, default=-1) + 1))
+            for x, c in enumerate(cls):
+                members[c].add(x)
+            pushers = range(len(members))
+
+        # pieces push in a fixed order, so equal multisets give equal lists
+        hits = [defaultdict(list) for _ in graphs]
+        for p in pushers:
+            for x in members[p]:
+                got = hits[graph_of[x]]
+                for w in rows[x]:
+                    got[w].append(p)
+        pieces_of = defaultdict(dict)
+        for (start, _), got in zip(spans, hits):
+            for w, sig in got.items():
+                y = start + w
+                pieces_of[cls[y]].setdefault(tuple(sig), []).append(y)
+
+        pushers = []
+        for c, by_sig in pieces_of.items():
+            block = members[c]
+            pieces = sorted(by_sig.values(), key=len)
+            if sum(map(len, pieces)) == len(block):
+                if len(pieces) == 1:
+                    continue
+                pieces.pop()  # every node was touched: the largest keeps c
+            for nodes in pieces:
+                block.difference_update(nodes)
+                k = len(members)
+                members.append(set(nodes))
+                for y in nodes:
+                    cls[y] = k
+            # every piece but one largest pushes next round
+            new = range(len(members) - len(pieces), len(members))
+            if pieces and len(pieces[-1]) > len(block):
+                pushers.append(c)
+                pushers.extend(new[:-1])
+            else:
+                pushers.extend(new)
+        return [cls[a:b] for a, b in spans]
 
     return _run_refinement(graphs, update, rounds, init)
 

@@ -145,11 +145,11 @@ class TestBound:
         "flags, message",
         [
             (["--n", "10", "--C", "inf", "--d-max", "3", "--delta", "0.1"],
-             "C*n/delta must be finite"),
+             "C must be finite and >= 0"),
             (["--n", "10", "--C", "1e308", "--d-max", "3", "--delta",
               "1e-308"], "C*n/delta must be finite"),
             (["--n", "10", "--C", "nan", "--d-max", "3", "--delta", "0.1"],
-             "C*n/delta must be finite"),
+             "C must be finite and >= 0"),
             (["--n", "-5", "--C", "-1", "--d-max", "3", "--delta", "0.1"],
              "n must be >= 1"),
             (["--n", "-5", "--C", "1.0", "--d-max", "1", "--delta", "0.1"],
@@ -162,10 +162,12 @@ class TestBound:
              "C must be finite and >= 0"),
             (["--n", "10", "--C", "-1", "--d-max", "1", "--delta", "0.1"],
              "C must be finite and >= 0"),
+            (["--n", "10", "--C", "-1", "--d-max", "3", "--delta", "0.1"],
+             "C must be finite and >= 0"),
         ],
         ids=["C-inf", "overflow", "C-nan", "n-negative",
              "n-negative-degenerate", "d-max-negative", "C-nan-degenerate",
-             "C-inf-degenerate", "C-negative-degenerate"],
+             "C-inf-degenerate", "C-negative-degenerate", "C-negative"],
     )
     def test_rejects_impossible_inputs(self, capsys, flags, message):
         assert main(["bound"] + flags) == 1

@@ -1,12 +1,16 @@
+import math
 from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksearch.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    hex_chain,
     path_graph,
     relabel,
 )
@@ -24,7 +28,11 @@ from walksearch.wl import (
     wwl_refine,
 )
 
-from .corpus import all_labeled_connected_graphs_upto, random_connected_corpus
+from .corpus import (
+    all_labeled_connected_graphs_upto,
+    counting_graph,
+    random_connected_corpus,
+)
 from .strategies import connected_graphs
 
 TWO_TRIANGLES = disjoint_union(cycle_graph(3), cycle_graph(3))
@@ -156,6 +164,66 @@ class TestNaiveOracle:
 
     def test_long_path(self):
         self.check([path_graph(30)])
+
+    # wl_refine derives each round from the previous round's splits; the
+    # cases below stretch that logic against the naive law
+
+    @staticmethod
+    def check_wl(graphs, rounds=None, init=None):
+        run = wl_refine(graphs, rounds=rounds, init=init)
+        assert (run.history, run.stable_round) == naive_wl(graphs, rounds, init)
+        return run
+
+    def test_long_chains(self):
+        self.check_wl([path_graph(61)])
+        self.check_wl([hex_chain(7)])
+        self.check_wl([cycle_graph(9), path_graph(9)])
+
+    def test_isolated_nodes_and_empty_graphs(self):
+        scattered = Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)])
+        empty = Graph.from_edges(0, [])
+        self.check_wl([scattered])
+        self.check_wl([empty, scattered])
+        self.check_wl([path_graph(4), empty, cycle_graph(3)])
+        self.check_wl([empty])
+
+    def test_rounds_past_stable(self):
+        for gs in ([path_graph(12)], [hex_chain(3)],
+                   [cycle_graph(9), path_graph(9)]):
+            stable = self.check_wl(gs).stable_round
+            self.check_wl(gs, rounds=stable + 3)
+
+    def test_many_class_init(self):
+        graphs = [path_graph(20), hex_chain(4), cycle_graph(12)]
+        graphs += random_connected_corpus(6, seed=19, n_min=8, n_max=12)
+        for g in graphs:
+            parity = [u % 2 for u in range(g.n)]
+            self.check_wl([g], init=[g.degrees()])
+            self.check_wl([g], init=[parity])
+            self.check_wl([g, g], init=[g.degrees(), parity])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(connected_graphs(1, 9), min_size=1, max_size=3))
+    def test_random_graphs_and_unions(self, graphs):
+        self.check_wl(graphs)
+        union = graphs[0]
+        for g in graphs[1:]:
+            union = disjoint_union(union, g)
+        self.check_wl([union])
+
+    def test_reads_are_m_log_n(self):
+        # every round of a naive update reads all 2m entries; splitting
+        # by the smaller pieces reads O(m log N) over the whole run
+        fan = Graph.from_edges(
+            301,
+            [(u, u + 1) for u in range(299)] + [(300, u) for u in range(300)],
+        )
+        for g in (path_graph(400), hex_chain(60), fan):
+            counted, reads = counting_graph(g)
+            run = wl_refine([counted])
+            assert run.history == wl_refine([g]).history
+            bound = 2 * g.edge_count * (math.ceil(math.log2(g.n)) + 3)
+            assert sum(reads) <= bound
 
 
 class TestTerminatingWalks:
