@@ -11,12 +11,20 @@ coverage and invariance labs.
 Randomness contract: every sampler takes an explicit ``random.Random``;
 batch sampling derives the trial-i generator deterministically from
 ``(seed, i)``, so results are identical regardless of evaluation order.
+Walk steps draw with the stdlib's own rules on ``getrandbits`` and
+``random()`` (``randrange``'s rejection loop, the bisection inside
+``choices``), inline and from per-node tables, so a ``random.Random``
+yields the same walks as calling ``randrange``/``choices`` per step.
+The DFS keeps calling ``randrange``: its exact-law test scripts those
+answers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -140,7 +148,12 @@ class WalkPolicy:
 
     Walks need a connected graph on at least 2 nodes: on a disconnected
     graph a walk is trapped in one component, so such graphs are rejected
-    here, once, rather than on every walk.
+    here, once, rather than on every walk. Local-rule weights are checked
+    here too: every node's weight total must be positive and finite.
+
+    The constructor builds one row per node for the policy, holding what
+    a step from that node needs, so a step is one table read and one
+    stdlib-rule draw.
     """
 
     def __init__(self, g: Graph, policy: str = "uniform", weight_fn=None):
@@ -152,40 +165,86 @@ class WalkPolicy:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
         self.g = g
         self.policy = policy
-        self._cum_weights: list[list[float]] | None = None
-        if policy == "local_rule":
-            fn = weight_fn if weight_fn is not None else min_degree_weight
-            self._cum_weights = [
-                list(accumulate(fn(g, u, v) for v in g.adjacency[u]))
-                for u in range(g.n)
+        adjacency = g.adjacency
+        if policy == "uniform":
+            self._table = [
+                (nbrs, len(nbrs), len(nbrs).bit_length()) for nbrs in adjacency
             ]
+        elif policy == "non_backtracking":
+            # skips[u][j]: the index a step from v = adjacency[u][j] skips
+            # when it came from u, i.e. u's position in v's row. Rows are
+            # sorted, so visiting the rows v in increasing order appends to
+            # skips[u] in the order of u's own row.
+            skips: list[list[int]] = [[] for _ in adjacency]
+            for row in adjacency:
+                if len(row) > 1:
+                    for i, u in enumerate(row):
+                        skips[u].append(i)
+                else:
+                    # a leaf's one draw (always 0) never reaches 1: it
+                    # steps back
+                    skips[row[0]].append(1)
+            self._table = []
+            for nbrs, skip in zip(adjacency, skips):
+                m = max(len(nbrs) - 1, 1)
+                self._table.append((nbrs, skip, m, m.bit_length()))
+        else:
+            fn = weight_fn if weight_fn is not None else min_degree_weight
+            self._table = []
+            for u, nbrs in enumerate(adjacency):
+                cum_weights = list(accumulate(fn(g, u, v) for v in nbrs))
+                total = cum_weights[-1] + 0.0
+                if not (total > 0.0 and math.isfinite(total)):
+                    raise ValueError(
+                        f"local-rule weights at node {u} must have a "
+                        f"positive finite total, got {total!r}"
+                    )
+                self._table.append((nbrs, cum_weights, total, len(nbrs) - 1))
 
     def walk(self, rng: random.Random, start: int | None = None):
         """Yield the start node (uniform over V unless given), then one
-        node per step, without end; callers take an ``islice``."""
-        adjacency = self.g.adjacency
+        node per step, without end; callers take an ``islice``.
+
+        A step from a node of degree d makes exactly the draws of a
+        stdlib call: ``randrange(d)`` for a uniform step (that is,
+        ``getrandbits(d.bit_length())``, redrawn while it is at least d),
+        ``randrange(d - 1)`` over the neighbors other than the previous
+        node for a non-backtracking step (``randrange(1)`` at a leaf, which
+        steps back), and the one ``random()`` of ``choices(nbrs,
+        cum_weights=...)`` for a local-rule step. The start and the first
+        non-backtracking step call ``rng.randrange`` itself.
+        """
+        table = self._table
         cur = rng.randrange(self.g.n) if start is None else start
         yield cur
-        randrange = rng.randrange
+        getrandbits = rng.getrandbits
         if self.policy == "uniform":
             while True:
-                nbrs = adjacency[cur]
-                cur = nbrs[randrange(len(nbrs))]
+                nbrs, d, k = table[cur]
+                r = getrandbits(k)
+                while r >= d:
+                    r = getrandbits(k)
+                cur = nbrs[r]
                 yield cur
         elif self.policy == "non_backtracking":
-            prev = None
+            nbrs, skips, m, k = table[cur]
+            r = rng.randrange(len(nbrs))
             while True:
-                nbrs = adjacency[cur]
-                # never step back to prev, unless it is the only neighbor
-                if prev is not None and len(nbrs) > 1:
-                    nbrs = [v for v in nbrs if v != prev]
-                prev, cur = cur, nbrs[randrange(len(nbrs))]
+                cur, skip = nbrs[r], skips[r]
                 yield cur
+                # draw over the row minus the previous node, then step
+                # over its index
+                nbrs, skips, m, k = table[cur]
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                if r >= skip:
+                    r += 1
         else:
-            choices = rng.choices
-            cum_weights = self._cum_weights
+            rand = rng.random
             while True:
-                cur = choices(adjacency[cur], cum_weights=cum_weights[cur])[0]
+                nbrs, cum_weights, total, hi = table[cur]
+                cur = nbrs[bisect(cum_weights, rand() * total, 0, hi)]
                 yield cur
 
 

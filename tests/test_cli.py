@@ -9,8 +9,10 @@ import walksearch
 from walksearch import cli
 from walksearch.cli import main
 from walksearch.graphs import hex_chain, load_edge_list, save_edge_list
+from walksearch.samplers import POLICIES, WalkPolicy
 from walksearch.wl import partition_of
 
+from .test_samplers import stdlib_walk
 from .test_wl import naive_wl, naive_wwl
 
 CYCLE6 = "# n=6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
@@ -109,6 +111,43 @@ class TestCoverage:
                 "--m-list", "1,2,4", "--trials", "10", "--seed", "0"])
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 4
+
+
+class TestWalkVerbBytes:
+    @pytest.mark.parametrize(
+        "text", [PATH5, CYCLE6, HEX2], ids=["path5", "cycle6", "hex2"]
+    )
+    def test_match_stdlib_walk(self, tmp_path, capsys, monkeypatch, text):
+        graph = write(tmp_path, "g.el", text)
+        argvs = [
+            ["covertime", "--policy", policy, "--target", target,
+             "--trials", "20", "--seed", "3"]
+            for policy in POLICIES for target in ("node", "edge")
+        ]
+        argvs.append(["covertime", "--policy", "non_backtracking",
+                      "--trials", "20", "--cap", "7", "--seed", "3"])
+        argvs += [["sample", "--kind", "walks", "--m", "3", "--policy",
+                   policy, "--seed", "2"] for policy in POLICIES]
+        argvs.append(["coverage", "--kinds", "walks", "--m-list", "1,2,4",
+                      "--trials", "8", "--seed", "1"])
+
+        def run_all():
+            results = []
+            for argv in argvs:
+                code = main(argv + ["--graph", graph])
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        table_driven = run_all()
+        monkeypatch.setattr(
+            WalkPolicy, "walk",
+            lambda self, rng, start=None: stdlib_walk(
+                self.g, self.policy, rng, start
+            ),
+        )
+        assert run_all() == table_driven
+        assert all(code == 0 for code, _, _ in table_driven)
 
 
 class TestBound:

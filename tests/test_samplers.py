@@ -1,7 +1,9 @@
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +15,18 @@ from walksearch.graphs import (
     disjoint_union,
     hex_chain,
     path_graph,
+    random_tree,
     star_graph,
 )
 from walksearch.samplers import (
+    POLICIES,
     EnumerationBudgetError,
     SampleSet,
+    WalkPolicy,
     derive_rng,
     derive_seed,
     enumerate_dfs,
+    min_degree_weight,
     sample_dfs,
     sample_set,
     sample_walk,
@@ -73,13 +79,82 @@ def exact_sampler_law(g):
 
 
 class DrawCounter(random.Random):
-    """A `random.Random` that counts its `randrange` calls."""
+    """A `random.Random` that counts calls to its draw methods by name."""
 
-    draws = 0
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = Counter()
 
     def randrange(self, *args):
-        self.draws += 1
+        self.draws["randrange"] += 1
         return super().randrange(*args)
+
+    def choices(self, *args, **kwargs):
+        self.draws["choices"] += 1
+        return super().choices(*args, **kwargs)
+
+    def getrandbits(self, k):
+        self.draws["getrandbits"] += 1
+        return super().getrandbits(k)
+
+    def random(self):
+        self.draws["random"] += 1
+        return super().random()
+
+
+def stdlib_walk(g, policy, rng, start=None, weight_fn=None):
+    """Reference walk that calls the stdlib per step: `randrange` over the
+    row (a non-backtracking step filters the previous node out of it,
+    unless it is the only neighbor) and `choices` over cumulative weights.
+    `WalkPolicy.walk` must yield the same nodes from the same generator."""
+    adjacency = g.adjacency
+    if policy == "local_rule":
+        fn = weight_fn if weight_fn is not None else min_degree_weight
+        cum_weights = [
+            list(accumulate(fn(g, u, v) for v in adjacency[u]))
+            for u in range(g.n)
+        ]
+    cur = rng.randrange(g.n) if start is None else start
+    yield cur
+    prev = None
+    while True:
+        nbrs = adjacency[cur]
+        if policy == "uniform":
+            nxt = nbrs[rng.randrange(len(nbrs))]
+        elif policy == "non_backtracking":
+            if prev is not None and len(nbrs) > 1:
+                nbrs = [v for v in nbrs if v != prev]
+            nxt = nbrs[rng.randrange(len(nbrs))]
+        else:
+            nxt = rng.choices(nbrs, cum_weights=cum_weights[cur])[0]
+        prev, cur = cur, nxt
+        yield cur
+
+
+def skewed_weight(g, u, v):
+    return 1.0 + (3 * u + v) % 4
+
+
+def one_zero_edge_weight(g):
+    """The default weights with one edge set to 0, on an edge whose ends
+    both keep a positive total; None when every edge has a leaf end."""
+    for u, v in sorted(g.edges()):
+        if len(g.adjacency[u]) > 1 and len(g.adjacency[v]) > 1:
+            zero = {(u, v), (v, u)}
+            return lambda graph, a, b: (
+                0.0 if (a, b) in zero else min_degree_weight(graph, a, b)
+            )
+    return None
+
+
+ORACLE_GRAPHS = [g for g in all_labeled_connected_graphs_upto(5) if g.n >= 2]
+ORACLE_GRAPHS += [
+    path_graph(10),
+    star_graph(8),
+    complete_graph(6),
+    hex_chain(3),
+    random_tree(20, 4),
+]
 
 
 class TestSeedDerivation:
@@ -158,6 +233,63 @@ class TestWalks:
             w = sample_walk(g, n - 1, random.Random(seed), "non_backtracking")
             assert len(set(w.nodes)) == n
 
+    @pytest.mark.parametrize(
+        "bad",
+        [0.0, -1.0, math.inf, math.nan],
+        ids=["zero", "neg", "inf", "nan"],
+    )
+    def test_local_rule_rejects_bad_weight_total_at_construction(self, bad):
+        # one node of the path is bad; no walk needs to reach it
+        g = path_graph(5)
+        fn = lambda graph, u, v: bad if u == 4 else 1.0
+        with pytest.raises(ValueError, match="node 4 must have a positive"):
+            WalkPolicy(g, "local_rule", fn)
+        WalkPolicy(g, "uniform", fn)
+        WalkPolicy(g, "local_rule")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_steps_draw_without_stdlib_wrappers(self, policy):
+        rng = DrawCounter(5)
+        walk = WalkPolicy(hex_chain(3), policy).walk(rng)
+        assert len(list(islice(walk, 501))) == 501
+        # the start, plus the first non-backtracking step
+        first_steps = 1 if policy == "non_backtracking" else 0
+        assert rng.draws["randrange"] == 1 + first_steps
+        assert rng.draws["choices"] == 0
+        if policy == "local_rule":
+            assert rng.draws["random"] == 500
+        else:
+            assert rng.draws["random"] == 0
+            assert rng.draws["getrandbits"] >= 500
+
+
+class TestWalkOracle:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_stdlib_walk(self, policy):
+        zero_edge_graphs = 0
+        for g in ORACLE_GRAPHS:
+            weight_fns = [None]
+            if policy == "local_rule":
+                zero_edge = one_zero_edge_weight(g)
+                weight_fns.append(skewed_weight)
+                if zero_edge is not None:
+                    weight_fns.append(zero_edge)
+                    zero_edge_graphs += 1
+            nodes = 4 * g.n + 1
+            for weight_fn in weight_fns:
+                pol = WalkPolicy(g, policy, weight_fn)
+                for seed in range(3):
+                    for start in (None, (5 * seed + 1) % g.n):
+                        expected = stdlib_walk(
+                            g, policy, random.Random(seed), start, weight_fn
+                        )
+                        got = pol.walk(random.Random(seed), start)
+                        assert list(islice(got, nodes)) == list(
+                            islice(expected, nodes)
+                        ), (g.adjacency, seed, start)
+        if policy == "local_rule":
+            assert zero_edge_graphs > len(ORACLE_GRAPHS) // 2
+
 
 class TestRandomDfs:
     def test_path3_forced_root(self):
@@ -197,7 +329,7 @@ class TestRandomDfs:
             rng = DrawCounter(seed)
             validate_search_record(g, sample_dfs(counted, rng))
             assert reads == g.degrees()
-            assert rng.draws <= 2 * g.edge_count + 1
+            assert rng.draws["randrange"] <= 2 * g.edge_count + 1
 
 
 class TestExactEnumeration:
