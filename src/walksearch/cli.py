@@ -260,11 +260,10 @@ def _cmd_refine(args, test: str) -> None:
         run = wlmod.wl_refine(graphs, rounds=args.rounds)
     else:
         run = wlmod.wwl_refine(graphs, args.length, rounds=args.rounds)
-    lines = []
-    for r in range(len(run.history)):
-        for gi in range(len(graphs)):
-            blocks = run.sorted_blocks(r, gi)
-            lines.append(f"graph={gi} round={r} blocks={json.dumps(blocks)}")
+    lines = [
+        f"graph={gi} round={r} blocks={text}"
+        for r, gi, text in run.blocks_json()
+    ]
     lines.append(f"stable_round={run.stable_round}")
     _emit("\n".join(lines) + "\n", args.out)
 

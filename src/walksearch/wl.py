@@ -9,28 +9,39 @@ length 1..ell), where a colored walk is the tuple of colors along its
 nodes. Color tuples of different walk lengths are distinct tuples, so
 payloads are length-aware by construction.
 
-Colors are interned one round at a time: each round's payloads get fresh
-ids from a running counter, in order of first appearance (graph by
-graph, node by node). Since every payload names a color of the previous
-round, no payload can recur in a later round, so this gives the ids a
-single run-wide dictionary would, while holding one round's payloads.
+A run is kept as a split log, not as one color tuple per node per round.
+Every node of the joint node set carries a class index; round 0 numbers
+the initial labels' classes in order of first appearance, and each
+later round records, for every class that split, the pieces that left
+it, each under the next fresh index (one piece keeps the old index).
+Class indices share the payloads' equalities within a round, so they
+serve as the colors the updates hash. A round without a split is the
+stable round: a stable partition is a fixed point of both refinements,
+so the driver stops updating there and any further requested rounds are
+empty (see `_run_refinement`).
 
-1-WL does not build its payloads. It keeps a class index per node and
-derives each round from the previous round's splits: only the smaller
-pieces of a class that just split tell their neighbors, so a run reads
-O(m log n) adjacency entries instead of 2m per round (see `wl_refine`).
-Its class indices share exactly the payloads' equalities, so interning
-them gives the same ids.
+`RefinementRun.history`, the color ids of a single run-wide dictionary
+(each round's payloads numbered in order of first appearance, graph by
+graph, node by node), is rebuilt from the log on first access: round r's
+id of a node is the class counts of rounds 0..r-1 summed, plus the rank
+of the node's class by least joint node. The CLI renders each round's
+sorted blocks straight from the log (`RefinementRun.blocks_json`), and
+stable color multisets are read from the last round's classes, so
+neither builds `history`.
 
-Stabilization is detected as partition equality between consecutive
-rounds, tested by class count (see `_run_refinement`); color ids
-themselves are run-relative and never compared across runs.
+1-WL does not build its payloads. It derives each round from the
+previous round's splits: only the smaller pieces of a class that just
+split tell their neighbors, so a run reads O(m log n) adjacency entries
+instead of 2m per round (see `wl_refine`). Color ids are run-relative
+and never compared across runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .graphs import Graph
@@ -90,21 +101,63 @@ def partition_refines(a: Partition, b: Partition) -> bool:
 
 @dataclass(frozen=True)
 class RefinementRun:
-    """History of a joint refinement over one or more graphs.
+    """A joint refinement over one or more graphs, kept as a split log.
 
-    `history[r][gi][u]` is the color of node u of graph gi after r update
-    rounds (round 0 is the initial coloring). `stable_round` is the first
-    round whose joint partition equals the next round's, or None if the
-    run was cut off before stabilizing.
+    Joint node x is node x - start of the graph whose nodes start at
+    `start`, graph by graph. `initial[x]` is x's class index at round 0
+    (classes numbered by least joint node). `splits[r - 1]` lists round
+    r's splits as (old class, nodes that left it) pairs; the i-th pair of
+    a round gets the i-th fresh index, so after round r the classes are
+    0..k_r - 1. Rounds past `len(splits)` split nothing. `final[x]` is x's
+    class index after the last round that split. `rounds` is the number
+    of update rounds; `stable_round` is the first round whose joint
+    partition equals the next round's, or None if the run was cut off
+    before stabilizing.
+
+    `history[r][gi][u]` is the color id of node u of graph gi after r
+    update rounds (round 0 is the initial coloring), as one run-wide
+    dictionary of payloads would number them; it is built from the log
+    on first access and cached.
     """
 
     graphs: tuple[Graph, ...]
-    history: tuple[tuple[tuple[int, ...], ...], ...]
+    initial: tuple[int, ...]
+    splits: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    final: tuple[int, ...]
+    rounds: int
     stable_round: int | None
 
-    @property
-    def rounds(self) -> int:
-        return len(self.history) - 1
+    def _spans(self) -> list[tuple[int, int]]:
+        spans, start = [], 0
+        for g in self.graphs:
+            spans.append((start, start + g.n))
+            start += g.n
+        return spans
+
+    @cached_property
+    def history(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return self._build_history()
+
+    def _build_history(self):
+        """Replay the log: round r's ids are its offset (the class counts
+        of rounds 0..r-1) plus the rank of each class by least joint node,
+        which is the order in which interning meets the classes."""
+        spans = self._spans()
+        cls = list(self.initial)
+        count = len(set(cls))
+        offset = 0
+        history = []
+        for r in range(self.rounds + 1):
+            if 0 < r <= len(self.splits):
+                for k, (_, nodes) in enumerate(self.splits[r - 1], count):
+                    for y in nodes:
+                        cls[y] = k
+                count += len(self.splits[r - 1])
+            rank: dict = {}
+            ids = [rank.setdefault(c, offset + len(rank)) for c in cls]
+            history.append(tuple(tuple(ids[a:b]) for a, b in spans))
+            offset += count
+        return tuple(history)
 
     def colors(self, round_idx: int, graph_idx: int) -> tuple[int, ...]:
         return self.history[round_idx][graph_idx]
@@ -124,51 +177,105 @@ class RefinementRun:
             groups[c].append(node)
         return list(groups.values())
 
+    def blocks_json(self):
+        """Yield (round, graph index, text) for every round and graph, in
+        that order, where text is `json.dumps(self.sorted_blocks(round,
+        graph))`, rendered from the split log without `history`.
+
+        Each graph keeps one JSON fragment per block, stored at the
+        block's least local node. A round re-renders only the classes that
+        split and their new pieces: the pieces of a block cover it, so the
+        piece holding the old least node overwrites the old fragment and
+        every other piece lands on a node that led no block. Joining the
+        fragments in node order gives the blocks sorted by least node.
+        """
+        spans = self._spans()
+        members: list[set[int]] = [set() for _ in set(self.initial)]
+        for x, c in enumerate(self.initial):
+            members[c].add(x)
+        frags = [[""] * g.n for g in self.graphs]
+        ends = [b for _, b in spans]
+        # joint node -> its local index as JSON text
+        label = [str(u) for g in self.graphs for u in range(g.n)].__getitem__
+
+        def render(c, touched):
+            nodes = sorted(members[c])
+            i = 0
+            while i < len(nodes):
+                gi = bisect_right(ends, nodes[i])
+                start, end = spans[gi]
+                j = bisect_left(nodes, end, i)
+                text = ", ".join(map(label, nodes[i:j]))
+                frags[gi][nodes[i] - start] = "[" + text + "]"
+                touched.add(gi)
+                i = j
+
+        def joined(gi):
+            return "[" + ", ".join(filter(None, frags[gi])) + "]"
+
+        touched: set[int] = set()
+        for c in range(len(members)):
+            render(c, touched)
+        texts = [joined(gi) for gi in range(len(self.graphs))]
+        for r in range(self.rounds + 1):
+            if 0 < r <= len(self.splits):
+                split = set()
+                for c, nodes in self.splits[r - 1]:
+                    members[c].difference_update(nodes)
+                    split.add(c)
+                    split.add(len(members))
+                    members.append(set(nodes))
+                touched.clear()
+                for c in split:
+                    render(c, touched)
+                for gi in touched:
+                    texts[gi] = joined(gi)
+            for gi, text in enumerate(texts):
+                yield r, gi, text
+
     def stable_partition(self, graph_idx: int) -> Partition:
         if self.stable_round is None:
             raise ValueError("run did not stabilize within its round budget")
-        return self.partition(self.stable_round, graph_idx)
+        start, end = self._spans()[graph_idx]
+        return partition_of(self.final[start:end])
 
     def stable_color_multiset(self, graph_idx: int) -> Counter:
+        """Stable-round color ids of one graph with their counts, read from
+        the last round's classes (the stable partition) without `history`."""
         if self.stable_round is None:
             raise ValueError("run did not stabilize within its round budget")
-        return Counter(self.history[self.stable_round][graph_idx])
-
-
-def _intern_round(payloads_per_graph, first_id: int):
-    """Number one round's payloads from `first_id` in order of first
-    appearance; return (colors per graph, number of distinct payloads)."""
-    table: dict = {}
-    setdefault = table.setdefault
-    colors = tuple(
-        tuple([setdefault(p, first_id + len(table)) for p in payloads])
-        for payloads in payloads_per_graph
-    )
-    return colors, len(table)
+        # every round before the stable one split, so the log ends there
+        count = len(set(self.initial))
+        offset = 0
+        for splits in self.splits:
+            offset += count
+            count += len(splits)
+        rank: dict = {}
+        for c in self.final:
+            rank.setdefault(c, offset + len(rank))
+        start, end = self._spans()[graph_idx]
+        sizes = Counter(self.final[start:end])
+        return Counter({rank[c]: size for c, size in sizes.items()})
 
 
 def _run_refinement(graphs, update, rounds, init):
-    """Shared driver: intern initial colors, apply `update` per round.
+    """Shared driver: number the initial classes, apply `update` per round
+    and log its splits.
 
-    `update(colors_per_graph)` returns one hashable key per node per
-    graph, equal for two nodes exactly when their payloads are: the
-    node's current color with what the refinement hashes. The walk
-    refinement returns those payloads; 1-WL returns class indices. Runs
-    for `rounds` updates when given, else until the joint partition
-    repeats.
+    The driver keeps `cls` (class index per joint node) and `members`
+    (joint node set per class index). `update(cls, members)` returns the
+    round's splits as (class, nodes) pairs, read against the classes of
+    the round before: nodes leave their class for a fresh index, the i-th
+    pair taking index len(members) + i. Runs for `rounds` updates when
+    given, else until the joint partition repeats.
 
-    Each round is interned in its own table, with ids continuing from the
-    previous round's. Round 0's payloads are the initial labels; a later
-    round's name only colors of the round before, whose ids are fresh by
-    induction, so no payload of one round equals one of another and the
-    ids are those of one run-wide dictionary. A round's ids depend only
-    on which nodes share a key, so any key with the payloads' equalities
-    gives them.
-
-    Because each payload carries the node's current color (and 1-WL
-    classes only split), round r+1's joint partition refines round r's; the two are equal exactly when
-    they have as many classes, i.e. when both rounds interned as many
-    distinct keys.
+    Initial labels are numbered in order of first appearance over the
+    joint node set, i.e. by least joint node. Because each payload carries
+    the node's current color, round r+1's joint partition refines round
+    r's; the two are equal exactly when round r+1 split nothing, and then
+    r is the stable round. The partition is then a fixed point, so every
+    further round would split nothing too: the driver stops calling
+    `update` and leaves the rest of a requested round budget empty.
     """
     graphs = tuple(graphs)
     if not graphs:
@@ -176,31 +283,43 @@ def _run_refinement(graphs, update, rounds, init):
     if rounds is not None and rounds < 0:
         raise ValueError("rounds must be >= 0")
     if init is None:
-        init = tuple((0,) * g.n for g in graphs)
+        labels = [0] * sum(g.n for g in graphs)
     else:
         init = tuple(tuple(labels) for labels in init)
         if len(init) != len(graphs) or any(
             len(labels) != g.n for labels, g in zip(init, graphs)
         ):
             raise ValueError("init must give one label per node per graph")
-    colors, classes = _intern_round(init, 0)
-    next_id = classes
+        labels = chain.from_iterable(init)
+    table: dict = {}
+    cls = [table.setdefault(label, len(table)) for label in labels]
+    initial = tuple(cls)
+    members: list[set[int]] = [set() for _ in table]
+    for x, c in enumerate(cls):
+        members[c].add(x)
 
-    history = [colors]
-    total_nodes = sum(g.n for g in graphs)
-    max_rounds = rounds if rounds is not None else total_nodes + 1
+    max_rounds = rounds if rounds is not None else len(cls) + 1
+    log = []
     stable_round = None
-    for _ in range(max_rounds):
-        colors, new_classes = _intern_round(update(colors), next_id)
-        next_id += new_classes
-        history.append(colors)
-        if stable_round is None and new_classes == classes:
-            stable_round = len(history) - 2
-            if rounds is None:
-                break
-        classes = new_classes
+    while len(log) < max_rounds:
+        splits = update(cls, members)
+        if not splits:
+            stable_round = len(log)
+            break
+        for c, nodes in splits:
+            k = len(members)
+            members[c].difference_update(nodes)
+            members.append(set(nodes))
+            for y in nodes:
+                cls[y] = k
+        log.append(tuple((c, tuple(nodes)) for c, nodes in splits))
     return RefinementRun(
-        graphs=graphs, history=tuple(history), stable_round=stable_round
+        graphs=graphs,
+        initial=initial,
+        splits=tuple(log),
+        final=tuple(cls),
+        rounds=rounds if rounds is not None else stable_round + 1,
+        stable_round=stable_round,
     )
 
 
@@ -208,12 +327,12 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
     """Joint 1-WL refinement: hash (color, multiset of neighbor colors).
 
     Rounds are driven by the previous round's splits rather than by
-    re-hashing every node. Nodes carry a class index over the joint node
-    set. In round 1 every class pushes its index to the neighbors of its
-    nodes; in a later round only the pieces of a class that split in the
-    round before do, except one largest piece per split class. A class
-    then splits by the pushes its nodes received, the nodes that got
-    none forming one more group.
+    re-hashing every node. In round 1 every class pushes its index to the
+    neighbors of its nodes; in a later round only the pieces of a class
+    that split in the round before do, except one largest piece per split
+    class. A class then splits by the pushes its nodes received, the
+    nodes that got none forming one more group, which keeps the class
+    index (or else one largest group does).
 
     This is sound because two nodes of one class had equal neighbor
     counts in every class of the round before. A skipped piece's count
@@ -224,11 +343,6 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
     class, so a run over N nodes and m edges reads at most
     2m(log2(N) + 1) adjacency entries (Paige and Tarjan's "process the
     smaller half").
-
-    `_run_refinement` interns the class indices. Naive ids are an offset
-    plus the rank of first appearance of a node's payload, and equal
-    payloads are exactly equal class indices, so the ids are the naive
-    ones; a round is stable exactly when no class split.
     """
     graphs = tuple(graphs)
     # joint node x = its graph's start + its index there
@@ -237,18 +351,11 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
         spans.append((len(rows), len(rows) + g.n))
         graph_of.extend([gi] * g.n)
         rows.extend(g.adjacency)
-    cls: list[int] = []
-    members: list[set[int]] = []
     pushers = None
 
-    def update(colors):
+    def update(cls, members):
         nonlocal pushers
         if pushers is None:
-            # round 0's ids are 0, 1, ..., so they serve as class indices
-            cls.extend(chain.from_iterable(colors))
-            members.extend(set() for _ in range(max(cls, default=-1) + 1))
-            for x, c in enumerate(cls):
-                members[c].add(x)
             pushers = range(len(members))
 
         # pieces push in a fixed order, so equal multisets give equal lists
@@ -264,28 +371,24 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
                 y = start + w
                 pieces_of[cls[y]].setdefault(tuple(sig), []).append(y)
 
-        pushers = []
+        splits, pushers = [], []
         for c, by_sig in pieces_of.items():
-            block = members[c]
             pieces = sorted(by_sig.values(), key=len)
-            if sum(map(len, pieces)) == len(block):
+            kept = len(members[c]) - sum(map(len, pieces))
+            if not kept:
                 if len(pieces) == 1:
                     continue
-                pieces.pop()  # every node was touched: the largest keeps c
-            for nodes in pieces:
-                block.difference_update(nodes)
-                k = len(members)
-                members.append(set(nodes))
-                for y in nodes:
-                    cls[y] = k
+                kept = len(pieces.pop())  # all touched: the largest keeps c
+            first = len(members) + len(splits)
+            splits.extend((c, nodes) for nodes in pieces)
             # every piece but one largest pushes next round
-            new = range(len(members) - len(pieces), len(members))
-            if pieces and len(pieces[-1]) > len(block):
+            new = range(first, len(members) + len(splits))
+            if len(pieces[-1]) > kept:
                 pushers.append(c)
                 pushers.extend(new[:-1])
             else:
                 pushers.extend(new)
-        return [cls[a:b] for a, b in spans]
+        return splits
 
     return _run_refinement(graphs, update, rounds, init)
 
@@ -343,16 +446,22 @@ def wwl_refine(
         for g in graphs
     ]
 
-    def update(colors):
-        result = []
-        for cur, walks_by_node in zip(colors, walks_per_graph):
-            color_of = cur.__getitem__
-            colored = [
-                tuple(sorted([tuple(map(color_of, walk)) for walk in walks]))
-                for walks in walks_by_node
-            ]
-            result.append(list(zip(cur, colored)))
-        return result
+    def update(cls, members):
+        # class indices stand in for colors: a bijection within the round
+        groups = defaultdict(dict)
+        x = 0
+        for walks_by_node in walks_per_graph:
+            color_of = cls[x : x + len(walks_by_node)].__getitem__
+            for walks in walks_by_node:
+                key = tuple(sorted([tuple(map(color_of, w)) for w in walks]))
+                groups[cls[x]].setdefault(key, []).append(x)
+                x += 1
+        # every group but one largest per class leaves it
+        splits = []
+        for c, by_key in groups.items():
+            pieces = sorted(by_key.values(), key=len)
+            splits.extend((c, nodes) for nodes in pieces[:-1])
+        return splits
 
     return _run_refinement(graphs, update, rounds, init)
 

@@ -1,17 +1,29 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walksearch
 from walksearch import cli
 from walksearch.cli import main
-from walksearch.graphs import hex_chain, load_edge_list, save_edge_list
+from walksearch.graphs import (
+    hex_chain,
+    load_edge_list,
+    path_graph,
+    random_tree,
+    save_edge_list,
+)
 from walksearch.samplers import POLICIES, WalkPolicy
-from walksearch.wl import partition_of
+from walksearch.wl import RefinementRun, partition_of
 
+from .strategies import connected_graphs
 from .test_samplers import stdlib_walk
 from .test_wl import naive_wl, naive_wwl
 
@@ -24,6 +36,9 @@ ONE_NODE = "# n=1\n"
 PATH5 = "# n=5\n0 1\n1 2\n2 3\n3 4\n"
 # two hexagons sharing the edge 2-3
 HEX2 = "# n=10\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n2 9\n3 6\n6 7\n7 8\n8 9\n"
+# nodes 0 and 4 isolated
+SCATTERED = "# n=7\n1 2\n2 3\n5 6\n"
+EMPTY = "# n=0\n"
 
 
 def write(tmp_path, name, text):
@@ -237,6 +252,36 @@ class TestBound:
         assert json.loads(captured.err)["error"] == "ValueError"
 
 
+REFINE_GRAPHS = {
+    "path5": [PATH5],
+    "hex2+cycle6": [HEX2, CYCLE6],
+    "hex2+path3": [HEX2, PATH3],
+    "path61": [path_graph(61)],
+    "hex7": [hex_chain(7)],
+    "tree40": [random_tree(40, seed=3)],
+    "tree40+tree40": [random_tree(40, seed=8), random_tree(40, seed=9)],
+    "isolated+path5": [SCATTERED, PATH5],
+    "empty+cycle6": [EMPTY, CYCLE6],
+    "path3+empty": [PATH3, EMPTY],
+}
+# the first cases' ids predate the wider sweep
+LEGACY_IDS = {
+    ("wl", "path5", None): "wl",
+    ("wl", "hex2+cycle6", None): "wl-graph2",
+    ("wwl", "path5", None): "wwl",
+    ("wwl", "hex2+path3", None): "wwl-graph2",
+}
+REFINE_CASES = [
+    pytest.param(
+        verb, graphs, rounds,
+        id=LEGACY_IDS.get((verb, name, rounds), f"{verb}-{name}-{rounds}"),
+    )
+    for verb in ("wl", "wwl")
+    for name, graphs in REFINE_GRAPHS.items()
+    for rounds in (None, 0, 1, "stable+3")
+]
+
+
 class TestRefinementVerbs:
     def test_wl_prints_rounds_and_stable(self, tmp_path, capsys):
         graph = write(tmp_path, "p.el", PATH3)
@@ -252,28 +297,14 @@ class TestRefinementVerbs:
         out = capsys.readouterr().out
         assert "graph=1" in out
 
-    @pytest.mark.parametrize(
-        "verb, texts",
-        [
-            ("wl", [PATH5]),
-            ("wl", [HEX2, CYCLE6]),
-            ("wwl", [PATH5]),
-            ("wwl", [HEX2, PATH3]),
-        ],
-        ids=["wl", "wl-graph2", "wwl", "wwl-graph2"],
-    )
-    def test_blocks_match_naive_oracle(self, tmp_path, capsys, verb, texts):
-        paths = [write(tmp_path, f"g{i}.el", t) for i, t in enumerate(texts)]
-        argv = [verb, "--graph", paths[0]]
-        if len(paths) == 2:
-            argv += ["--graph2", paths[1]]
-        graphs = [load_edge_list(t) for t in texts]
+    @staticmethod
+    def oracle_out(verb, graphs, rounds):
+        """Expected wl/wwl (length 2) stdout, from the naive reference law
+        and `json.dumps` of each round's sorted blocks."""
         if verb == "wl":
-            history, stable = naive_wl(graphs)
+            history, stable = naive_wl(graphs, rounds)
         else:
-            history, stable = naive_wwl(graphs, 2)
-            argv += ["--length", "2"]
-        run_ok(argv)
+            history, stable = naive_wwl(graphs, 2, rounds)
         lines = [
             f"graph={gi} round={r} "
             f"blocks={json.dumps(partition_of(colors).sorted_blocks())}"
@@ -281,7 +312,73 @@ class TestRefinementVerbs:
             for gi, colors in enumerate(round_colors)
         ]
         lines.append(f"stable_round={stable}")
-        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def run_verb(verb, graphs, rounds, tmp_dir):
+        argv = [verb]
+        for i, g in enumerate(graphs):
+            path = Path(tmp_dir) / f"g{i}.el"
+            path.write_text(save_edge_list(g))
+            argv += ["--graph2" if i else "--graph", str(path)]
+        if verb == "wwl":
+            argv += ["--length", "2"]
+        if rounds is not None:
+            argv += ["--rounds", str(rounds)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        return out.getvalue()
+
+    @pytest.mark.parametrize("verb, graphs, rounds", REFINE_CASES)
+    def test_blocks_match_naive_oracle(self, tmp_path, verb, graphs, rounds):
+        graphs = [load_edge_list(g) if isinstance(g, str) else g
+                  for g in graphs]
+        if rounds == "stable+3":
+            naive = naive_wl if verb == "wl" else (
+                lambda gs: naive_wwl(gs, 2))
+            rounds = naive(graphs)[1] + 3
+        assert self.run_verb(verb, graphs, rounds, tmp_path) == (
+            self.oracle_out(verb, graphs, rounds))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(connected_graphs(1, 9), min_size=1, max_size=2))
+    def test_wl_blocks_match_naive_oracle_on_random_graphs(self, graphs):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            out = self.run_verb("wl", graphs, None, tmp_dir)
+        assert out == self.oracle_out("wl", graphs, None)
+
+    def test_verbs_never_build_history(self, tmp_path, monkeypatch):
+        g1 = write(tmp_path, "h.el", HEX2)
+        g2 = write(tmp_path, "c.el", CYCLE6)
+        argvs = [
+            [verb, "--graph", g1, *pair, *rounds, *length]
+            for verb, length in (("wl", []), ("wwl", ["--length", "2"]))
+            for pair in ([], ["--graph2", g2])
+            for rounds in ([], ["--rounds", "6"])
+        ]
+        argvs += [
+            ["distinguish", "--graph", g1, "--graph2", g2, "--test", "wl"],
+            ["distinguish", "--graph", g1, "--graph2", g2, "--test", "wwl",
+             "--length", "2"],
+        ]
+
+        def run_all():
+            outs = []
+            for argv in argvs:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                outs.append(out.getvalue())
+            return outs
+
+        unpatched = run_all()
+
+        def refuse(self):
+            raise AssertionError("history was built")
+
+        monkeypatch.setattr(RefinementRun, "_build_history", refuse)
+        assert run_all() == unpatched
 
     def test_distinguish_verdict(self, tmp_path, capsys):
         g1 = write(tmp_path, "p.el", PATH3)

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter, defaultdict
 
@@ -14,10 +15,12 @@ from walksearch.graphs import (
     path_graph,
     relabel,
 )
+from walksearch import wl as wlmod
 from walksearch.wl import (
     DistinguishVerdict,
     Partition,
     RefinementGuardError,
+    RefinementRun,
     distinguish,
     leaf_paths,
     partition_of,
@@ -224,6 +227,91 @@ class TestNaiveOracle:
             assert run.history == wl_refine([g]).history
             bound = 2 * g.edge_count * (math.ceil(math.log2(g.n)) + 3)
             assert sum(reads) <= bound
+
+
+class TestSplitLog:
+    """The run keeps a split log: rounds past stability cost nothing,
+    `history` is built once on demand, and the blocks render from the log."""
+
+    CASES = (
+        [path_graph(12)],
+        [hex_chain(3)],
+        [cycle_graph(9), path_graph(9)],
+        [Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)]),
+         Graph.from_edges(0, [])],
+    )
+
+    def test_wl_reads_nothing_past_stable(self):
+        for g in (path_graph(40), hex_chain(5)):
+            stable = wl_refine([g]).stable_round
+            counts = []
+            for rounds in (stable + 1, stable + 1000):
+                counted, reads = counting_graph(g)
+                run = wl_refine([counted], rounds=rounds)
+                assert (run.rounds, run.stable_round) == (rounds, stable)
+                counts.append(sum(reads))
+            assert counts[0] == counts[1]
+
+    def test_wwl_stops_updating_at_stable(self, monkeypatch):
+        calls = []
+        real = wlmod._run_refinement
+
+        def counting(graphs, update, rounds, init):
+            def counted(*args):
+                calls.append(1)
+                return update(*args)
+
+            return real(graphs, counted, rounds, init)
+
+        monkeypatch.setattr(wlmod, "_run_refinement", counting)
+        g = path_graph(12)
+        stable = wwl_refine([g], 2).stable_round
+        for rounds in (stable + 1, stable + 1000):
+            calls.clear()
+            run = wwl_refine([g], 2, rounds=rounds)
+            assert (run.rounds, run.stable_round) == (rounds, stable)
+            assert len(calls) == stable + 1
+        assert run.history == naive_wwl([g], 2, rounds=stable + 1000)[0]
+
+    def test_history_is_built_once(self):
+        run = wl_refine([path_graph(9)])
+        assert run.history is run.history
+        run = wwl_refine([hex_chain(2)], 2, rounds=6)
+        assert run.history is run.history
+
+    def test_blocks_json_renders_sorted_blocks(self):
+        for graphs in self.CASES:
+            stable = wl_refine(graphs).stable_round
+            for rounds in (None, 0, 1, stable + 3):
+                for run in (wl_refine(graphs, rounds=rounds),
+                            wwl_refine(graphs, 2, rounds=rounds)):
+                    assert list(run.blocks_json()) == [
+                        (r, gi, json.dumps(run.sorted_blocks(r, gi)))
+                        for r in range(run.rounds + 1)
+                        for gi in range(len(graphs))
+                    ]
+
+    def test_stable_reads_build_no_history(self, monkeypatch):
+        runs = [wl_refine(graphs) for graphs in self.CASES]
+        runs += [wwl_refine(graphs, 2) for graphs in self.CASES]
+        want = [
+            [(Counter(run.history[run.stable_round][gi]),
+              run.partition(run.stable_round, gi))
+             for gi in range(len(run.graphs))]
+            for run in runs
+        ]
+
+        def refuse(self):
+            raise AssertionError("history was built")
+
+        monkeypatch.setattr(RefinementRun, "_build_history", refuse)
+        runs = [wl_refine(graphs) for graphs in self.CASES]
+        runs += [wwl_refine(graphs, 2) for graphs in self.CASES]
+        assert want == [
+            [(run.stable_color_multiset(gi), run.stable_partition(gi))
+             for gi in range(len(run.graphs))]
+            for run in runs
+        ]
 
 
 class TestTerminatingWalks:
