@@ -37,7 +37,7 @@ class SequenceDistribution:
 
 
 def dfs_distribution(g: Graph, budget: int | None = None) -> SequenceDistribution:
-    """Exact visit-order distribution, merged from full DFS enumeration."""
+    """Exact visit-order distribution from full DFS enumeration."""
     outcomes = enumerate_dfs(g) if budget is None else enumerate_dfs(g, budget)
     return SequenceDistribution(
         support={o.record.visit_order: o.probability for o in outcomes}
@@ -49,11 +49,10 @@ def pushforward(d: SequenceDistribution, perm) -> SequenceDistribution:
     perm = list(perm)
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("perm is not a permutation of 0..n-1")
-    support: dict = {}
-    for seq, p in d.support.items():
-        mapped = tuple(perm[v] for v in seq)
-        support[mapped] = support.get(mapped, Fraction(0)) + p
-    return SequenceDistribution(support=support)
+    # a bijection maps distinct sequences to distinct sequences
+    return SequenceDistribution(
+        support={tuple(perm[v] for v in seq): p for seq, p in d.support.items()}
+    )
 
 
 def sup_discrepancy(a: SequenceDistribution, b: SequenceDistribution) -> Fraction:

@@ -363,17 +363,21 @@ def validate_search_record(g: Graph, rec: SearchRecord) -> None:
 # exact DFS enumeration
 #
 # Branches on the uniform choice among the currently-unvisited neighbors of
-# the stack top; `sample_dfs` takes one branch of this enumeration with
-# that branch's probability.
+# the stack top, candidates in ascending order; `sample_dfs` takes one
+# branch of this enumeration with that branch's probability.
 
 
 def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcome]:
     """Enumerate every DFS outcome with its exact rational probability.
 
-    Outcomes are keyed by visit order (which determines the tree), and
-    their probabilities sum to exactly 1. Raises EnumerationBudgetError
-    once more than `budget` branch states have been expanded or a search
-    outruns the recursion limit: the graph is too large to enumerate.
+    Each visit order (which determines the tree) comes from exactly one
+    sequence of choices, so it is one outcome with probability
+    1 / (n * k_1 * k_2 * ...), where k_i is the number of candidates of
+    its i-th branch. Outcomes are sorted by visit order and their
+    probabilities sum to exactly 1. The enumeration is a loop, so no
+    recursion limit bounds it; it raises EnumerationBudgetError once more
+    than `budget` distinct nonempty visit-order prefixes have been
+    reached: the graph is too large to enumerate.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -381,57 +385,52 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
         raise ValueError("exact enumeration requires a connected graph")
     adjacency = g.adjacency
     n = g.n
-    outcomes: dict[tuple[int, ...], list] = {}
-    states = 0
-
-    def expand(order, visited, stack, tree, prob):
-        nonlocal states
-        states += 1
-        if states > budget:
-            raise EnumerationBudgetError(
-                f"too large for exact enumeration (budget {budget} exceeded)"
-            )
-        stack = list(stack)
-        while stack:
-            u = stack[-1]
-            admissible = [w for w in adjacency[u] if w not in visited]
-            if not admissible:
-                stack.pop()
-                continue
-            share = prob / len(admissible)
-            for w in admissible:
-                expand(
-                    order + (w,),
-                    visited | {w},
-                    stack + [w],
-                    tree + ((u, w) if u < w else (w, u),),
-                    share,
-                )
-            return
-        entry = outcomes.get(order)
-        if entry is None:
-            outcomes[order] = [prob, tree]
-        else:
-            # a visit order determines its discovery tree
-            assert entry[1] == tree
-            entry[0] += prob
-
-    for root in range(n):
-        try:
-            expand((root,), frozenset((root,)), (root,), (), Fraction(1, n))
-        except RecursionError:
-            raise EnumerationBudgetError(
-                "too large for exact enumeration (recursion limit exceeded)"
-            ) from None
-
+    visited = bytearray(n)
+    order: list[int] = []
+    parent = [0] * n
+    # one frame per open branch: [stack top, its unvisited neighbors, next
+    # index, child denominator]
+    frames: list[list] = []
     result = []
-    for order, (prob, tree) in sorted(outcomes.items()):
-        rec = SearchRecord(
-            visit_order=order,
-            tree_edges=frozenset(tuple(e) for e in tree),
-            root=order[0],
-        )
-        result.append(DfsOutcome(record=rec, probability=prob))
+    states = 0
+    for root in range(n):
+        w, den = root, n
+        while True:
+            states += 1
+            if states > budget:
+                raise EnumerationBudgetError(
+                    f"too large for exact enumeration (budget {budget} exceeded)"
+                )
+            visited[w] = 1
+            order.append(w)
+            if len(order) < n:
+                # the stack is the tree path up from w; its top is the
+                # first node on it with an unvisited neighbor
+                u = w
+                cands = [v for v in adjacency[u] if not visited[v]]
+                while not cands:
+                    u = parent[u]
+                    cands = [v for v in adjacency[u] if not visited[v]]
+                frames.append([u, cands, 0, den * len(cands)])
+            else:
+                tree = frozenset(
+                    (parent[v], v) if parent[v] < v else (v, parent[v])
+                    for v in order[1:]
+                )
+                rec = SearchRecord(tuple(order), tree, root)
+                result.append(DfsOutcome(rec, Fraction(1, den)))
+                # undo w, then every choice whose frame has no candidate left
+                visited[order.pop()] = 0
+                while frames and frames[-1][2] == len(frames[-1][1]):
+                    frames.pop()
+                    visited[order.pop()] = 0
+                if not frames:
+                    break
+            frame = frames[-1]
+            u, cands, i, den = frame
+            frame[2] = i + 1
+            w = cands[i]
+            parent[w] = u
     return result
 
 

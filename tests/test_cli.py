@@ -397,6 +397,16 @@ class TestInvarianceVerb:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is True and payload["discrepancy"] == "0"
 
+    def test_exact_refuses_graph_past_budget(self, tmp_path, capsys):
+        graph = write(tmp_path, "p.el", save_edge_list(path_graph(1200)))
+        assert main(["invariance", "--graph", graph, "--mode", "exact",
+                     "--perm-seed", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"] == "EnumerationBudgetError"
+        assert "budget 1000000 exceeded" in err["message"]
+
     def test_sampled_fields(self, tmp_path, capsys):
         graph = write(tmp_path, "t.el", TRIANGLE)
         run_ok(["invariance", "--graph", graph, "--mode", "sampled",

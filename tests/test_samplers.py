@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -365,10 +366,60 @@ class TestExactEnumeration:
             enumerate_dfs(cycle_graph(6), budget=5)
 
     def test_deep_search_takes_budget_error(self):
-        # a search deeper than the recursion limit is refused like an
-        # exhausted budget, not with a RecursionError
+        # a long path has more visit-order prefixes than the default
+        # budget, so the budget refuses it
         with pytest.raises(EnumerationBudgetError, match="too large"):
             enumerate_dfs(path_graph(1200))
+
+    def test_search_deeper_than_recursion_limit(self):
+        # the enumerator is a loop, so a search deeper than the recursion
+        # limit is enumerated: a path's law has a closed form
+        n = 120
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            outs = enumerate_dfs(path_graph(n))
+        finally:
+            sys.setrecursionlimit(limit)
+        # an end root has one order; an interior root r goes left or right
+        # first, each with probability 1/2
+        expected = {
+            tuple(range(n)): Fraction(1, n),
+            tuple(range(n - 1, -1, -1)): Fraction(1, n),
+        }
+        for r in range(1, n - 1):
+            left, right = tuple(range(r - 1, -1, -1)), tuple(range(r + 1, n))
+            expected[(r,) + left + right] = Fraction(1, 2 * n)
+            expected[(r,) + right + left] = Fraction(1, 2 * n)
+        assert len(outs) == 2 * n - 2
+        assert {o.record.visit_order: o.probability for o in outs} == expected
+
+    @pytest.mark.parametrize(
+        "g, prefixes",
+        [
+            (cycle_graph(6), 66),
+            (hex_chain(2), 2164),
+            (path_graph(8), 106),
+            (complete_graph(5), 325),
+            (star_graph(6), 656),
+        ],
+        ids=["C6", "hex2", "P8", "K5", "star6"],
+    )
+    def test_budget_counts_visit_order_prefixes(self, g, prefixes):
+        # the budget trips exactly past the number of distinct nonempty
+        # visit-order prefixes of the outcomes
+        outs = enumerate_dfs(g, budget=prefixes)
+        seen = {
+            o.record.visit_order[:k] for o in outs for k in range(1, g.n + 1)
+        }
+        assert len(seen) == prefixes
+        with pytest.raises(
+            EnumerationBudgetError, match=f"budget {prefixes - 1} exceeded"
+        ):
+            enumerate_dfs(g, budget=prefixes - 1)
 
     def test_probabilities_sum_to_one_on_small_corpus(self):
         for g in all_labeled_connected_graphs_upto(5):
@@ -376,6 +427,8 @@ class TestExactEnumeration:
             assert sum(o.probability for o in outs) == 1
             for o in outs:
                 validate_search_record(g, o.record)
+            orders = [o.record.visit_order for o in outs]
+            assert all(a < b for a, b in zip(orders, orders[1:]))
 
     @pytest.mark.parametrize("g", [PAW, BULL], ids=["paw", "bull"])
     def test_sampler_matches_enumeration(self, g):
