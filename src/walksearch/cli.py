@@ -9,6 +9,7 @@ nonzero with a JSON error object on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -238,18 +239,7 @@ def _cmd_covertime(args) -> None:
         cap=args.cap,
         seed=args.seed,
     )
-    _emit_json(
-        {
-            "target": report.target,
-            "policy": report.policy,
-            "trials": report.trials,
-            "cap": report.cap,
-            "censored": report.censored,
-            "mean": report.mean,
-            "quantiles": report.quantiles,
-        },
-        args.out,
-    )
+    _emit_json(dataclasses.asdict(report), args.out)
 
 
 def _cmd_refine(args, test: str) -> None:
@@ -272,14 +262,7 @@ def _cmd_distinguish(args) -> None:
     g = read_edge_list(args.graph)
     h = read_edge_list(args.graph2)
     verdict = wlmod.distinguish(g, h, test=args.test, length=args.length)
-    _emit_json(
-        {
-            "test": verdict.test,
-            "result": verdict.result,
-            "rounds_to_stable": verdict.rounds_to_stable,
-        },
-        args.out,
-    )
+    _emit_json(dataclasses.asdict(verdict), args.out)
 
 
 def _cmd_invariance(args) -> None:

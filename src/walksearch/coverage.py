@@ -140,7 +140,6 @@ def edge_inclusion_prob(
     mode: str = "exact",
     trials: int = 10000,
     seed: int = 0,
-    budget: int | None = None,
 ) -> EdgeInclusionReport:
     u, v = e
     if not g.has_edge(u, v):
@@ -151,9 +150,7 @@ def edge_inclusion_prob(
     tau_bound = min(Fraction(1, tau_u + 1), Fraction(1, tau_v + 1))
     dmax_bound = Fraction(1, degree_stats(g).d_max)
     if mode == "exact":
-        outcomes = (
-            enumerate_dfs(g) if budget is None else enumerate_dfs(g, budget)
-        )
+        outcomes = enumerate_dfs(g)
         prob = sum(
             (o.probability for o in outcomes if key in o.record.tree_edges),
             start=Fraction(0),

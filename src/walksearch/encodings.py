@@ -32,25 +32,23 @@ def _byte_matrix(buf: bytearray, rows: int, cols: int) -> memoryview:
     return memoryview(buf).cast("b", (rows, cols)).toreadonly()
 
 
-def identity_encoding(seq, s: int, self_column: bool = True) -> memoryview:
+def identity_encoding(seq, s: int) -> memoryview:
     """Read-only byte view marking windowed node repetitions.
 
     Entry [i, j] is 1 iff i >= 1, i-j >= 0, and w_i == w_{i-j}, with
     columns j = 0..s-1: column j says the current node appeared exactly j
     steps earlier. Column j=0 compares a node with itself and is 1 for
     every row i >= 1; it is kept because the combined encoding width 2s-1
-    counts it. Pass self_column=False to use lags j = 1..s instead (same
-    shape, no degenerate column). Row 0 is always all zeros.
+    counts it. Row 0 is always all zeros.
     """
     if s < 1:
         raise ValueError("window must be >= 1")
     nodes = _nodes_of(seq)
     rows = len(nodes)
     buf = bytearray(rows * s)
-    offset = 0 if self_column else 1
     for i in range(1, rows):
         for col in range(s):
-            k = i - (col + offset)
+            k = i - col
             if k >= 0 and nodes[i] == nodes[k]:
                 buf[i * s + col] = 1
     return _byte_matrix(buf, rows, s)

@@ -20,6 +20,9 @@ from fractions import Fraction
 from .graphs import Graph, relabel
 from .samplers import derive_rng, enumerate_dfs, sample_dfs
 
+# label reshuffles of the permutation test behind `invariance_sampled`
+PERMUTATION_REPS = 200
+
 
 @dataclass(frozen=True)
 class SequenceDistribution:
@@ -36,11 +39,10 @@ class SequenceDistribution:
         return self.support.get(tuple(seq), Fraction(0))
 
 
-def dfs_distribution(g: Graph, budget: int | None = None) -> SequenceDistribution:
+def dfs_distribution(g: Graph) -> SequenceDistribution:
     """Exact visit-order distribution from full DFS enumeration."""
-    outcomes = enumerate_dfs(g) if budget is None else enumerate_dfs(g, budget)
     return SequenceDistribution(
-        support={o.record.visit_order: o.probability for o in outcomes}
+        support={o.record.visit_order: o.probability for o in enumerate_dfs(g)}
     )
 
 
@@ -63,12 +65,12 @@ def sup_discrepancy(a: SequenceDistribution, b: SequenceDistribution) -> Fractio
     )
 
 
-def invariance_exact(g: Graph, perm, budget: int | None = None) -> Fraction:
+def invariance_exact(g: Graph, perm) -> Fraction:
     """Sup-norm gap between the pushed-forward DFS law of g and the DFS law
     of the relabeled graph. Exactly 0 whenever perm is applied as a true
     relabeling, which is the probabilistic-invariance statement."""
-    pushed = pushforward(dfs_distribution(g, budget), perm)
-    direct = dfs_distribution(relabel(g, perm), budget)
+    pushed = pushforward(dfs_distribution(g), perm)
+    direct = dfs_distribution(relabel(g, perm))
     return sup_discrepancy(pushed, direct)
 
 
@@ -148,11 +150,7 @@ class InvarianceSampleReport:
 
 
 def invariance_sampled(
-    g: Graph,
-    perm,
-    trials: int,
-    seed: int,
-    permutation_reps: int = 200,
+    g: Graph, perm, trials: int, seed: int
 ) -> InvarianceSampleReport:
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -166,7 +164,7 @@ def invariance_sampled(
     base_a = sample_visit_orders(g, trials, seed, "base_a")
     base_b = sample_visit_orders(g, trials, seed, "base_b")
     pvalue = tv_permutation_pvalue(
-        pushed, direct, permutation_reps, derive_rng(seed, "permtest")
+        pushed, direct, PERMUTATION_REPS, derive_rng(seed, "permtest")
     )
     return InvarianceSampleReport(
         tv=two_sample_tv(pushed, direct),

@@ -40,6 +40,12 @@ class EnumerationBudgetError(RuntimeError):
     """Graph too large for exact DFS enumeration under the given budget."""
 
 
+def _budget_error(budget: int) -> EnumerationBudgetError:
+    return EnumerationBudgetError(
+        f"too large for exact enumeration (budget {budget} exceeded)"
+    )
+
+
 def derive_seed(seed: int, *key) -> int:
     """Deterministic 64-bit seed for trial `key` of a run seeded by `seed`."""
     material = repr((seed,) + tuple(key)).encode()
@@ -98,28 +104,6 @@ class SampleSet:
                     }
                 )
         return {"kind": self.kind, "seed": self.seed, "items": items}
-
-    @staticmethod
-    def from_dict(payload: dict) -> "SampleSet":
-        kind = payload["kind"]
-        items = []
-        for item in payload["items"]:
-            if kind == "walks":
-                nodes = tuple(item["nodes"])
-                items.append(
-                    WalkRecord(nodes=nodes, policy="unknown", start=item["start"])
-                )
-            else:
-                items.append(
-                    SearchRecord(
-                        visit_order=tuple(item["visit_order"]),
-                        tree_edges=frozenset(
-                            tuple(e) for e in item["tree_edges"]
-                        ),
-                        root=item["root"],
-                    )
-                )
-        return SampleSet(kind=kind, items=tuple(items), seed=payload["seed"])
 
 
 @dataclass(frozen=True)
@@ -377,14 +361,19 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
     probabilities sum to exactly 1. The enumeration is a loop, so no
     recursion limit bounds it; it raises EnumerationBudgetError once more
     than `budget` distinct nonempty visit-order prefixes have been
-    reached: the graph is too large to enumerate.
+    reached: the graph is too large to enumerate. Every root reaches at
+    least the n prefixes of one full visit order, and prefixes from
+    different roots differ, so a graph with n * n > budget is refused
+    before any outcome is built.
     """
     if g.n < 1:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise ValueError("exact enumeration requires a connected graph")
-    adjacency = g.adjacency
     n = g.n
+    if n * n > budget:
+        raise _budget_error(budget)
+    adjacency = g.adjacency
     visited = bytearray(n)
     order: list[int] = []
     parent = [0] * n
@@ -398,9 +387,7 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
         while True:
             states += 1
             if states > budget:
-                raise EnumerationBudgetError(
-                    f"too large for exact enumeration (budget {budget} exceeded)"
-                )
+                raise _budget_error(budget)
             visited[w] = 1
             order.append(w)
             if len(order) < n:
@@ -445,7 +432,6 @@ def sample_set(
     seed: int,
     length: int | None = None,
     policy: str = "uniform",
-    weight_fn=None,
 ) -> SampleSet:
     """Draw m independent records; trial i uses an RNG derived from (seed, i).
 
@@ -461,7 +447,7 @@ def sample_set(
         ell = g.n if length is None else length
         if ell < 1:
             raise ValueError("walk length must be >= 1")
-        walk_pol = WalkPolicy(g, policy, weight_fn)
+        walk_pol = WalkPolicy(g, policy)
         for i in range(m):
             nodes = tuple(islice(walk_pol.walk(derive_rng(seed, i)), ell + 1))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))

@@ -138,49 +138,40 @@ class RefinementRun:
     def history(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return self._build_history()
 
+    def _replay(self):
+        """Yield (round, cls, members, changed) for rounds 0..rounds: the
+        class index per joint node and the joint node set per class after
+        that round (one pair of lists, updated in place between yields) and
+        the classes that round created or split (every class at round 0)."""
+        cls = list(self.initial)
+        members = _member_sets(cls)
+        yield 0, cls, members, range(len(members))
+        for r in range(1, self.rounds + 1):
+            splits = self.splits[r - 1] if r <= len(self.splits) else ()
+            yield r, cls, members, _apply_splits(cls, members, splits)
+
     def _build_history(self):
         """Replay the log: round r's ids are its offset (the class counts
         of rounds 0..r-1) plus the rank of each class by least joint node,
         which is the order in which interning meets the classes."""
         spans = self._spans()
-        cls = list(self.initial)
-        count = len(set(cls))
         offset = 0
         history = []
-        for r in range(self.rounds + 1):
-            if 0 < r <= len(self.splits):
-                for k, (_, nodes) in enumerate(self.splits[r - 1], count):
-                    for y in nodes:
-                        cls[y] = k
-                count += len(self.splits[r - 1])
+        for _, cls, members, _ in self._replay():
             rank: dict = {}
             ids = [rank.setdefault(c, offset + len(rank)) for c in cls]
             history.append(tuple(tuple(ids[a:b]) for a, b in spans))
-            offset += count
+            offset += len(members)
         return tuple(history)
-
-    def colors(self, round_idx: int, graph_idx: int) -> tuple[int, ...]:
-        return self.history[round_idx][graph_idx]
 
     def partition(self, round_idx: int, graph_idx: int) -> Partition:
         return partition_of(self.history[round_idx][graph_idx])
 
-    def sorted_blocks(self, round_idx: int, graph_idx: int) -> list[list[int]]:
-        """`partition(round_idx, graph_idx).sorted_blocks()`, built directly.
-
-        Nodes are grouped in node order, so each block is ascending, and a
-        block enters the (insertion-ordered) dict at its least node, so the
-        blocks come out ordered by least node, as sorting would give.
-        """
-        groups: dict = defaultdict(list)
-        for node, c in enumerate(self.history[round_idx][graph_idx]):
-            groups[c].append(node)
-        return list(groups.values())
-
     def blocks_json(self):
         """Yield (round, graph index, text) for every round and graph, in
-        that order, where text is `json.dumps(self.sorted_blocks(round,
-        graph))`, rendered from the split log without `history`.
+        that order, where text is `json.dumps(self.partition(round,
+        graph).sorted_blocks())`, rendered from the split log without
+        `history`.
 
         Each graph keeps one JSON fragment per block, stored at the
         block's least local node. A round re-renders only the classes that
@@ -190,16 +181,13 @@ class RefinementRun:
         fragments in node order gives the blocks sorted by least node.
         """
         spans = self._spans()
-        members: list[set[int]] = [set() for _ in set(self.initial)]
-        for x, c in enumerate(self.initial):
-            members[c].add(x)
         frags = [[""] * g.n for g in self.graphs]
         ends = [b for _, b in spans]
         # joint node -> its local index as JSON text
         label = [str(u) for g in self.graphs for u in range(g.n)].__getitem__
 
-        def render(c, touched):
-            nodes = sorted(members[c])
+        def render(block, touched):
+            nodes = sorted(block)
             i = 0
             while i < len(nodes):
                 gi = bisect_right(ends, nodes[i])
@@ -210,26 +198,14 @@ class RefinementRun:
                 touched.add(gi)
                 i = j
 
-        def joined(gi):
-            return "[" + ", ".join(filter(None, frags[gi])) + "]"
-
-        touched: set[int] = set()
-        for c in range(len(members)):
-            render(c, touched)
-        texts = [joined(gi) for gi in range(len(self.graphs))]
-        for r in range(self.rounds + 1):
-            if 0 < r <= len(self.splits):
-                split = set()
-                for c, nodes in self.splits[r - 1]:
-                    members[c].difference_update(nodes)
-                    split.add(c)
-                    split.add(len(members))
-                    members.append(set(nodes))
-                touched.clear()
-                for c in split:
-                    render(c, touched)
-                for gi in touched:
-                    texts[gi] = joined(gi)
+        # a graph without nodes has no blocks
+        texts = ["[]"] * len(self.graphs)
+        for r, _, members, changed in self._replay():
+            touched: set[int] = set()
+            for c in changed:
+                render(members[c], touched)
+            for gi in touched:
+                texts[gi] = "[" + ", ".join(filter(None, frags[gi])) + "]"
             for gi, text in enumerate(texts):
                 yield r, gi, text
 
@@ -256,6 +232,29 @@ class RefinementRun:
         start, end = self._spans()[graph_idx]
         sizes = Counter(self.final[start:end])
         return Counter({rank[c]: size for c, size in sizes.items()})
+
+
+def _member_sets(cls) -> list[set[int]]:
+    """Joint node set per class index, for classes numbered 0..k-1."""
+    members: list[set[int]] = [set() for _ in set(cls)]
+    for x, c in enumerate(cls):
+        members[c].add(x)
+    return members
+
+
+def _apply_splits(cls, members, splits) -> set[int]:
+    """Apply one round's splits to `cls` and `members` in place: the
+    nodes of the i-th (class, nodes) pair leave their class for index
+    len(members) + i. Returns the classes that split and the new ones."""
+    changed = set()
+    for c, nodes in splits:
+        k = len(members)
+        members[c].difference_update(nodes)
+        members.append(set(nodes))
+        for y in nodes:
+            cls[y] = k
+        changed.update((c, k))
+    return changed
 
 
 def _run_refinement(graphs, update, rounds, init):
@@ -294,9 +293,7 @@ def _run_refinement(graphs, update, rounds, init):
     table: dict = {}
     cls = [table.setdefault(label, len(table)) for label in labels]
     initial = tuple(cls)
-    members: list[set[int]] = [set() for _ in table]
-    for x, c in enumerate(cls):
-        members[c].add(x)
+    members = _member_sets(cls)
 
     max_rounds = rounds if rounds is not None else len(cls) + 1
     log = []
@@ -306,12 +303,7 @@ def _run_refinement(graphs, update, rounds, init):
         if not splits:
             stable_round = len(log)
             break
-        for c, nodes in splits:
-            k = len(members)
-            members[c].difference_update(nodes)
-            members.append(set(nodes))
-            for y in nodes:
-                cls[y] = k
+        _apply_splits(cls, members, splits)
         log.append(tuple((c, tuple(nodes)) for c, nodes in splits))
     return RefinementRun(
         graphs=graphs,
@@ -428,11 +420,7 @@ def terminating_walks(
 
 
 def wwl_refine(
-    graphs,
-    length: int,
-    rounds: int | None = None,
-    init=None,
-    guard: int = DEFAULT_WALK_GUARD,
+    graphs, length: int, rounds: int | None = None, init=None
 ) -> RefinementRun:
     """Walk-based refinement at a fixed maximum walk length.
 
@@ -442,7 +430,7 @@ def wwl_refine(
     """
     graphs = tuple(graphs)
     walks_per_graph = [
-        [terminating_walks(g, u, length, guard) for u in range(g.n)]
+        [terminating_walks(g, u, length) for u in range(g.n)]
         for g in graphs
     ]
 

@@ -56,11 +56,6 @@ class TestIdentityEncoding:
         assert [row[0] for row in rows] == [0, 1, 1, 1]
         assert not any(any(row[1:]) for row in rows)
 
-    def test_without_self_column(self):
-        mat = identity_encoding((0, 1, 0), 3, self_column=False)
-        # lags 1..3: only the lag-2 repeat at row 2 fires
-        assert mat.tolist() == [[0, 0, 0], [0, 0, 0], [0, 1, 0]]
-
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             identity_encoding((0, 1), 0)

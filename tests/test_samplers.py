@@ -371,6 +371,19 @@ class TestExactEnumeration:
         with pytest.raises(EnumerationBudgetError, match="too large"):
             enumerate_dfs(path_graph(1200))
 
+    def test_refusal_reads_nothing_past_connectivity(self):
+        # 1200 * 1200 prefixes exceed the default budget, so the refusal
+        # comes before the enumeration reads a neighbor list: the only
+        # reads are those of the connectivity check
+        g, reads = counting_graph(path_graph(1200))
+        with pytest.raises(
+            EnumerationBudgetError, match="budget 1000000 exceeded"
+        ):
+            enumerate_dfs(g)
+        h, connectivity_reads = counting_graph(path_graph(1200))
+        assert h.is_connected()
+        assert reads == connectivity_reads
+
     def test_search_deeper_than_recursion_limit(self):
         # the enumerator is a loop, so a search deeper than the recursion
         # limit is enumerated: a path's law has a closed form
@@ -514,11 +527,3 @@ class TestSampleSets:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError, match="m must be"):
             sample_set(path_graph(2), "walks", 0, seed=0, length=1)
-
-    def test_round_trip_dict(self):
-        ss = sample_set(cycle_graph(5), "searches", 2, seed=9)
-        again = SampleSet.from_dict(ss.to_dict())
-        assert again.kind == ss.kind and again.seed == ss.seed
-        assert [r.visit_order for r in again.items] == [
-            r.visit_order for r in ss.items
-        ]

@@ -286,7 +286,7 @@ class TestSplitLog:
                 for run in (wl_refine(graphs, rounds=rounds),
                             wwl_refine(graphs, 2, rounds=rounds)):
                     assert list(run.blocks_json()) == [
-                        (r, gi, json.dumps(run.sorted_blocks(r, gi)))
+                        (r, gi, json.dumps(run.partition(r, gi).sorted_blocks()))
                         for r in range(run.rounds + 1)
                         for gi in range(len(graphs))
                     ]
