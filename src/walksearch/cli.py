@@ -27,7 +27,7 @@ from .graphs import (
 # sample_dfs is unused here; it stays bound as walksearch.cli.sample_dfs
 # because test_tracer_wraps_every_binding_and_restores_them checks that the
 # span tracer wraps this binding too
-from .samplers import derive_rng, sample_dfs, sample_set  # noqa: F401
+from .samplers import POLICIES, derive_rng, sample_dfs, sample_set  # noqa: F401
 
 
 class _UsageError(Exception):
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--policy",
         default="uniform",
-        choices=["uniform", "non_backtracking", "local_rule"],
+        choices=POLICIES,
     )
     sp.add_argument("--out")
 
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--policy",
         default="uniform",
-        choices=["uniform", "non_backtracking", "local_rule"],
+        choices=POLICIES,
     )
     sp.add_argument("--target", default="node", choices=["node", "edge"])
     sp.add_argument("--trials", type=int, required=True)

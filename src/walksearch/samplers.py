@@ -361,17 +361,17 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
     probabilities sum to exactly 1. The enumeration is a loop, so no
     recursion limit bounds it; it raises EnumerationBudgetError once more
     than `budget` distinct nonempty visit-order prefixes have been
-    reached: the graph is too large to enumerate. Every root reaches at
-    least the n prefixes of one full visit order, and prefixes from
-    different roots differ, so a graph with n * n > budget is refused
-    before any outcome is built.
+    reached: the graph is too large to enumerate. Every root reaches its
+    one-node prefix and, through each neighbor as first choice, n - 1
+    longer prefixes, all distinct, so a graph with n + 2m(n - 1) > budget
+    (a path's exact count) is refused before any outcome is built.
     """
     if g.n < 1:
         raise ValueError("empty graph")
     if not g.is_connected():
         raise ValueError("exact enumeration requires a connected graph")
     n = g.n
-    if n * n > budget:
+    if n + 2 * g.edge_count * (n - 1) > budget:
         raise _budget_error(budget)
     adjacency = g.adjacency
     visited = bytearray(n)

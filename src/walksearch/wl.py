@@ -13,12 +13,12 @@ A run is kept as a split log, not as one color tuple per node per round.
 Every node of the joint node set carries a class index; round 0 numbers
 the initial labels' classes in order of first appearance, and each
 later round records, for every class that split, the pieces that left
-it, each under the next fresh index (one piece keeps the old index).
-Class indices share the payloads' equalities within a round, so they
-serve as the colors the updates hash. A round without a split is the
-stable round: a stable partition is a fixed point of both refinements,
-so the driver stops updating there and any further requested rounds are
-empty (see `_run_refinement`).
+it, each under the next fresh index (one largest piece keeps the old
+index). Class indices share the payloads' equalities within a round, so
+they serve as the colors the update hashes. A round without a split is
+the stable round: a stable partition is a fixed point of both
+refinements, so the driver stops updating there and any further
+requested rounds are empty (see `_run_refinement`).
 
 `RefinementRun.history`, the color ids of a single run-wide dictionary
 (each round's payloads numbered in order of first appearance, graph by
@@ -29,20 +29,22 @@ sorted blocks straight from the log (`RefinementRun.blocks_json`), and
 stable color multisets are read from the last round's classes, so
 neither builds `history`.
 
-1-WL does not build its payloads. It derives each round from the
-previous round's splits: only the smaller pieces of a class that just
-split tell their neighbors, so a run reads O(m log n) adjacency entries
-instead of 2m per round (see `wl_refine`). Color ids are run-relative
+1-WL is walk refinement at length 1, and both run one update
+(`_split_update`): it lists every terminating walk once and, after round
+1, recolors only the walks through nodes that moved in the round before,
+the only walks whose colors can have changed. Color ids are run-relative
 and never compared across runs.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, starmap
+from operator import itemgetter
 
 from .graphs import Graph
 
@@ -263,10 +265,10 @@ def _run_refinement(graphs, update, rounds, init):
 
     The driver keeps `cls` (class index per joint node) and `members`
     (joint node set per class index). `update(cls, members)` returns the
-    round's splits as (class, nodes) pairs, read against the classes of
-    the round before: nodes leave their class for a fresh index, the i-th
-    pair taking index len(members) + i. Runs for `rounds` updates when
-    given, else until the joint partition repeats.
+    round's splits as (class, node tuple) pairs, read against the classes
+    of the round before: nodes leave their class for a fresh index, the
+    i-th pair taking index len(members) + i. Runs for `rounds` updates
+    when given, else until the joint partition repeats.
 
     Initial labels are numbered in order of first appearance over the
     joint node set, i.e. by least joint node. Because each payload carries
@@ -304,7 +306,7 @@ def _run_refinement(graphs, update, rounds, init):
             stable_round = len(log)
             break
         _apply_splits(cls, members, splits)
-        log.append(tuple((c, tuple(nodes)) for c, nodes in splits))
+        log.append(tuple(splits))
     return RefinementRun(
         graphs=graphs,
         initial=initial,
@@ -315,78 +317,8 @@ def _run_refinement(graphs, update, rounds, init):
     )
 
 
-def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
-    """Joint 1-WL refinement: hash (color, multiset of neighbor colors).
-
-    Rounds are driven by the previous round's splits rather than by
-    re-hashing every node. In round 1 every class pushes its index to the
-    neighbors of its nodes; in a later round only the pieces of a class
-    that split in the round before do, except one largest piece per split
-    class. A class then splits by the pushes its nodes received, the
-    nodes that got none forming one more group, which keeps the class
-    index (or else one largest group does).
-
-    This is sound because two nodes of one class had equal neighbor
-    counts in every class of the round before. A skipped piece's count
-    is the old class's count minus the pushed pieces' counts, and an
-    unsplit class's count is equal throughout the class, so the pushes
-    decide the naive payload. After round 1 a node lies in a pushed
-    piece at most log2(N) times, as that piece is at most half its old
-    class, so a run over N nodes and m edges reads at most
-    2m(log2(N) + 1) adjacency entries (Paige and Tarjan's "process the
-    smaller half").
-    """
-    graphs = tuple(graphs)
-    # joint node x = its graph's start + its index there
-    spans, graph_of, rows = [], [], []
-    for gi, g in enumerate(graphs):
-        spans.append((len(rows), len(rows) + g.n))
-        graph_of.extend([gi] * g.n)
-        rows.extend(g.adjacency)
-    pushers = None
-
-    def update(cls, members):
-        nonlocal pushers
-        if pushers is None:
-            pushers = range(len(members))
-
-        # pieces push in a fixed order, so equal multisets give equal lists
-        hits = [defaultdict(list) for _ in graphs]
-        for p in pushers:
-            for x in members[p]:
-                got = hits[graph_of[x]]
-                for w in rows[x]:
-                    got[w].append(p)
-        pieces_of = defaultdict(dict)
-        for (start, _), got in zip(spans, hits):
-            for w, sig in got.items():
-                y = start + w
-                pieces_of[cls[y]].setdefault(tuple(sig), []).append(y)
-
-        splits, pushers = [], []
-        for c, by_sig in pieces_of.items():
-            pieces = sorted(by_sig.values(), key=len)
-            kept = len(members[c]) - sum(map(len, pieces))
-            if not kept:
-                if len(pieces) == 1:
-                    continue
-                kept = len(pieces.pop())  # all touched: the largest keeps c
-            first = len(members) + len(splits)
-            splits.extend((c, nodes) for nodes in pieces)
-            # every piece but one largest pushes next round
-            new = range(first, len(members) + len(splits))
-            if len(pieces[-1]) > kept:
-                pushers.append(c)
-                pushers.extend(new[:-1])
-            else:
-                pushers.extend(new)
-        return splits
-
-    return _run_refinement(graphs, update, rounds, init)
-
-
 # ---------------------------------------------------------------------------
-# terminating walks and the walk-based refinement
+# terminating walks and the two refinements
 
 
 def terminating_walks(
@@ -419,38 +351,103 @@ def terminating_walks(
     return out
 
 
+def _split_update(graphs, length, guard):
+    """The round update of walk refinement at `length` (1-WL at length 1)
+    for `_run_refinement`.
+
+    Every terminating walk is listed once (`terminating_walks` with
+    `guard`) and indexed under the nodes it visits before its last node.
+    A round recolors only the walks through a node that moved to a fresh
+    index in the round before; round 1 counts every node as moved, so it
+    recolors every walk. In a class, the touched nodes are grouped by
+    their sorted recolored walks and the untouched nodes form one more
+    group; the largest group keeps the class index and every other group
+    moves.
+
+    This is exact. Class-mates had equal payloads in the round before. A
+    walk's colors change only at nodes that moved, and each fresh index
+    names the class it came from, so a recolored walk determines its old
+    colors: two touched class-mates have equal payloads exactly when
+    their recolored walks are equal. A recolored walk holds a fresh index
+    before its last position and an untouched node's walks never do, so
+    no touched node shares a payload with an untouched one. A walk's last
+    node is its owner, whose class-mates share its color, so only the
+    nodes before it need indexing. A node moves only in a group no larger
+    than the one that keeps the index, so it moves at most log2(N) times,
+    and a walk is recolored in round 1 and then at most once per move of
+    one of its first `length` nodes.
+    """
+    walks, start = [], 0
+    for g in graphs:
+        for u in range(g.n):
+            listed = terminating_walks(g, u, length, guard)
+            if start:  # to joint node ids
+                listed = [tuple(map(start.__add__, w)) for w in listed]
+            walks += listed
+        start += g.n
+    owner = list(map(itemgetter(-1), walks))
+    # walk i is recolored as recolor[i](cls), its class indices node by node
+    recolor = list(starmap(itemgetter, walks))
+    through = [[] for _ in range(start)]
+    for i, walk in enumerate(walks):
+        for v in walk[:-1]:
+            through[v].append(i)
+    moved = range(start)  # round 1 recolors every walk
+
+    def update(cls, members):
+        nonlocal moved
+        ids = set().union(*map(through.__getitem__, moved))
+        recolored = defaultdict(list)
+        for i in ids:
+            recolored[owner[i]].append(recolor[i](cls))
+        groups = defaultdict(dict)
+        for y, sig in recolored.items():
+            sig.sort()
+            groups[cls[y]].setdefault(tuple(sig), []).append(y)
+
+        splits, moved = [], []
+        for c, by_sig in groups.items():
+            pieces = sorted(by_sig.values(), key=len)
+            untouched = len(members[c]) - sum(map(len, pieces))
+            if untouched < len(pieces[-1]):
+                largest = pieces.pop()
+                if untouched:
+                    pieces.append(members[c].difference(largest, *pieces))
+            for nodes in pieces:
+                splits.append((c, tuple(nodes)))
+                moved += nodes
+        return splits
+
+    return update
+
+
+def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
+    """Joint 1-WL refinement: hash (color, multiset of neighbor colors).
+
+    This is walk refinement at length 1, whose walks are the edges into a
+    node, run without a walk guard (see `_split_update`): after round 1
+    an edge is recolored only when the node it leaves moved, so a run
+    over N nodes and m edges recolors O(m log N) walks.
+    """
+    graphs = tuple(graphs)
+    update = _split_update(graphs, 1, math.inf)
+    return _run_refinement(graphs, update, rounds, init)
+
+
 def wwl_refine(
     graphs, length: int, rounds: int | None = None, init=None
 ) -> RefinementRun:
     """Walk-based refinement at a fixed maximum walk length.
 
     Each round hashes (current color, multiset of colored terminating
-    walks of length 1..length). Supports a non-uniform initial coloring,
-    which is what the fixed-point comparison against classic WL uses.
+    walks of length 1..length), recoloring only the walks through nodes
+    that moved (see `_split_update`); more than DEFAULT_WALK_GUARD walks
+    at one node raise RefinementGuardError. Supports a non-uniform initial
+    coloring, which is what the fixed-point comparison against classic WL
+    uses.
     """
     graphs = tuple(graphs)
-    walks_per_graph = [
-        [terminating_walks(g, u, length) for u in range(g.n)]
-        for g in graphs
-    ]
-
-    def update(cls, members):
-        # class indices stand in for colors: a bijection within the round
-        groups = defaultdict(dict)
-        x = 0
-        for walks_by_node in walks_per_graph:
-            color_of = cls[x : x + len(walks_by_node)].__getitem__
-            for walks in walks_by_node:
-                key = tuple(sorted([tuple(map(color_of, w)) for w in walks]))
-                groups[cls[x]].setdefault(key, []).append(x)
-                x += 1
-        # every group but one largest per class leaves it
-        splits = []
-        for c, by_key in groups.items():
-            pieces = sorted(by_key.values(), key=len)
-            splits.extend((c, nodes) for nodes in pieces[:-1])
-        return splits
-
+    update = _split_update(graphs, length, DEFAULT_WALK_GUARD)
     return _run_refinement(graphs, update, rounds, init)
 
 

@@ -384,6 +384,29 @@ class TestExactEnumeration:
         assert h.is_connected()
         assert reads == connectivity_reads
 
+    def test_path_past_budget_refused_before_enumerating(self):
+        # 720 * 720 prefixes fit the default budget, but a path has
+        # 2n^2 - 3n + 2 of them, which the refusal floor counts exactly
+        g, reads = counting_graph(path_graph(720))
+        with pytest.raises(
+            EnumerationBudgetError, match="budget 1000000 exceeded"
+        ):
+            enumerate_dfs(g)
+        h, connectivity_reads = counting_graph(path_graph(720))
+        assert h.is_connected()
+        assert reads == connectivity_reads
+
+    def test_refusal_floor_never_exceeds_prefix_count(self):
+        # a budget of exactly the prefix count enumerates every graph, so
+        # the floor checked before enumerating never refuses one that fits
+        for g in all_labeled_connected_graphs_upto(5):
+            outs = enumerate_dfs(g)
+            prefixes = {
+                o.record.visit_order[:k] for o in outs for k in range(1, g.n + 1)
+            }
+            assert g.n + 2 * g.edge_count * (g.n - 1) <= len(prefixes)
+            assert enumerate_dfs(g, budget=len(prefixes)) == outs
+
     def test_search_deeper_than_recursion_limit(self):
         # the enumerator is a loop, so a search deeper than the recursion
         # limit is enumerated: a path's law has a closed form

@@ -14,6 +14,7 @@ from walksearch.graphs import (
     hex_chain,
     path_graph,
     relabel,
+    star_graph,
 )
 from walksearch import wl as wlmod
 from walksearch.wl import (
@@ -39,6 +40,13 @@ from .corpus import (
 from .strategies import connected_graphs
 
 TWO_TRIANGLES = disjoint_union(cycle_graph(3), cycle_graph(3))
+
+
+def fan_graph(k):
+    """A path on nodes 0..k-1 plus a hub, node k, joined to all of them."""
+    return Graph.from_edges(
+        k + 1, [(u, u + 1) for u in range(k - 1)] + [(k, u) for u in range(k)]
+    )
 
 
 def _naive_refinement(graphs, payload, rounds, init):
@@ -312,6 +320,141 @@ class TestSplitLog:
              for gi in range(len(run.graphs))]
             for run in runs
         ]
+
+
+class TestSharedUpdate:
+    """`wl_refine` and `wwl_refine` run one split-driven update. At length
+    3 walks visit a node twice before their end and pass through several
+    nodes that moved in one round; each such walk is recolored once."""
+
+    REVISITING = (complete_graph(4), complete_graph(5), star_graph(6),
+                  fan_graph(9))
+
+    @staticmethod
+    def check(graphs, rounds=None, init=None):
+        run = wwl_refine(graphs, 3, rounds=rounds, init=init)
+        assert (run.history, run.stable_round) == naive_wwl(
+            graphs, 3, rounds, init
+        )
+
+    # a length-3 walk changes color when a node two or three steps before
+    # its owner moved, though the node next to the owner did not
+    FAR_MOVES = (
+        path_graph(12),
+        Graph.from_edges(8, [(0, 2), (0, 6), (0, 7), (1, 3), (1, 5), (2, 3),
+                             (3, 5), (4, 7), (6, 7)]),
+    )
+
+    def test_single_graphs(self):
+        corpus = random_connected_corpus(12, seed=20, n_max=7)
+        for g in [*corpus, *self.REVISITING, *self.FAR_MOVES, hex_chain(2)]:
+            self.check([g])
+
+    def test_joint_runs(self):
+        corpus = random_connected_corpus(8, seed=21, n_max=6)
+        for g, h in zip(corpus[::2], corpus[1::2]):
+            self.check([g, h])
+        self.check([complete_graph(4), complete_graph(5)])
+        self.check([star_graph(6), fan_graph(9), path_graph(5)])
+        self.check([TWO_TRIANGLES, cycle_graph(6)])
+        scattered = Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)])
+        self.check([scattered, Graph.from_edges(0, []), star_graph(4)])
+
+    def test_init_labels(self):
+        graphs = [*self.REVISITING, *random_connected_corpus(6, seed=22, n_max=7)]
+        for g in graphs:
+            parity = [u % 2 for u in range(g.n)]
+            self.check([g], init=[g.degrees()])
+            self.check([g], init=[parity])
+            self.check([g, g], init=[parity, g.degrees()])
+
+    def test_round_budgets(self):
+        graphs = [*self.REVISITING, *random_connected_corpus(4, seed=23, n_max=7)]
+        for g in graphs:
+            for rounds in (0, 1, 2, 5):
+                self.check([g], rounds=rounds)
+                init = [g.degrees(), [1, 0, 0, 1, 1]]
+                self.check([g, star_graph(5)], rounds=rounds, init=init)
+
+    def test_nodes_move_at_most_log2_n_times(self):
+        # the largest group keeps the class index, so a node that moves
+        # lands in a class at most half the size of the one it left
+        skewed = Graph.from_edges(7, [(0, 1), (0, 2), (0, 6), (1, 4), (1, 6),
+                                      (2, 5), (3, 4), (3, 5), (5, 6)])
+        graphs = [skewed, *random_connected_corpus(30, seed=24, n_max=12)]
+        for g in graphs:
+            for ell in (1, 2, 3):
+                run = wwl_refine([g], ell)
+                moves = Counter(
+                    y for split in run.splits for _, nodes in split for y in nodes
+                )
+                assert max(moves.values(), default=0) <= int(math.log2(g.n))
+
+    @pytest.mark.parametrize(
+        "graph, lengths",
+        [
+            (path_graph(400), (1, 2, 3)),
+            (hex_chain(60), (1, 2, 3)),
+            (fan_graph(300), (1, 2, 3)),
+            (path_graph(2000), (3,)),
+        ],
+        ids=["path400", "hex60", "fan300", "path2000"],
+    )
+    def test_recolors_each_walk_once_per_move(self, monkeypatch, graph, lengths):
+        # a walk is recolored in round 1 and then at most once per move of
+        # one of its nodes before the end, and a node moves at most
+        # floor(log2 N) times; a recoloring reads the classes along the
+        # walk and, at most once per recolored walk, its owner's class
+        reads = [0]
+
+        class CountingList(list):
+            def __getitem__(self, i):
+                if isinstance(i, slice):
+                    reads[0] += len(range(*i.indices(len(self))))
+                else:
+                    reads[0] += 1
+                return list.__getitem__(self, i)
+
+            def __iter__(self):
+                reads[0] += len(self)
+                return list.__iter__(self)
+
+        real = wlmod._run_refinement
+
+        def counting(graphs, update, rounds, init):
+            def counted(cls, members):
+                return update(CountingList(cls), members)
+
+            return real(graphs, counted, rounds, init)
+
+        monkeypatch.setattr(wlmod, "_run_refinement", counting)
+        moves = int(math.log2(graph.n))
+        # ends[u]: walks of the current length that end at u
+        ends, bound = [1] * graph.n, 0
+        for ell in range(1, max(lengths) + 1):
+            ends = [sum(ends[v] for v in row) for row in graph.adjacency]
+            # a length-ell walk has ell + 1 nodes, ell of them before its end
+            bound += sum(ends) * (ell + 2) * (1 + ell * moves)
+            if ell in lengths:
+                reads[0] = 0
+                assert wwl_refine([graph], ell).stable_round is not None
+                assert 0 < reads[0] <= bound
+            if ell == 1 and 1 in lengths:
+                reads[0] = 0
+                assert wl_refine([graph]).stable_round is not None
+                assert 0 < reads[0] <= bound
+
+    def test_classic_refinement_has_no_walk_guard(self, monkeypatch):
+        # a hub past the guard stops the walk refinement at that node (by
+        # its index within its own graph) but not 1-WL, which lists the
+        # same length-1 walks
+        monkeypatch.setattr(wlmod, "DEFAULT_WALK_GUARD", 5)
+        graphs = [path_graph(4), star_graph(8)]
+        with pytest.raises(
+            RefinementGuardError, match="more than 5 terminating walks at node 0"
+        ):
+            wwl_refine(graphs, 1)
+        assert wl_refine(graphs).history == naive_wl(graphs)[0]
 
 
 class TestTerminatingWalks:
