@@ -19,6 +19,7 @@ from . import invariance as inv
 from . import reconstruct as rec
 from . import wl as wlmod
 from .graphs import (
+    FAMILIES,
     gen_family,
     random_permutation,
     read_edge_list,
@@ -159,23 +160,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> None:
-    if args.family in ("random_tree", "er_connected") and args.seed is None:
-        raise _UsageError(f"--seed is required for family {args.family}")
-    params = {}
-    if args.family in ("path", "cycle", "complete", "star", "random_tree",
-                       "er_connected"):
-        if args.n is None:
-            raise _UsageError(f"--n is required for family {args.family}")
-        params["n"] = args.n
-    if args.family == "er_connected":
-        if args.avg_deg is None:
-            raise _UsageError("--avg-deg is required for er_connected")
-        params["avg_deg"] = args.avg_deg
-    if args.family == "hex_chain":
-        if args.k is None:
-            raise _UsageError("--k is required for hex_chain")
-        params["k"] = args.k
-    g = gen_family(args.family, seed=args.seed or 0, **params)
+    names = FAMILIES[args.family][1] if args.family in FAMILIES else ()
+    params = {name: getattr(args, name) for name in names}
+    for name in ("seed", "n", "avg_deg", "k"):  # order of the usage errors
+        if name in params and params[name] is None:
+            flag = "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} is required for family {args.family}")
+    g = gen_family(args.family, **params)
     _emit(save_edge_list(g), args.out)
 
 

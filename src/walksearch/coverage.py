@@ -217,11 +217,17 @@ def bound_query(c: float, n: int, d_max: int, delta: float) -> BoundQuery:
         return BoundQuery(
             c=c, n=n, d_max=d_max, delta=delta, m_required=1, degenerate=True
         )
-    if c * n < 1.0:
+    try:
+        cn = c * n
+    except OverflowError:  # n past the largest float
+        raise ValueError("n must convert to a finite float") from None
+    if cn < 1.0:
         raise ValueError("C*n must be at least 1")
-    ratio = c * n / delta
+    ratio = cn / delta
     if not math.isfinite(ratio):
         raise ValueError("C*n/delta must be finite")
+    if d_max > 2**53:  # then d_max / (d_max - 1) rounds to 1.0
+        raise ValueError("d_max must be at most 2**53")
     raw = math.log(ratio) / math.log(d_max / (d_max - 1))
     return BoundQuery(
         c=c,

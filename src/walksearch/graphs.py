@@ -8,6 +8,7 @@ edges. All randomness in the generators enters through an explicit seed.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -294,6 +295,8 @@ def er_connected(n: int, avg_deg: float, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("er_connected needs n >= 2")
+    if not 0.0 < avg_deg < math.inf:
+        raise ValueError("avg_deg must be finite and > 0")
     p = min(1.0, avg_deg / (n - 1))
     rng = random.Random(seed)
     for _ in range(ER_MAX_RETRIES):
@@ -332,36 +335,29 @@ def hex_chain(k: int) -> Graph:
     return Graph.from_edges(7 * k, edges)
 
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "random_tree",
-    "er_connected",
-    "hex_chain",
-)
+# family name -> (generator, its parameter names in call order)
+FAMILIES = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "star": (star_graph, ("n",)),
+    "random_tree": (random_tree, ("n", "seed")),
+    "er_connected": (er_connected, ("n", "avg_deg", "seed")),
+    "hex_chain": (hex_chain, ("k",)),
+}
 
 
 def gen_family(family: str, seed: int = 0, **params) -> Graph:
-    """Generate a named graph family.
-
-    Supported descriptors: path(n), cycle(n), complete(n), star(n),
-    random_tree(n), er_connected(n, avg_deg), hex_chain(k). The seed only
-    matters for the random families.
-    """
-    if family == "path":
-        return path_graph(params["n"])
-    if family == "cycle":
-        return cycle_graph(params["n"])
-    if family == "complete":
-        return complete_graph(params["n"])
-    if family == "star":
-        return star_graph(params["n"])
-    if family == "random_tree":
-        return random_tree(params["n"], seed)
-    if family == "er_connected":
-        return er_connected(params["n"], params["avg_deg"], seed)
-    if family == "hex_chain":
-        return hex_chain(params["k"])
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    """Generate a named graph family: its `FAMILIES` generator gets its
+    listed parameters from `params` and `seed` (only the random families
+    take a seed); a missing parameter raises ValueError."""
+    if family not in FAMILIES:
+        raise ValueError(
+            f"unknown family {family!r}; choose from {tuple(FAMILIES)}"
+        )
+    generator, names = FAMILIES[family]
+    params["seed"] = seed
+    for name in names:
+        if name not in params:
+            raise ValueError(f"family {family} needs parameter {name!r}")
+    return generator(*map(params.__getitem__, names))

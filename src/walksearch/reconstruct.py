@@ -69,9 +69,14 @@ def reconstruct_from_searches(
 
 
 def verify_reconstruction(g: Graph, sset: SampleSet, s: int) -> ReconstructionReport:
-    """Encode each search of `sset` against g, reconstruct, and diff vs E."""
+    """Encode each search of `sset` against g, reconstruct, and diff vs E.
+
+    A search visits at most n nodes, so lags past n - 1 are always empty:
+    windows past n + 1 are encoded and decoded as n + 1.
+    """
     if sset.kind != "searches":
         raise ValueError("reconstruction expects a search sample set")
+    s = min(s, g.n + 1)
     seqs = [rec.visit_order for rec in sset.items]
     encs = [adjacency_encoding(g, seq, s) for seq in seqs]
     recovered = reconstruct_from_searches(seqs, encs, s, n=g.n)

@@ -259,9 +259,30 @@ def _apply_splits(cls, members, splits) -> set[int]:
     return changed
 
 
+def _checked_inputs(graphs, length, rounds, init):
+    """Reject a refinement's inputs before any walk is listed, in this
+    order: no graph, a walk length below 1, a negative round budget, then
+    `init` not giving one label per node per graph. Returns `graphs` and
+    `init` as tuples."""
+    graphs = tuple(graphs)
+    if not graphs:
+        raise ValueError("need at least one graph")
+    if length < 1:
+        raise ValueError("walk length must be >= 1")
+    if rounds is not None and rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if init is not None:
+        init = tuple(tuple(labels) for labels in init)
+        if len(init) != len(graphs) or any(
+            len(labels) != g.n for labels, g in zip(init, graphs)
+        ):
+            raise ValueError("init must give one label per node per graph")
+    return graphs, init
+
+
 def _run_refinement(graphs, update, rounds, init):
     """Shared driver: number the initial classes, apply `update` per round
-    and log its splits.
+    and log its splits. Its inputs come from `_checked_inputs`.
 
     The driver keeps `cls` (class index per joint node) and `members`
     (joint node set per class index). `update(cls, members)` returns the
@@ -278,19 +299,9 @@ def _run_refinement(graphs, update, rounds, init):
     further round would split nothing too: the driver stops calling
     `update` and leaves the rest of a requested round budget empty.
     """
-    graphs = tuple(graphs)
-    if not graphs:
-        raise ValueError("need at least one graph")
-    if rounds is not None and rounds < 0:
-        raise ValueError("rounds must be >= 0")
     if init is None:
         labels = [0] * sum(g.n for g in graphs)
     else:
-        init = tuple(tuple(labels) for labels in init)
-        if len(init) != len(graphs) or any(
-            len(labels) != g.n for labels, g in zip(init, graphs)
-        ):
-            raise ValueError("init must give one label per node per graph")
         labels = chain.from_iterable(init)
     table: dict = {}
     cls = [table.setdefault(label, len(table)) for label in labels]
@@ -429,7 +440,7 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
     an edge is recolored only when the node it leaves moved, so a run
     over N nodes and m edges recolors O(m log N) walks.
     """
-    graphs = tuple(graphs)
+    graphs, init = _checked_inputs(graphs, 1, rounds, init)
     update = _split_update(graphs, 1, math.inf)
     return _run_refinement(graphs, update, rounds, init)
 
@@ -446,7 +457,7 @@ def wwl_refine(
     coloring, which is what the fixed-point comparison against classic WL
     uses.
     """
-    graphs = tuple(graphs)
+    graphs, init = _checked_inputs(graphs, length, rounds, init)
     update = _split_update(graphs, length, DEFAULT_WALK_GUARD)
     return _run_refinement(graphs, update, rounds, init)
 

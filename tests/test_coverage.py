@@ -180,6 +180,16 @@ class TestSampleBound:
         with pytest.raises(ValueError):
             sample_bound_m(0.001, 10, 3, 0.1)
 
+    def test_inputs_past_float_range_are_value_errors(self):
+        with pytest.raises(ValueError, match="n must convert to a finite float"):
+            bound_query(3.0, 10**309, 3, 0.1)
+        with pytest.raises(ValueError, match="d_max must be at most 2"):
+            bound_query(3.0, 10, 10**16, 0.1)
+        # the largest d_max whose ratio is not rounded to 1, and a
+        # degenerate query, still get their answers
+        assert bound_query(3.0, 10, 2**53, 0.1).m_required > 2**53
+        assert bound_query(3.0, 10**309, 1, 0.1).degenerate
+
 
 class TestFullCoverage:
     def test_tree_always_covered(self):

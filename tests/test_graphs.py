@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walksearch.graphs import (
     ER_MAX_RETRIES,
+    FAMILIES,
     Graph,
     GraphParseError,
     complete_graph,
@@ -111,6 +115,15 @@ class TestGenerators:
         for seed in range(5):
             assert er_connected(16, 3.0, seed=seed).is_connected()
 
+    @pytest.mark.parametrize("avg_deg", [math.nan, math.inf, -1.0, 0.0])
+    def test_er_rejects_degree_before_sampling(self, monkeypatch, avg_deg):
+        def no_sampling(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(random, "Random", no_sampling)
+        with pytest.raises(ValueError, match="avg_deg must be finite and > 0"):
+            er_connected(200, avg_deg, 1)
+
     def test_er_retry_cap_is_exposed(self):
         assert ER_MAX_RETRIES == 1000
 
@@ -137,8 +150,22 @@ class TestGenerators:
     def test_gen_family_dispatch(self):
         assert gen_family("path", n=3) == path_graph(3)
         assert gen_family("hex_chain", k=2) == hex_chain(2)
-        with pytest.raises(ValueError, match="unknown family"):
+        values = {"n": 9, "avg_deg": 3.0, "seed": 5, "k": 2}
+        for family, (generator, names) in FAMILIES.items():
+            params = {name: values[name] for name in names}
+            assert gen_family(family, **params) == generator(**params)
+        with pytest.raises(ValueError, match="unknown family") as err:
             gen_family("petersen", n=10)
+        assert str(err.value).endswith(f"choose from {tuple(FAMILIES)}")
+
+    @pytest.mark.parametrize(
+        "family, params, missing",
+        [("path", {}, "'n'"), ("random_tree", {"k": 3}, "'n'"),
+         ("er_connected", {"n": 10}, "'avg_deg'"), ("hex_chain", {"n": 3}, "'k'")],
+    )
+    def test_gen_family_names_a_missing_parameter(self, family, params, missing):
+        with pytest.raises(ValueError, match=missing):
+            gen_family(family, seed=1, **params)
 
     @settings(max_examples=40)
     @given(connected_graphs(min_n=2, max_n=8))

@@ -140,6 +140,14 @@ class TestReportAndErrors:
         with pytest.raises(ValueError, match="out of range"):
             reconstruct_from_searches([seq], [enc], 3, n=5)
 
+    @pytest.mark.parametrize("s", [16, 10**14, 10**30])
+    def test_window_past_n_plus_one_is_clamped(self, s):
+        g = hex_chain(2)  # n = 14
+        ss = sample_set(g, "searches", 3, seed=4)
+        assert verify_reconstruction(g, ss, s) == verify_reconstruction(
+            g, ss, g.n + 1
+        )
+
     def test_walk_sets_rejected(self):
         g = cycle_graph(5)
         ss = sample_set(g, "walks", 1, seed=0, length=4)

@@ -534,6 +534,33 @@ class TestWalkRefinement:
         with pytest.raises(ValueError, match="one label per node"):
             wwl_refine([path_graph(3)], 1, init=[[0, 1]])
 
+    @pytest.mark.parametrize(
+        "graphs, length, rounds, init, message",
+        [
+            ([], 0, -1, [[0]], "need at least one graph"),
+            ([path_graph(3)], 0, -1, [[0]], "walk length must be >= 1"),
+            ([Graph.from_edges(0, [])] * 2, 0, None, None,
+             "walk length must be >= 1"),
+            ([path_graph(3)], -2, None, None, "walk length must be >= 1"),
+            ([path_graph(3)], 1, -1, [[0]], "rounds must be >= 0"),
+            ([path_graph(3), path_graph(2)], 1, 2, [[0, 0, 0]],
+             "one label per node"),
+            ([path_graph(3)], 2, None, [[0, 1]], "one label per node"),
+        ],
+    )
+    def test_inputs_rejected_before_any_walk(
+        self, graphs, length, rounds, init, message
+    ):
+        counted = [counting_graph(g) for g in graphs]
+        graphs = [g for g, _ in counted]
+        refiners = [lambda: wwl_refine(graphs, length, rounds, init)]
+        if length == 1:
+            refiners.append(lambda: wl_refine(graphs, rounds, init))
+        for refine in refiners:
+            with pytest.raises(ValueError, match=message):
+                refine()
+        assert all(sum(reads) == 0 for _, reads in counted)
+
     def test_wl_fixed_point_of_wwl(self):
         # initializing the walk refinement at the stable classic coloring
         # must not split anything further
