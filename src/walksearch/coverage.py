@@ -164,6 +164,8 @@ def edge_inclusion_prob(
             dmax_bound=dmax_bound,
         )
     if mode == "monte_carlo":
+        if trials < 1:
+            raise ValueError("trials must be >= 1")
         hits = 0
         for i in range(trials):
             rec = sample_dfs(g, derive_rng(seed, i))

@@ -8,7 +8,11 @@ two-sample comparison of sampled visit orders is calibrated against a
 self-vs-self baseline instead of a hand-picked threshold. The
 permutation test behind that comparison counts in exact integers: each
 distinct visit order is coded once as a small int and every reshuffle's
-statistic is 2*na*nb*TV, so no float tolerance decides a tie.
+statistic is 2*na*nb*TV, so no float tolerance decides a tie. Each
+reshuffle is ``random.shuffle``'s Fisher-Yates loop with its draws made
+inline on ``getrandbits`` (the rule in the `samplers` docstring), so a
+seeded generator gives the same p-value and ends in the same state as
+calling ``shuffle`` would.
 """
 
 from __future__ import annotations
@@ -102,11 +106,15 @@ def tv_permutation_pvalue(samples_a, samples_b, reps, rng) -> float:
     Pools the samples, reshuffles the labels `reps` times, and reports
     the fraction of reshuffles whose TV is at least the observed one
     (with the +1 correction). Each distinct sample is coded once as a
-    small int and TV is compared as the exact integer 2*na*nb*TV.
+    small int and TV is compared as the exact integer 2*na*nb*TV. A
+    reshuffle swaps each position i from the last down to 1 with a
+    uniform j <= i, making the draws of ``rng.shuffle``.
     """
     na, nb = len(samples_a), len(samples_b)
     if na == 0 or nb == 0:
         raise ValueError("both samples must be nonempty")
+    if reps < 0:
+        raise ValueError("reps must be >= 0")
     n = na + nb
     codes: dict = {}
     pool = [codes.setdefault(s, len(codes)) for s in samples_a]
@@ -116,8 +124,15 @@ def tv_permutation_pvalue(samples_a, samples_b, reps, rng) -> float:
         weights[k] += na
     observed = _scaled_tv(Counter(pool[:na]), weights, na, n)
     at_least = 0
+    getrandbits = rng.getrandbits
+    # j uniform in 0..i is randrange(i + 1): redraw while j > i
+    steps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
     for _ in range(reps):
-        rng.shuffle(pool)
+        for i, k in steps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            pool[i], pool[j] = pool[j], pool[i]
         if _scaled_tv(Counter(pool[:na]), weights, na, n) >= observed:
             at_least += 1
     return (1 + at_least) / (reps + 1)

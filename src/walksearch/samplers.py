@@ -11,12 +11,16 @@ coverage and invariance labs.
 Randomness contract: every sampler takes an explicit ``random.Random``;
 batch sampling derives the trial-i generator deterministically from
 ``(seed, i)``, so results are identical regardless of evaluation order.
-Walk steps draw with the stdlib's own rules on ``getrandbits`` and
-``random()`` (``randrange``'s rejection loop, the bisection inside
-``choices``), inline and from per-node tables, so a ``random.Random``
-yields the same walks as calling ``randrange``/``choices`` per step.
-The DFS keeps calling ``randrange``: its exact-law test scripts those
-answers.
+Hot loops draw inline with the stdlib's own rules, so a ``random.Random``
+gives the same results, and ends in the same state, as the per-step
+stdlib calls would. A uniform index below c is ``randrange(c)``'s
+rejection loop on ``k = c.bit_length()`` bits: ``r = getrandbits(k)``,
+redrawn while ``r >= c``. Walk steps and DFS steps draw this way (a
+local-rule step makes the one ``random()`` of ``choices`` and bisects),
+and so does the Fisher-Yates loop of ``random.shuffle`` behind the
+permutation test in ``invariance``. The DFS law is checked exactly on a
+reference search that calls ``randrange`` per step; the tests tie that
+reference to ``sample_dfs`` draw for draw.
 """
 
 from __future__ import annotations
@@ -186,8 +190,9 @@ class WalkPolicy:
                 self._table.append((nbrs, cum_weights, total, len(nbrs) - 1))
 
     def walk(self, rng: random.Random, start: int | None = None):
-        """Yield the start node (uniform over V unless given), then one
-        node per step, without end; callers take an ``islice``.
+        """Yield the start node (uniform over V unless given; a given start
+        must be a node), then one node per step, without end; callers take
+        an ``islice``.
 
         A step from a node of degree d makes exactly the draws of a
         stdlib call: ``randrange(d)`` for a uniform step (that is,
@@ -199,7 +204,13 @@ class WalkPolicy:
         non-backtracking step call ``rng.randrange`` itself.
         """
         table = self._table
-        cur = rng.randrange(self.g.n) if start is None else start
+        n = self.g.n
+        if start is None:
+            cur = rng.randrange(n)
+        elif 0 <= start < n:
+            cur = start
+        else:
+            raise ValueError(f"start must be a node in 0..{n - 1}, got {start}")
         yield cur
         getrandbits = rng.getrandbits
         if self.policy == "uniform":
@@ -242,8 +253,9 @@ def sample_walk(
 ) -> WalkRecord:
     """Sample a walk of `length` steps (so the record holds length+1 nodes).
 
-    The start node is uniform over V unless forced. Requires a connected
-    graph on at least 2 nodes (see `WalkPolicy`).
+    The start node is uniform over V unless forced; a forced start must
+    be a node. Requires a connected graph on at least 2 nodes (see
+    `WalkPolicy`).
     """
     if length < 1:
         raise ValueError("walk length must be >= 1")
@@ -259,40 +271,60 @@ def sample_walk(
 def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchRecord:
     """Sample a random depth-first search.
 
-    The root is uniform over V unless forced. Each step moves from the
-    stack top to a uniform unvisited neighbor, or pops the top if it has
-    none: the rule `enumerate_dfs` branches on. An entry's candidates are
-    the neighbors unvisited when it was pushed; a draw found visited is
-    dropped and redrawn, so a search reads each neighbor list once and
-    draws at most 2m + 1 times. A disconnected graph is rejected.
+    The root is uniform over V unless forced; a forced root must be a
+    node. Each step moves from the stack top to a uniform unvisited
+    neighbor, or pops the top if it has none: the rule `enumerate_dfs`
+    branches on. An entry's candidates are the neighbors unvisited when it
+    was pushed, in row order; a step swap-removes a uniform one (a lone
+    candidate needs no draw), and one found visited is dropped and
+    redrawn, so a search reads each neighbor list once and draws at most
+    2m + 1 times. The root draw is ``rng.randrange(n)``; every other draw
+    is ``randrange``'s rule inlined on ``getrandbits`` (see the module
+    docstring). A disconnected graph is rejected.
     """
-    if g.n < 1:
+    n = g.n
+    if n < 1:
         raise ValueError("empty graph")
-    adjacency = g.adjacency
-    randrange = rng.randrange
     if root is None:
-        root = randrange(g.n)
-    visited = bytearray(g.n)
+        root = rng.randrange(n)
+    elif not 0 <= root < n:
+        raise ValueError(f"root must be a node in 0..{n - 1}, got {root}")
+    adjacency = g.adjacency
+    getrandbits = rng.getrandbits
+    visited = bytearray(n)
     visited[root] = 1
     order = [root]
     tree: list[tuple[int, int]] = []
-    stack = [(root, list(adjacency[root]))]
-    while stack:
-        u, candidates = stack[-1]
-        while candidates:
-            # swap-remove a uniform candidate; a lone one needs no draw
-            r = randrange(len(candidates)) if len(candidates) > 1 else 0
-            candidates[r], candidates[-1] = candidates[-1], candidates[r]
-            v = candidates.pop()
+    # the entries below the top that still have candidates; the top is
+    # held in u, candidates
+    stack: list[tuple[int, list[int]]] = []
+    u, candidates = root, list(adjacency[root])
+    while True:
+        if candidates:
+            c = len(candidates)
+            if c > 1:
+                k = c.bit_length()
+                r = getrandbits(k)
+                while r >= c:
+                    r = getrandbits(k)
+                v = candidates[r]
+                candidates[r] = candidates[-1]
+                candidates.pop()
+            else:
+                v = candidates.pop()
             if not visited[v]:
                 visited[v] = 1
                 order.append(v)
                 tree.append((u, v) if u < v else (v, u))
-                stack.append((v, [w for w in adjacency[v] if not visited[w]]))
-                break
+                # an entry with no candidate left would only be popped
+                if candidates:
+                    stack.append((u, candidates))
+                u, candidates = v, [w for w in adjacency[v] if not visited[w]]
+        elif stack:
+            u, candidates = stack.pop()
         else:
-            stack.pop()
-    if len(order) != g.n:
+            break
+    if len(order) != n:
         raise ValueError("searches require a connected graph")
     return SearchRecord(
         visit_order=tuple(order), tree_edges=frozenset(tree), root=root

@@ -131,6 +131,20 @@ class TestEdgeInclusion:
         assert rep.probability == pytest.approx(5 / 6, abs=0.01)
         assert rep.trials == 20000 and rep.stderr is not None
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_monte_carlo_rejects_trials_below_one(self, trials, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr("walksearch.coverage.sample_dfs", no_search)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            edge_inclusion_prob(
+                cycle_graph(6), (0, 1), mode="monte_carlo", trials=trials
+            )
+        # exact mode takes no trials
+        rep = edge_inclusion_prob(cycle_graph(6), (0, 1), trials=trials)
+        assert rep.probability == Fraction(5, 6)
+
     def test_bound_chain_exhaustive_small(self):
         for g in all_labeled_connected_graphs_upto(5):
             if g.n < 2:

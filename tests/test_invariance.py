@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,9 @@ from walksearch.graphs import (
     star_graph,
 )
 from walksearch.invariance import (
+    PERMUTATION_REPS,
     SequenceDistribution,
+    _scaled_tv,
     dfs_distribution,
     invariance_exact,
     invariance_sampled,
@@ -112,6 +115,72 @@ def float_tv_pvalue(samples_a, samples_b, reps, rng):
         if two_sample_tv(pool[:na], pool[na:]) >= observed - 1e-12:
             at_least += 1
     return (1 + at_least) / (reps + 1)
+
+
+def shuffle_tv_pvalue(samples_a, samples_b, reps, rng):
+    """The integer permutation loop as it was before its reshuffles were
+    inlined: one `rng.shuffle` call per reshuffle. `tv_permutation_pvalue`
+    must give the same p-value and leave `rng` in the same state."""
+    na, nb = len(samples_a), len(samples_b)
+    if na == 0 or nb == 0:
+        raise ValueError("both samples must be nonempty")
+    n = na + nb
+    codes: dict = {}
+    pool = [codes.setdefault(s, len(codes)) for s in samples_a]
+    pool += [codes.setdefault(s, len(codes)) for s in samples_b]
+    weights = [0] * len(codes)
+    for k in pool:
+        weights[k] += na
+    observed = _scaled_tv(Counter(pool[:na]), weights, na, n)
+    at_least = 0
+    for _ in range(reps):
+        rng.shuffle(pool)
+        if _scaled_tv(Counter(pool[:na]), weights, na, n) >= observed:
+            at_least += 1
+    return (1 + at_least) / (reps + 1)
+
+
+class TestShuffleOracle:
+    def test_matches_stdlib_shuffle(self):
+        draw = random.Random(2024)
+        sizes = [1, 2, 3, 9, 40, 257]
+        cases = 0
+        for distinct in range(2, 8):
+            for reps in (0, 1, PERMUTATION_REPS):
+                for _ in range(6):
+                    na, nb = draw.choice(sizes), draw.choice(sizes)
+                    if cases % 3 == 0:
+                        na = 1
+                    elif cases % 3 == 1:
+                        nb = 1
+                    a = [draw.randrange(distinct) for _ in range(na)]
+                    b = [draw.randrange(distinct) for _ in range(nb)]
+                    seed = draw.randrange(2**32)
+                    rng, expected_rng = random.Random(seed), random.Random(seed)
+                    assert tv_permutation_pvalue(a, b, reps, rng) == (
+                        shuffle_tv_pvalue(a, b, reps, expected_rng)
+                    ), (a, b, reps, seed)
+                    assert rng.getstate() == expected_rng.getstate()
+                    cases += 1
+        assert cases == 6 * 3 * 6
+
+    def test_draws_without_shuffle(self):
+        class NoShuffle(random.Random):
+            def shuffle(self, x):
+                raise AssertionError("shuffle called")
+
+        a = sample_visit_orders(cycle_graph(4), 30, seed=2, tag="a")
+        b = sample_visit_orders(cycle_graph(4), 20, seed=2, tag="b")
+        assert tv_permutation_pvalue(a, b, 50, NoShuffle(1)) == (
+            shuffle_tv_pvalue(a, b, 50, random.Random(1))
+        )
+
+    def test_negative_reps_rejected_before_any_draw(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            tv_permutation_pvalue([1], [2], -1, rng)
+        assert rng.getstate() == state
 
 
 class TestPermutationPvalue:

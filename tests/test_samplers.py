@@ -23,6 +23,7 @@ from walksearch.samplers import (
     POLICIES,
     EnumerationBudgetError,
     SampleSet,
+    SearchRecord,
     WalkPolicy,
     derive_rng,
     derive_seed,
@@ -45,6 +46,45 @@ PAW = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 BULL = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
 
 
+def stdlib_dfs(g: Graph, rng, root=None) -> SearchRecord:
+    """Reference search that calls `rng.randrange` at every draw, over
+    the candidate lists and swap-removes of `sample_dfs`. `sample_dfs`
+    must return the same record and leave the generator in the same
+    state (`TestDfsOracle`), so the exact law checked on this reference
+    is the law of `sample_dfs`."""
+    if g.n < 1:
+        raise ValueError("empty graph")
+    adjacency = g.adjacency
+    randrange = rng.randrange
+    if root is None:
+        root = randrange(g.n)
+    visited = bytearray(g.n)
+    visited[root] = 1
+    order = [root]
+    tree: list[tuple[int, int]] = []
+    stack = [(root, list(adjacency[root]))]
+    while stack:
+        u, candidates = stack[-1]
+        while candidates:
+            # swap-remove a uniform candidate; a lone one needs no draw
+            r = randrange(len(candidates)) if len(candidates) > 1 else 0
+            candidates[r], candidates[-1] = candidates[-1], candidates[r]
+            v = candidates.pop()
+            if not visited[v]:
+                visited[v] = 1
+                order.append(v)
+                tree.append((u, v) if u < v else (v, u))
+                stack.append((v, [w for w in adjacency[v] if not visited[w]]))
+                break
+        else:
+            stack.pop()
+    if len(order) != g.n:
+        raise ValueError("searches require a connected graph")
+    return SearchRecord(
+        visit_order=tuple(order), tree_edges=frozenset(tree), root=root
+    )
+
+
 class ScriptedRng:
     """Answers `randrange(k)` from `script`, then with 0; records each k."""
 
@@ -59,14 +99,15 @@ class ScriptedRng:
 
 
 def exact_sampler_law(g):
-    """Law of `sample_dfs` over (visit order, tree edges), run once per
-    draw sequence: each run branches on every draw past its script."""
+    """Law of `stdlib_dfs`, and so of `sample_dfs`, over (visit order,
+    tree edges), run once per draw sequence: each run branches on every
+    draw past its script."""
     law = Counter()
     scripts = [[]]
     while scripts:
         script = scripts.pop()
         rng = ScriptedRng(script)
-        rec = sample_dfs(g, rng)
+        rec = stdlib_dfs(g, rng)
         weight = Fraction(1)
         for k in rng.ks:
             weight /= k
@@ -101,6 +142,10 @@ class DrawCounter(random.Random):
     def random(self):
         self.draws["random"] += 1
         return super().random()
+
+    def shuffle(self, x):
+        self.draws["shuffle"] += 1
+        return super().shuffle(x)
 
 
 def stdlib_walk(g, policy, rng, start=None, weight_fn=None):
@@ -211,6 +256,17 @@ class TestWalks:
         w = sample_walk(star_graph(5), 20, random.Random(2), "local_rule")
         assert len(w.nodes) == 21
 
+    def test_forced_start_must_be_a_node(self):
+        g = path_graph(3)
+        for start in (-1, g.n):
+            rng = DrawCounter(0)
+            message = f"start must be a node in 0..2, got {start}"
+            with pytest.raises(ValueError, match=message):
+                sample_walk(g, 4, rng, start=start)
+            with pytest.raises(ValueError, match="start must be a node"):
+                next(WalkPolicy(g, "non_backtracking").walk(rng, start))
+            assert sum(rng.draws.values()) == 0
+
     def test_rejects_disconnected_and_zero_length(self):
         broken = disjoint_union(path_graph(2), path_graph(2))
         with pytest.raises(ValueError, match="connected"):
@@ -292,6 +348,39 @@ class TestWalkOracle:
             assert zero_edge_graphs > len(ORACLE_GRAPHS) // 2
 
 
+DFS_ORACLE_GRAPHS = list(all_labeled_connected_graphs_upto(5)) + [
+    hex_chain(6),
+    star_graph(400),
+    complete_graph(40),
+    random_tree(200, 8),
+    path_graph(50),
+]
+
+
+class TestDfsOracle:
+    def test_matches_stdlib_dfs(self):
+        assert len(DFS_ORACLE_GRAPHS) == 772 + 5
+        for g in DFS_ORACLE_GRAPHS:
+            for seed in range(5):
+                for root in (None, (5 * seed + 1) % g.n):
+                    expected_rng, rng = random.Random(seed), random.Random(seed)
+                    expected = stdlib_dfs(g, expected_rng, root)
+                    assert sample_dfs(g, rng, root) == expected, (
+                        g.adjacency, seed, root,
+                    )
+                    assert rng.getstate() == expected_rng.getstate()
+
+    @pytest.mark.parametrize("root", [None, 3])
+    def test_draws_without_stdlib_wrappers(self, root):
+        for g in (hex_chain(3), complete_graph(12), star_graph(30)):
+            rng = DrawCounter(4)
+            sample_dfs(g, rng, root)
+            assert rng.draws["randrange"] == (1 if root is None else 0)
+            assert rng.draws["getrandbits"] > 0
+            for name in ("shuffle", "choices", "random"):
+                assert rng.draws[name] == 0
+
+
 class TestRandomDfs:
     def test_path3_forced_root(self):
         rec = sample_dfs(path_graph(3), random.Random(0), root=0)
@@ -323,14 +412,27 @@ class TestRandomDfs:
         ids=["star400", "K40", "hex6", "path50"],
     )
     def test_reads_each_neighbor_list_once(self, g):
-        # a hub that the search keeps coming back to must not be rescanned
+        # a hub that the search keeps coming back to must not be rescanned;
+        # the reference makes the same draws, one randrange call each
         counted, reads = counting_graph(g)
         for seed in range(5):
             reads[:] = [0] * g.n
-            rng = DrawCounter(seed)
-            validate_search_record(g, sample_dfs(counted, rng))
+            rng, reference_rng = DrawCounter(seed), DrawCounter(seed)
+            rec = sample_dfs(counted, rng)
+            validate_search_record(g, rec)
             assert reads == g.degrees()
-            assert rng.draws["randrange"] <= 2 * g.edge_count + 1
+            assert rec == stdlib_dfs(g, reference_rng)
+            assert rng.draws["getrandbits"] == reference_rng.draws["getrandbits"]
+            assert reference_rng.draws["randrange"] <= 2 * g.edge_count + 1
+
+    def test_forced_root_must_be_a_node(self):
+        g = path_graph(3)
+        for root in (-1, g.n):
+            rng = DrawCounter(0)
+            message = f"root must be a node in 0..2, got {root}"
+            with pytest.raises(ValueError, match=message):
+                sample_dfs(g, rng, root=root)
+            assert sum(rng.draws.values()) == 0
 
 
 class TestExactEnumeration:
