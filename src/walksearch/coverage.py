@@ -38,25 +38,27 @@ class CoverageReport:
 def coverage_report(g: Graph, sset: SampleSet) -> CoverageReport:
     """Tally coverage: walks cover the edges they traverse, searches the
     union of their tree edges. Occurrence counts tally every sequence
-    position, so a walk revisiting a node counts it repeatedly."""
+    position, so a walk revisiting a node counts it repeatedly. A walk
+    step or tree edge that is not an edge of `g`, a node id out of range,
+    or a kind other than walks or searches raises ValueError."""
+    if sset.kind not in ("walks", "searches"):
+        raise ValueError(f"unknown kind {sset.kind!r}")
     counts = [0] * g.n
     covered_nodes: set[int] = set()
     covered_edges: set[tuple[int, int]] = set()
     nbr = g.neighbor_sets()
     for rec in sset.items:
         if sset.kind == "walks":
-            seq = rec.nodes
-            for a, b in zip(seq, seq[1:]):
-                if not 0 <= a < g.n or not 0 <= b < g.n:
-                    raise ValueError(
-                        f"node id {max(a, b)} out of range for n={g.n}"
-                    )
-                if b not in nbr[a]:
-                    raise ValueError(f"walk step ({a}, {b}) is not an edge")
-                covered_edges.add((a, b) if a < b else (b, a))
+            seq, pairs, what = rec.nodes, zip(rec.nodes, rec.nodes[1:]), "walk step"
         else:
-            seq = rec.visit_order
-            covered_edges.update(rec.tree_edges)
+            seq, pairs, what = rec.visit_order, rec.tree_edges, "tree edge"
+        for a, b in pairs:
+            if not 0 <= a < g.n or not 0 <= b < g.n:
+                bad = b if 0 <= a < g.n else a
+                raise ValueError(f"node id {bad} out of range for n={g.n}")
+            if b not in nbr[a]:
+                raise ValueError(f"{what} ({a}, {b}) is not an edge")
+            covered_edges.add((a, b) if a < b else (b, a))
         for w in seq:
             if not 0 <= w < g.n:
                 raise ValueError(f"node id {w} out of range for n={g.n}")
@@ -309,9 +311,12 @@ def cover_time_estimate(
     """Monte Carlo walk cover times.
 
     Each trial walks from a uniform start until every node (or every
-    edge) has been visited (traversed), or until `cap` steps; capped
-    trials are reported as censored, never silently dropped. The mean and
-    quantiles summarize uncensored trials only.
+    edge) has been visited (traversed), or until `cap` steps (default
+    50·n²); capped trials are reported as censored, never silently
+    dropped. The mean and quantiles summarize uncensored trials only.
+    Trial i runs `WalkPolicy.cover_time` on ``derive_rng(seed, i)`` and
+    makes exactly the draws of ``WalkPolicy.walk`` on that generator up
+    to its covering step (or its first `cap` steps).
     """
     if target not in ("node", "edge"):
         raise ValueError("target must be 'node' or 'edge'")
@@ -322,31 +327,7 @@ def cover_time_estimate(
     elif cap < 1:
         raise ValueError("cap must be >= 1")
     pol = WalkPolicy(g, policy)
-    want_edges = g.edge_count
-
-    def one_trial(i: int) -> int | None:
-        walk = pol.walk(derive_rng(seed, i))
-        cur = next(walk)
-        if target == "node":
-            seen = bytearray(g.n)
-            seen[cur] = 1
-            remaining = g.n - 1
-            for step, nxt in zip(range(1, cap + 1), walk):
-                if not seen[nxt]:
-                    seen[nxt] = 1
-                    remaining -= 1
-                    if remaining == 0:
-                        return step
-            return None
-        seen_edges: set[tuple[int, int]] = set()
-        for step, nxt in zip(range(1, cap + 1), walk):
-            seen_edges.add((cur, nxt) if cur < nxt else (nxt, cur))
-            if len(seen_edges) == want_edges:
-                return step
-            cur = nxt
-        return None
-
-    results = [one_trial(i) for i in range(trials)]
+    results = [pol.cover_time(derive_rng(seed, i), target, cap) for i in range(trials)]
     finished = sorted(r for r in results if r is not None)
     censored = trials - len(finished)
 

@@ -15,12 +15,15 @@ Hot loops draw inline with the stdlib's own rules, so a ``random.Random``
 gives the same results, and ends in the same state, as the per-step
 stdlib calls would. A uniform index below c is ``randrange(c)``'s
 rejection loop on ``k = c.bit_length()`` bits: ``r = getrandbits(k)``,
-redrawn while ``r >= c``. Walk steps and DFS steps draw this way (a
-local-rule step makes the one ``random()`` of ``choices`` and bisects),
-and so does the Fisher-Yates loop of ``random.shuffle`` behind the
-permutation test in ``invariance``. The DFS law is checked exactly on a
-reference search that calls ``randrange`` per step; the tests tie that
-reference to ``sample_dfs`` draw for draw.
+redrawn while ``r >= c``. Walk steps draw this way (a local-rule step
+makes the one ``random()`` of ``choices`` and bisects), both in
+``WalkPolicy.walk`` and in its cover-time kernel ``WalkPolicy.cover_time``,
+which steps and tallies coverage in one loop per policy, with no
+generator. DFS steps draw this way too, and so does the Fisher-Yates loop
+of ``random.shuffle`` behind the permutation test in ``invariance``. The
+DFS law is checked exactly on a reference search that calls ``randrange``
+per step; the tests tie that reference to ``sample_dfs``, and per-step
+reference walks to ``walk`` and ``cover_time``, draw for draw.
 """
 
 from __future__ import annotations
@@ -153,6 +156,8 @@ class WalkPolicy:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
         self.g = g
         self.policy = policy
+        # per cover target, `_table` keyed for `cover_time`, built on first use
+        self._cover_rows: dict[str, list[tuple]] = {}
         adjacency = g.adjacency
         if policy == "uniform":
             self._table = [
@@ -241,6 +246,96 @@ class WalkPolicy:
                 nbrs, cum_weights, total, hi = table[cur]
                 cur = nbrs[bisect(cum_weights, rand() * total, 0, hi)]
                 yield cur
+
+    def cover_time(self, rng: random.Random, target: str, cap: int) -> int | None:
+        """Steps until ``walk(rng)`` has visited every node (`target`
+        "node") or traversed every edge ("edge"); None if that takes more
+        than `cap` steps.
+
+        Each loop is the matching loop of `walk` with the tally folded in:
+        it makes the same draws, reads the key of the slot it steps
+        through (the neighbor, or the id of that edge), and stops at the
+        step that marks the last unseen key, so a trial makes exactly the
+        draws of the walk up to its covering step (or its first `cap`
+        steps). The start is seen before the first step, and the first
+        step always marks a new key, since a graph has no self-loop. An
+        unknown target or a cap below 1 raises ValueError before any draw.
+        """
+        rows = self._cover_rows.get(target)
+        if rows is None:
+            rows = self._cover_rows[target] = self._keyed_rows(target)
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
+        g = self.g
+        cur = rng.randrange(g.n)
+        if target == "node":
+            seen, remaining = bytearray(g.n), g.n - 1
+            seen[cur] = 1
+        else:
+            seen, remaining = bytearray(g.edge_count), g.edge_count
+        getrandbits = rng.getrandbits
+        if self.policy == "uniform":
+            for step in range(1, cap + 1):
+                nbrs, keys, d, k = rows[cur]
+                r = getrandbits(k)
+                while r >= d:
+                    r = getrandbits(k)
+                cur, key = nbrs[r], keys[r]
+                if not seen[key]:
+                    seen[key] = 1
+                    remaining -= 1
+                    if not remaining:
+                        return step
+        elif self.policy == "non_backtracking":
+            nbrs, keys, skips, m, k = rows[cur]
+            r = rng.randrange(len(nbrs))
+            cur, skip = nbrs[r], skips[r]
+            seen[keys[r]] = 1
+            remaining -= 1
+            if not remaining:
+                return 1
+            for step in range(2, cap + 1):
+                nbrs, keys, skips, m, k = rows[cur]
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                if r >= skip:
+                    r += 1
+                cur, skip, key = nbrs[r], skips[r], keys[r]
+                if not seen[key]:
+                    seen[key] = 1
+                    remaining -= 1
+                    if not remaining:
+                        return step
+        else:
+            rand = rng.random
+            for step in range(1, cap + 1):
+                nbrs, keys, cum_weights, total, hi = rows[cur]
+                r = bisect(cum_weights, rand() * total, 0, hi)
+                cur, key = nbrs[r], keys[r]
+                if not seen[key]:
+                    seen[key] = 1
+                    remaining -= 1
+                    if not remaining:
+                        return step
+        return None
+
+    def _keyed_rows(self, target: str) -> list[tuple]:
+        """The policy's rows with each slot's cover key inserted second:
+        the neighbor itself, or the id in 0..m-1 of the edge to it (both
+        ends of an edge read the same id)."""
+        adjacency = self.g.adjacency
+        if target == "node":
+            keys = adjacency
+        elif target == "edge":
+            ids: dict[tuple[int, int], int] = {}
+            keys = [
+                [ids.setdefault((u, v) if u < v else (v, u), len(ids)) for v in nbrs]
+                for u, nbrs in enumerate(adjacency)
+            ]
+        else:
+            raise ValueError("target must be 'node' or 'edge'")
+        return [row[:1] + (krow,) + row[1:] for row, krow in zip(self._table, keys)]
 
 
 def sample_walk(

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from walksearch.samplers import POLICIES, WalkPolicy
 from walksearch.wl import RefinementRun, partition_of
 
 from .strategies import connected_graphs
-from .test_samplers import stdlib_walk
+from .test_samplers import stdlib_cover_time, stdlib_walk
 from .test_wl import naive_wl, naive_wwl
 
 CYCLE6 = "# n=6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
@@ -155,14 +156,24 @@ class TestWalkVerbBytes:
             return results
 
         table_driven = run_all()
-        monkeypatch.setattr(
-            WalkPolicy, "walk",
-            lambda self, rng, start=None: stdlib_walk(
-                self.g, self.policy, rng, start
-            ),
-        )
+        calls = Counter()
+
+        def walk(self, rng, start=None):
+            calls["walk"] += 1
+            return stdlib_walk(self.g, self.policy, rng, start)
+
+        def cover_time(self, rng, target, cap):
+            calls["cover_time"] += 1
+            return stdlib_cover_time(self.g, self.policy, rng, target, cap)
+
+        monkeypatch.setattr(WalkPolicy, "walk", walk)
+        monkeypatch.setattr(WalkPolicy, "cover_time", cover_time)
         assert run_all() == table_driven
         assert all(code == 0 for code, _, _ in table_driven)
+        # every reference ran: one cover trial per covertime trial (7
+        # argvs x 20), one walk per sampled walk (3 x 3) and per curve
+        # record (8 trials x 4)
+        assert calls == {"cover_time": 140, "walk": 41}
 
 
 class TestBound:

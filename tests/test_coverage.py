@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,9 +26,18 @@ from walksearch.graphs import (
     random_tree,
     star_graph,
 )
-from walksearch.samplers import SampleSet, WalkRecord, sample_dfs, sample_set
+from walksearch.samplers import (
+    POLICIES,
+    SampleSet,
+    SearchRecord,
+    WalkPolicy,
+    WalkRecord,
+    sample_dfs,
+    sample_set,
+)
 
 from .corpus import all_labeled_connected_graphs_upto
+from .test_samplers import ORACLE_GRAPHS, DrawCounter, stdlib_cover_time
 
 
 class TestCoverageReport:
@@ -62,6 +73,33 @@ class TestCoverageReport:
             seed=0,
         )
         with pytest.raises(ValueError, match="out of range"):
+            coverage_report(g, ss)
+
+    def test_search_tree_edges_must_be_edges(self):
+        g = path_graph(3)
+
+        def searches(*tree_edges):
+            rec = SearchRecord(
+                visit_order=(0, 1, 2), tree_edges=frozenset(tree_edges), root=0
+            )
+            return SampleSet(kind="searches", items=(rec,), seed=0)
+
+        with pytest.raises(ValueError, match=r"tree edge \(0, 2\) is not an edge"):
+            coverage_report(g, searches((0, 2)))
+        with pytest.raises(ValueError, match="node id 5 out of range for n=3"):
+            coverage_report(g, searches((0, 1), (5, 7)))
+        with pytest.raises(ValueError, match="node id -1 out of range for n=3"):
+            coverage_report(g, searches((-1, 0)))
+        # a tree edge given either way round covers the one edge
+        rep = coverage_report(g, searches((1, 0), (1, 2)))
+        assert rep.covered_edges == frozenset({(0, 1), (1, 2)})
+        assert rep.edge_fraction == 1.0
+
+    def test_unknown_kind_rejected(self):
+        g = path_graph(3)
+        rec = sample_dfs(g, random.Random(0))
+        ss = SampleSet(kind="search", items=(rec,), seed=0)
+        with pytest.raises(ValueError, match="unknown kind 'search'"):
             coverage_report(g, ss)
 
 
@@ -278,6 +316,55 @@ class TestCoverTime:
             cycle_graph(12), trials=30, cap=3, seed=0
         )
         assert rep.censored == 30 and rep.mean is None
+
+
+class TestCoverTimeOracle:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_stdlib_cover_time(self, policy):
+        outcomes = Counter()
+        for g in ORACLE_GRAPHS:
+            pol = WalkPolicy(g, policy)
+            for target in ("node", "edge"):
+                for cap in sorted({1, 2, g.n, 50 * g.n * g.n}):
+                    for seed in range(3):
+                        rng, ref_rng = random.Random(seed), random.Random(seed)
+                        got = pol.cover_time(rng, target, cap)
+                        expected = stdlib_cover_time(
+                            g, policy, ref_rng, target, cap
+                        )
+                        assert got == expected, (g.adjacency, target, cap, seed)
+                        assert rng.getstate() == ref_rng.getstate()
+                        outcomes["censored" if got is None else got == cap] += 1
+        # censored trials occur, and so do trials covered exactly at their
+        # cap (True) and before it (False)
+        assert outcomes["censored"] and outcomes[True] and outcomes[False]
+
+    @pytest.mark.parametrize("target", ("node", "edge"))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_draws_without_stdlib_wrappers(self, policy, target):
+        rng = DrawCounter(5)
+        steps = WalkPolicy(hex_chain(3), policy).cover_time(rng, target, 10**4)
+        assert steps is not None
+        # the start, plus the first non-backtracking step
+        first_steps = 1 if policy == "non_backtracking" else 0
+        assert rng.draws["randrange"] == 1 + first_steps
+        assert rng.draws["choices"] == 0
+        if policy == "local_rule":
+            assert rng.draws["random"] == steps
+        else:
+            assert rng.draws["random"] == 0
+            assert rng.draws["getrandbits"] >= steps - first_steps
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bad_target_or_cap_rejected_before_any_draw(self, policy):
+        pol = WalkPolicy(path_graph(3), policy)
+        rng = DrawCounter(0)
+        with pytest.raises(ValueError, match="target must be 'node' or 'edge'"):
+            pol.cover_time(rng, "edges", 5)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="cap must be >= 1"):
+                pol.cover_time(rng, "edge", cap)
+        assert sum(rng.draws.values()) == 0
 
 
 class TestCoverageCurve:

@@ -177,6 +177,24 @@ def stdlib_walk(g, policy, rng, start=None, weight_fn=None):
         yield cur
 
 
+def stdlib_cover_time(g, policy, rng, target, cap):
+    """Reference cover trial: the steps of `stdlib_walk` until every node
+    (target "node") or every edge ("edge") has been seen, or None past
+    `cap` steps. `WalkPolicy.cover_time` must return the same and leave
+    the generator in the same state."""
+    walk = stdlib_walk(g, policy, rng)
+    cur = next(walk)
+    nodes, edges = {cur}, set()
+    for step in range(1, cap + 1):
+        nxt = next(walk)
+        nodes.add(nxt)
+        edges.add((cur, nxt) if cur < nxt else (nxt, cur))
+        cur = nxt
+        if (len(nodes) == g.n) if target == "node" else (len(edges) == g.edge_count):
+            return step
+    return None
+
+
 def skewed_weight(g, u, v):
     return 1.0 + (3 * u + v) % 4
 
