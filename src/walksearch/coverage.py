@@ -18,6 +18,7 @@ from itertools import islice
 from .graphs import Graph, degree_stats
 from .samplers import (
     SampleSet,
+    SearchGraph,
     WalkPolicy,
     derive_rng,
     enumerate_dfs,
@@ -39,10 +40,8 @@ def coverage_report(g: Graph, sset: SampleSet) -> CoverageReport:
     """Tally coverage: walks cover the edges they traverse, searches the
     union of their tree edges. Occurrence counts tally every sequence
     position, so a walk revisiting a node counts it repeatedly. A walk
-    step or tree edge that is not an edge of `g`, a node id out of range,
-    or a kind other than walks or searches raises ValueError."""
-    if sset.kind not in ("walks", "searches"):
-        raise ValueError(f"unknown kind {sset.kind!r}")
+    step or tree edge that is not an edge of `g`, or a node id out of
+    range, raises ValueError (`SampleSet` itself checks its kind)."""
     counts = [0] * g.n
     covered_nodes: set[int] = set()
     covered_edges: set[tuple[int, int]] = set()
@@ -143,6 +142,14 @@ def edge_inclusion_prob(
     trials: int = 10000,
     seed: int = 0,
 ) -> EdgeInclusionReport:
+    """Probability that edge `e` lies in the tree of one random DFS.
+
+    Exact mode sums the outcomes of `enumerate_dfs`. Monte-Carlo mode runs
+    `trials` searches, trial i on ``derive_rng(seed, i)``, as
+    `SearchGraph.cover` calls with every other edge already seen, so a
+    trial stops at the draw that takes `e` into the tree; the searches
+    need a connected graph.
+    """
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"edge {e} not in graph")
@@ -168,10 +175,13 @@ def edge_inclusion_prob(
     if mode == "monte_carlo":
         if trials < 1:
             raise ValueError("trials must be >= 1")
+        search_graph = SearchGraph(g)
+        seen = bytearray(b"\x01" * g.edge_count)
+        target = search_graph.edge_ids[key[0]][key[1]]
         hits = 0
         for i in range(trials):
-            rec = sample_dfs(g, derive_rng(seed, i))
-            if key in rec.tree_edges:
+            seen[target] = 0
+            if not search_graph.cover(derive_rng(seed, i), seen, 1):
                 hits += 1
         p = hits / trials
         return EdgeInclusionReport(
@@ -385,7 +395,10 @@ def coverage_curve(
     is nondecreasing in m by construction and each row's marginal law is
     that of m independent records. Walks (of `length` steps, default n)
     need a connected graph on at least 2 nodes; searches need a connected
-    graph, and on one node they cover it with no edge to miss.
+    graph, and on one node they cover it with no edge to miss. A search
+    visits every node, so its node fraction is 1 by construction; its
+    edge fraction comes from `SearchGraph.cover`, and a search trial stops
+    drawing once every edge is covered (its generator is not used again).
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -407,39 +420,45 @@ def coverage_curve(
             raise ValueError("walk length must be >= 1")
         walk_length = g.n if length is None else length
         walk_pol = WalkPolicy(g, "uniform")
+    if "searches" in kinds:
+        search_graph = SearchGraph(g)
     max_m = m_list[-1]
+    targets = set(m_list)
     edge_count = g.edge_count
+
+    def walk_trial(rng):
+        node_fracs = []
+        edge_fracs = []
+        covered_nodes: set[int] = set()
+        covered_edges: set[tuple[int, int]] = set()
+        for j in range(1, max_m + 1):
+            nodes = list(islice(walk_pol.walk(rng), walk_length + 1))
+            covered_nodes.update(nodes)
+            covered_edges.update(
+                (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])
+            )
+            if j in targets:
+                node_fracs.append(len(covered_nodes) / g.n)
+                edge_fracs.append(len(covered_edges) / edge_count)
+        return node_fracs, edge_fracs
+
+    def search_trial(rng):
+        edge_fracs = []
+        seen, remaining = bytearray(edge_count), edge_count
+        for j in range(1, max_m + 1):
+            if remaining:
+                remaining = search_graph.cover(rng, seen, remaining)
+            if j in targets:
+                # a graph without edges (one node) has none to miss
+                edge_fracs.append(
+                    (edge_count - remaining) / edge_count if edge_count else 1.0
+                )
+        return [1.0] * len(m_list), edge_fracs
+
     rows = []
     for kind in kinds:
-
-        def one_trial(t: int, kind=kind):
-            rng = derive_rng(seed, kind, t)
-            node_fracs = []
-            edge_fracs = []
-            covered_nodes: set[int] = set()
-            covered_edges: set[tuple[int, int]] = set()
-            targets = set(m_list)
-            for j in range(1, max_m + 1):
-                if kind == "walks":
-                    nodes = list(islice(walk_pol.walk(rng), walk_length + 1))
-                    covered_nodes.update(nodes)
-                    covered_edges.update(
-                        (a, b) if a < b else (b, a)
-                        for a, b in zip(nodes, nodes[1:])
-                    )
-                else:
-                    rec = sample_dfs(g, rng)
-                    covered_nodes.update(rec.visit_order)
-                    covered_edges.update(rec.tree_edges)
-                if j in targets:
-                    node_fracs.append(len(covered_nodes) / g.n)
-                    # a graph without edges (one node) has none to miss
-                    edge_fracs.append(
-                        len(covered_edges) / edge_count if edge_count else 1.0
-                    )
-            return node_fracs, edge_fracs
-
-        per_trial = [one_trial(t) for t in range(trials)]
+        trial = walk_trial if kind == "walks" else search_trial
+        per_trial = [trial(derive_rng(seed, kind, t)) for t in range(trials)]
         for idx, m in enumerate(m_list):
             rows.append(
                 CoverageCurveRow(

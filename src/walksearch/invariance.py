@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, relabel
-from .samplers import derive_rng, enumerate_dfs, sample_dfs
+from .samplers import SearchGraph, derive_rng, enumerate_dfs
 
 # label reshuffles of the permutation test behind `invariance_sampled`
 PERMUTATION_REPS = 200
@@ -139,10 +139,11 @@ def tv_permutation_pvalue(samples_a, samples_b, reps, rng) -> float:
 
 
 def sample_visit_orders(g: Graph, trials: int, seed: int, tag: str = ""):
-    """Draw `trials` DFS visit orders with per-trial derived RNGs."""
+    """Draw `trials` DFS visit orders, trial i on ``derive_rng(seed, tag,
+    i)``, from one `SearchGraph` of g (so g must be connected)."""
+    search_graph = SearchGraph(g)
     return [
-        sample_dfs(g, derive_rng(seed, tag, i)).visit_order
-        for i in range(trials)
+        search_graph.visit_order(derive_rng(seed, tag, i)) for i in range(trials)
     ]
 
 

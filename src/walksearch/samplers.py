@@ -20,10 +20,17 @@ makes the one ``random()`` of ``choices`` and bisects), both in
 ``WalkPolicy.walk`` and in its cover-time kernel ``WalkPolicy.cover_time``,
 which steps and tallies coverage in one loop per policy, with no
 generator. DFS steps draw this way too, and so does the Fisher-Yates loop
-of ``random.shuffle`` behind the permutation test in ``invariance``. The
-DFS law is checked exactly on a reference search that calls ``randrange``
-per step; the tests tie that reference to ``sample_dfs``, and per-step
-reference walks to ``walk`` and ``cover_time``, draw for draw.
+of ``random.shuffle`` behind the permutation test in ``invariance``.
+``sample_dfs`` returns a record per search; trial loops instead prepare a
+``SearchGraph`` once (connectivity check and per-node edge ids) and run
+its kernels, which make exactly ``sample_dfs``'s draws without building a
+record: ``SearchGraph.visit_order`` returns the visit order, and
+``SearchGraph.cover`` marks tree-edge ids in a ``seen`` bytearray and
+stops at the draw that marks the last unmarked one. The DFS law is
+checked exactly on a reference search that calls ``randrange`` per step;
+the tests tie that reference to ``sample_dfs`` and both search kernels,
+and per-step reference walks to ``walk`` and ``cover_time``, draw for
+draw.
 """
 
 from __future__ import annotations
@@ -91,11 +98,23 @@ class SearchRecord:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """m records drawn independently from one graph."""
+    """m records drawn independently from one graph: walks hold only
+    `WalkRecord`s and searches only `SearchRecord`s, checked here."""
 
     kind: str  # "walks" | "searches"
     items: tuple
     seed: int
+
+    def __post_init__(self):
+        if self.kind not in ("walks", "searches"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        record = WalkRecord if self.kind == "walks" else SearchRecord
+        for rec in self.items:
+            if not isinstance(rec, record):
+                raise ValueError(
+                    f"a set of {self.kind} holds {record.__name__}s, "
+                    f"got a {type(rec).__name__}"
+                )
 
     def to_dict(self) -> dict:
         items = []
@@ -324,18 +343,23 @@ class WalkPolicy:
         """The policy's rows with each slot's cover key inserted second:
         the neighbor itself, or the id in 0..m-1 of the edge to it (both
         ends of an edge read the same id)."""
-        adjacency = self.g.adjacency
         if target == "node":
-            keys = adjacency
+            keys = self.g.adjacency
         elif target == "edge":
-            ids: dict[tuple[int, int], int] = {}
-            keys = [
-                [ids.setdefault((u, v) if u < v else (v, u), len(ids)) for v in nbrs]
-                for u, nbrs in enumerate(adjacency)
-            ]
+            keys = _edge_id_rows(self.g)
         else:
             raise ValueError("target must be 'node' or 'edge'")
         return [row[:1] + (krow,) + row[1:] for row, krow in zip(self._table, keys)]
+
+
+def _edge_id_rows(g: Graph) -> list[list[int]]:
+    """Per node, the id in 0..m-1 of the edge to each neighbor, in row
+    order; both ends of an edge read the same id."""
+    ids: dict[tuple[int, int], int] = {}
+    return [
+        [ids.setdefault((u, v) if u < v else (v, u), len(ids)) for v in nbrs]
+        for u, nbrs in enumerate(g.adjacency)
+    ]
 
 
 def sample_walk(
@@ -424,6 +448,116 @@ def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchR
     return SearchRecord(
         visit_order=tuple(order), tree_edges=frozenset(tree), root=root
     )
+
+
+class SearchGraph:
+    """Randomized-DFS sampler for a fixed graph, for trial loops.
+
+    The graph is checked here, once, with the messages of `sample_dfs`:
+    it needs at least one node and must be connected. `edge_ids[u]` maps
+    each neighbor v of u to the id in 0..m-1 of the edge {u, v} (both
+    ends read the same id). Each kernel runs the loop of ``sample_dfs(g,
+    rng)`` with a free root and makes exactly its draws, but builds no
+    record: `visit_order` keeps only the visit order, and `cover` only
+    marks tree-edge ids.
+    """
+
+    def __init__(self, g: Graph):
+        if g.n < 1:
+            raise ValueError("empty graph")
+        if not g.is_connected():
+            raise ValueError("searches require a connected graph")
+        self.g = g
+        self.edge_ids = [
+            dict(zip(nbrs, ids)) for nbrs, ids in zip(g.adjacency, _edge_id_rows(g))
+        ]
+
+    def visit_order(self, rng: random.Random) -> tuple[int, ...]:
+        """The visit order of ``sample_dfs(g, rng)``; the generator ends
+        in the same state."""
+        n = self.g.n
+        adjacency = self.g.adjacency
+        getrandbits = rng.getrandbits
+        root = rng.randrange(n)
+        visited = bytearray(n)
+        visited[root] = 1
+        order = [root]
+        # the candidate lists below the top that are not yet empty
+        stack: list[list[int]] = []
+        candidates = list(adjacency[root])
+        while True:
+            if candidates:
+                c = len(candidates)
+                if c > 1:
+                    k = c.bit_length()
+                    r = getrandbits(k)
+                    while r >= c:
+                        r = getrandbits(k)
+                    v = candidates[r]
+                    candidates[r] = candidates[-1]
+                    candidates.pop()
+                else:
+                    v = candidates.pop()
+                if not visited[v]:
+                    visited[v] = 1
+                    order.append(v)
+                    if candidates:
+                        stack.append(candidates)
+                    candidates = [w for w in adjacency[v] if not visited[w]]
+            elif stack:
+                candidates = stack.pop()
+            else:
+                return tuple(order)
+
+    def cover(self, rng: random.Random, seen: bytearray, remaining: int) -> int:
+        """Mark the edge ids of the tree of ``sample_dfs(g, rng)`` in
+        `seen` and return how many ids are left unmarked.
+
+        `remaining`, at least 1, must be the number of unmarked ids in
+        `seen` on entry. The search stops at the draw that marks the last
+        one and returns 0, leaving the rest of its draws unmade; a search
+        that leaves an id unmarked makes all of them.
+        """
+        n = self.g.n
+        adjacency = self.g.adjacency
+        edge_ids = self.edge_ids
+        getrandbits = rng.getrandbits
+        root = rng.randrange(n)
+        visited = bytearray(n)
+        visited[root] = 1
+        # the entries below the top that still have candidates; the top is
+        # held in ids (its edge-id map) and candidates
+        stack: list[tuple[dict[int, int], list[int]]] = []
+        ids, candidates = edge_ids[root], list(adjacency[root])
+        while True:
+            if candidates:
+                c = len(candidates)
+                if c > 1:
+                    k = c.bit_length()
+                    r = getrandbits(k)
+                    while r >= c:
+                        r = getrandbits(k)
+                    v = candidates[r]
+                    candidates[r] = candidates[-1]
+                    candidates.pop()
+                else:
+                    v = candidates.pop()
+                if not visited[v]:
+                    visited[v] = 1
+                    e = ids[v]
+                    if not seen[e]:
+                        seen[e] = 1
+                        remaining -= 1
+                        if not remaining:
+                            return 0
+                    if candidates:
+                        stack.append((ids, candidates))
+                    ids = edge_ids[v]
+                    candidates = [w for w in adjacency[v] if not visited[w]]
+            elif stack:
+                ids, candidates = stack.pop()
+            else:
+                return remaining
 
 
 def validate_search_record(g: Graph, rec: SearchRecord) -> None:

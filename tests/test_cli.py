@@ -21,7 +21,7 @@ from walksearch.graphs import (
     random_tree,
     save_edge_list,
 )
-from walksearch.samplers import POLICIES, WalkPolicy
+from walksearch.samplers import POLICIES, SearchGraph, WalkPolicy, sample_dfs
 from walksearch.wl import RefinementRun, partition_of
 
 from .strategies import connected_graphs
@@ -34,6 +34,9 @@ TRIANGLE = "# n=3\n0 1\n0 2\n1 2\n"
 STAR3 = "# n=3\n0 1\n0 2\n"
 TWO_EDGES = "# n=4\n0 1\n2 3\n"
 ONE_NODE = "# n=1\n"
+# a tree plus an isolated node: one search covers every edge before the
+# isolated node shows the graph is disconnected
+EDGE_PLUS_NODE = "# n=3\n0 1\n"
 PATH5 = "# n=5\n0 1\n1 2\n2 3\n3 4\n"
 # two hexagons sharing the edge 2-3
 HEX2 = "# n=10\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n2 9\n3 6\n6 7\n7 8\n8 9\n"
@@ -174,6 +177,58 @@ class TestWalkVerbBytes:
         # argvs x 20), one walk per sampled walk (3 x 3) and per curve
         # record (8 trials x 4)
         assert calls == {"cover_time": 140, "walk": 41}
+
+
+class TestSearchVerbBytes:
+    def test_match_sample_dfs_loops(self, tmp_path, capsys, monkeypatch):
+        texts = {"path5": PATH5, "cycle6": CYCLE6, "hex2": HEX2,
+                 "triangle": TRIANGLE, "one_node": ONE_NODE}
+        graphs = [write(tmp_path, f"{key}.el", text) for key, text in texts.items()]
+        argvs = [
+            ["coverage", "--kinds", "searches", "--m-list", "1,2,4",
+             "--trials", "8", "--seed", "1"],
+            ["coverage", "--kinds", "searches,walks", "--m-list", "3",
+             "--trials", "5", "--seed", "2"],
+            ["invariance", "--mode", "sampled", "--perm-seed", "4",
+             "--trials", "30", "--seed", "5"],
+        ]
+
+        def run_all():
+            results = []
+            for graph in graphs:
+                for argv in argvs:
+                    code = main(argv + ["--graph", graph])
+                    captured = capsys.readouterr()
+                    results.append((code, captured.out, captured.err))
+            return results
+
+        kernels = run_all()
+        calls = Counter()
+
+        def visit_order(self, rng):
+            calls["visit_order"] += 1
+            return sample_dfs(self.g, rng).visit_order
+
+        def cover(self, rng, seen, remaining):
+            calls["cover"] += 1
+            for u, v in sample_dfs(self.g, rng).tree_edges:
+                e = self.edge_ids[u][v]
+                if not seen[e]:
+                    seen[e] = 1
+                    remaining -= 1
+            return remaining
+
+        monkeypatch.setattr(SearchGraph, "visit_order", visit_order)
+        monkeypatch.setattr(SearchGraph, "cover", cover)
+        assert run_all() == kernels
+        # the one-node graph has no walk (exit 1 on its walks argv); every
+        # other call succeeds
+        assert [code for code, _, _ in kernels] == [0] * 12 + [0, 1, 0]
+        # four sampled-invariance batches of 30 orders per graph; a curve
+        # trial stops once a search covers every edge, which the path (a
+        # tree) does at its first search and the one-node graph at none
+        assert calls["visit_order"] == 5 * 4 * 30
+        assert 0 < calls["cover"] < 4 * (8 * 4 + 5 * 3)
 
 
 class TestBound:
@@ -531,6 +586,15 @@ class TestErrorsAndDeterminism:
             (["coverage", "--kinds", "searches", "--m-list", "1",
               "--trials", "5", "--seed", "0"],
              TWO_EDGES, "searches require a connected graph"),
+            (["coverage", "--kinds", "searches", "--m-list", "1,2",
+              "--trials", "5", "--seed", "0"],
+             EDGE_PLUS_NODE, "searches require a connected graph"),
+            (["invariance", "--mode", "sampled", "--perm-seed", "1",
+              "--trials", "5", "--seed", "0"],
+             TWO_EDGES, "searches require a connected graph"),
+            (["invariance", "--mode", "sampled", "--perm-seed", "1",
+              "--trials", "5", "--seed", "0"],
+             EDGE_PLUS_NODE, "searches require a connected graph"),
             (["wl", "--rounds", "-1"], CYCLE6, "rounds must be >= 0"),
             (["wwl", "--length", "2", "--rounds", "-2"],
              CYCLE6, "rounds must be >= 0"),
@@ -545,7 +609,10 @@ class TestErrorsAndDeterminism:
              "coverage-one-node", "covertime-one-node", "bound-one-node",
              "covertime-cap0", "covertime-cap-2", "coverage-length0",
              "coverage-length-1", "coverage-searches-one-node",
-             "coverage-searches-disconnected", "wl-rounds-1",
+             "coverage-searches-disconnected",
+             "coverage-searches-edge-plus-node",
+             "invariance-sampled-disconnected",
+             "invariance-sampled-edge-plus-node", "wl-rounds-1",
              "wwl-rounds-2", "coverage-kinds-empty",
              "coverage-kinds-repeat"],
     )

@@ -18,6 +18,7 @@ from walksearch.coverage import (
     sample_bound_m,
 )
 from walksearch.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     degree_stats,
@@ -32,12 +33,18 @@ from walksearch.samplers import (
     SearchRecord,
     WalkPolicy,
     WalkRecord,
+    derive_rng,
     sample_dfs,
     sample_set,
 )
 
 from .corpus import all_labeled_connected_graphs_upto
-from .test_samplers import ORACLE_GRAPHS, DrawCounter, stdlib_cover_time
+from .test_samplers import BULL, ORACLE_GRAPHS, PAW, DrawCounter, stdlib_cover_time
+
+DISCONNECTED_TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
+# one search of the tree part covers every edge before the isolated node
+# shows the graph is disconnected
+EDGE_PLUS_NODE = Graph.from_edges(3, [(0, 1)])
 
 
 class TestCoverageReport:
@@ -96,11 +103,10 @@ class TestCoverageReport:
         assert rep.edge_fraction == 1.0
 
     def test_unknown_kind_rejected(self):
-        g = path_graph(3)
-        rec = sample_dfs(g, random.Random(0))
-        ss = SampleSet(kind="search", items=(rec,), seed=0)
+        # the set refuses the kind when built, so no report can see it
+        rec = sample_dfs(path_graph(3), random.Random(0))
         with pytest.raises(ValueError, match="unknown kind 'search'"):
-            coverage_report(g, ss)
+            SampleSet(kind="search", items=(rec,), seed=0)
 
 
 class TestEscapeSets:
@@ -175,6 +181,7 @@ class TestEdgeInclusion:
             raise AssertionError("sampled")
 
         monkeypatch.setattr("walksearch.coverage.sample_dfs", no_search)
+        monkeypatch.setattr("walksearch.coverage.SearchGraph", no_search)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             edge_inclusion_prob(
                 cycle_graph(6), (0, 1), mode="monte_carlo", trials=trials
@@ -182,6 +189,28 @@ class TestEdgeInclusion:
         # exact mode takes no trials
         rep = edge_inclusion_prob(cycle_graph(6), (0, 1), trials=trials)
         assert rep.probability == Fraction(5, 6)
+
+    def test_monte_carlo_matches_sample_dfs_loop(self):
+        for g, e, trials, seed in (
+            (cycle_graph(6), (2, 3), 300, 4),
+            (hex_chain(2), (2, 3), 300, 5),
+            (PAW, (1, 2), 300, 6),
+            (BULL, (0, 1), 300, 7),
+            (path_graph(2), (0, 1), 5, 8),
+        ):
+            hits = sum(
+                e in sample_dfs(g, derive_rng(seed, i)).tree_edges
+                for i in range(trials)
+            )
+            rep = edge_inclusion_prob(g, e, mode="monte_carlo", trials=trials, seed=seed)
+            assert rep.probability == hits / trials
+
+    @pytest.mark.parametrize(
+        "g", [DISCONNECTED_TWO_EDGES, EDGE_PLUS_NODE], ids=["two_edges", "edge_plus_node"]
+    )
+    def test_monte_carlo_refuses_disconnected(self, g):
+        with pytest.raises(ValueError, match="^searches require a connected graph$"):
+            edge_inclusion_prob(g, (0, 1), mode="monte_carlo", trials=10)
 
     def test_bound_chain_exhaustive_small(self):
         for g in all_labeled_connected_graphs_upto(5):
@@ -396,6 +425,29 @@ class TestCoverageCurve:
         lines = text.strip().split("\n")
         assert lines[0] == CURVE_CSV_HEADER
         assert lines[1].startswith("searches,1,1.0,")
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(6), hex_chain(2), PAW, BULL], ids=["cycle6", "hex2", "paw", "bull"]
+    )
+    def test_search_rows_follow_exact_inclusion(self, g):
+        # a row's mean edge fraction estimates (1/|E|) sum_e P(e in one of m
+        # independent trees) = (1/|E|) sum_e (1 - (1 - p_e)^m); a trial's
+        # fraction lies in [0, 1], so its sd is at most 1/2 and the mean
+        # stays within 4 sd of the law
+        trials = 1000
+        p = [edge_inclusion_prob(g, e).probability for e in sorted(g.edges())]
+        rows = coverage_curve(g, ["searches"], [1, 2, 4], trials=trials, seed=3)
+        for row in rows:
+            law = sum(1 - (1 - pe) ** row.m for pe in p) / g.edge_count
+            assert row.node_frac_mean == 1.0
+            assert abs(row.edge_frac_mean - float(law)) <= 4 * 0.5 / math.sqrt(trials)
+
+    @pytest.mark.parametrize(
+        "g", [DISCONNECTED_TWO_EDGES, EDGE_PLUS_NODE], ids=["two_edges", "edge_plus_node"]
+    )
+    def test_searches_refuse_disconnected(self, g):
+        with pytest.raises(ValueError, match="^searches require a connected graph$"):
+            coverage_curve(g, ["searches"], [1, 2], trials=3, seed=0)
 
     def test_empty_m_list_rejected(self):
         with pytest.raises(ValueError):

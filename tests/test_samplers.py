@@ -23,8 +23,10 @@ from walksearch.samplers import (
     POLICIES,
     EnumerationBudgetError,
     SampleSet,
+    SearchGraph,
     SearchRecord,
     WalkPolicy,
+    WalkRecord,
     derive_rng,
     derive_seed,
     enumerate_dfs,
@@ -399,6 +401,98 @@ class TestDfsOracle:
                 assert rng.draws[name] == 0
 
 
+def preseen(g: Graph, seed: int) -> bytearray:
+    """A `seen` array for `cover` with about a third of the edge ids
+    marked (none for seed 0), always leaving at least one unmarked."""
+    mark = random.Random(f"preseen:{seed}")
+    seen = bytearray(
+        0 if seed == 0 else int(mark.random() < 1 / 3) for _ in range(g.edge_count)
+    )
+    if all(seen):
+        seen[mark.randrange(g.edge_count)] = 0
+    return seen
+
+
+class TestSearchGraph:
+    def test_visit_order_matches_stdlib_dfs(self):
+        for g in DFS_ORACLE_GRAPHS:
+            search_graph = SearchGraph(g)
+            for seed in range(5):
+                expected_rng, rng = random.Random(seed), random.Random(seed)
+                expected = stdlib_dfs(g, expected_rng).visit_order
+                assert search_graph.visit_order(rng) == expected, (g.adjacency, seed)
+                assert rng.getstate() == expected_rng.getstate()
+
+    def test_cover_matches_stdlib_dfs(self):
+        outcomes = Counter()
+        for g in DFS_ORACLE_GRAPHS:
+            if g.edge_count == 0:
+                continue
+            search_graph = SearchGraph(g)
+            edge_ids = search_graph.edge_ids
+            for seed in range(5):
+                seen = preseen(g, seed)
+                before = bytes(seen)
+                expected_rng, rng = random.Random(seed), random.Random(seed)
+                tree = {
+                    edge_ids[u][v] for u, v in stdlib_dfs(g, expected_rng).tree_edges
+                }
+                left = search_graph.cover(rng, seen, before.count(0))
+                expected_seen = bytes(
+                    1 if b or e in tree else 0 for e, b in enumerate(before)
+                )
+                assert left == expected_seen.count(0), (g.adjacency, seed)
+                assert bytes(seen) == expected_seen
+                same_state = rng.getstate() == expected_rng.getstate()
+                if left:
+                    assert same_state, (g.adjacency, seed)
+                outcomes[left > 0, same_state] += 1
+        # searches that leave an edge, that cover the last one at their
+        # last draw, and that stop before it all occur
+        assert set(outcomes) == {(True, True), (False, True), (False, False)}
+
+    def test_edge_ids_number_the_edges(self):
+        for g in (PAW, BULL, hex_chain(3), complete_graph(6)):
+            edge_ids = SearchGraph(g).edge_ids
+            ids = {(u, v): edge_ids[u][v] for u, v in g.edges()}
+            assert sorted(ids.values()) == list(range(g.edge_count))
+            for u, row in enumerate(g.adjacency):
+                assert sorted(edge_ids[u]) == list(row)
+                for v in row:
+                    assert edge_ids[u][v] == edge_ids[v][u]
+
+    def test_draws_without_stdlib_wrappers(self):
+        for g in (hex_chain(3), complete_graph(12), star_graph(30)):
+            search_graph = SearchGraph(g)
+            for run in (
+                search_graph.visit_order,
+                lambda rng: search_graph.cover(
+                    rng, bytearray(g.edge_count), g.edge_count
+                ),
+            ):
+                rng = DrawCounter(4)
+                run(rng)
+                assert rng.draws["randrange"] == 1
+                assert rng.draws["getrandbits"] > 0
+                for name in ("shuffle", "choices", "random"):
+                    assert rng.draws[name] == 0
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (Graph.from_edges(0, []), "empty graph"),
+            (Graph.from_edges(4, [(0, 1), (2, 3)]), "searches require a connected graph"),
+            (Graph.from_edges(3, [(0, 1)]), "searches require a connected graph"),
+        ],
+        ids=["empty", "two_edges", "edge_plus_node"],
+    )
+    def test_checks_the_graph_like_sample_dfs(self, g, message):
+        with pytest.raises(ValueError, match=message):
+            sample_dfs(g, random.Random(0))
+        with pytest.raises(ValueError, match=message):
+            SearchGraph(g)
+
+
 class TestRandomDfs:
     def test_path3_forced_root(self):
         rec = sample_dfs(path_graph(3), random.Random(0), root=0)
@@ -670,3 +764,14 @@ class TestSampleSets:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError, match="m must be"):
             sample_set(path_graph(2), "walks", 0, seed=0, length=1)
+
+    def test_kind_and_records_checked_when_built(self):
+        search = sample_dfs(path_graph(3), random.Random(0))
+        walk = WalkRecord(nodes=(0, 1), policy="uniform", start=0)
+        with pytest.raises(ValueError, match="unknown kind 'search'"):
+            SampleSet(kind="search", items=(search,), seed=0)
+        with pytest.raises(ValueError, match="holds SearchRecords, got a WalkRecord"):
+            SampleSet(kind="searches", items=(search, walk), seed=0)
+        with pytest.raises(ValueError, match="holds WalkRecords, got a SearchRecord"):
+            SampleSet(kind="walks", items=(walk, search), seed=0)
+        assert SampleSet(kind="searches", items=(), seed=0).to_dict()["items"] == []
