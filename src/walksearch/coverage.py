@@ -147,7 +147,7 @@ def edge_inclusion_prob(
     Exact mode sums the outcomes of `enumerate_dfs`. Monte-Carlo mode runs
     `trials` searches, trial i on ``derive_rng(seed, i)``, as
     `SearchGraph.cover` calls with every other edge already seen, so a
-    trial stops at the draw that takes `e` into the tree; the searches
+    trial is one search that hits when its tree holds `e`; the searches
     need a connected graph.
     """
     u, v = e
@@ -397,8 +397,9 @@ def coverage_curve(
     need a connected graph on at least 2 nodes; searches need a connected
     graph, and on one node they cover it with no edge to miss. A search
     visits every node, so its node fraction is 1 by construction; its
-    edge fraction comes from `SearchGraph.cover`, and a search trial stops
-    drawing once every edge is covered (its generator is not used again).
+    edge fraction comes from `SearchGraph.cover`, and a search trial runs
+    no further search once every edge is covered (its generator is not
+    used again).
     """
     kinds = tuple(kinds)
     if not kinds:

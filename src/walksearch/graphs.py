@@ -135,6 +135,11 @@ def degree_stats(g: Graph) -> DegreeStats:
 # 1 + the largest id seen). The writer emits the header and edges with
 # u < v, sorted.
 
+# the most nodes a graph file may have, far above the largest benchmark
+# graph (16,100 nodes): the graph holds one neighbor list per node, so a
+# file's header or one large id could otherwise ask for billions of them
+MAX_FILE_NODES = 10**6
+
 
 def load_edge_list(text: str) -> Graph:
     declared_n: int | None = None
@@ -170,6 +175,10 @@ def load_edge_list(text: str) -> Graph:
     if max_id >= n:
         raise GraphParseError(
             f"declared n={n} is smaller than largest node id {max_id}"
+        )
+    if n > MAX_FILE_NODES:
+        raise GraphParseError(
+            f"n={n} exceeds the graph-file cap of {MAX_FILE_NODES} nodes"
         )
     return Graph.from_edges(n, edges)
 

@@ -21,16 +21,17 @@ makes the one ``random()`` of ``choices`` and bisects), both in
 which steps and tallies coverage in one loop per policy, with no
 generator. DFS steps draw this way too, and so does the Fisher-Yates loop
 of ``random.shuffle`` behind the permutation test in ``invariance``.
-``sample_dfs`` returns a record per search; trial loops instead prepare a
+Every randomized DFS runs one stepping loop, ``_search``, which returns
+the visit order and each visited node's discoverer. ``sample_dfs`` builds
+a record per search from them; trial loops instead prepare a
 ``SearchGraph`` once (connectivity check and per-node edge ids) and run
-its kernels, which make exactly ``sample_dfs``'s draws without building a
-record: ``SearchGraph.visit_order`` returns the visit order, and
-``SearchGraph.cover`` marks tree-edge ids in a ``seen`` bytearray and
-stops at the draw that marks the last unmarked one. The DFS law is
-checked exactly on a reference search that calls ``randrange`` per step;
-the tests tie that reference to ``sample_dfs`` and both search kernels,
-and per-step reference walks to ``walk`` and ``cover_time``, draw for
-draw.
+its kernels on the same loop without building a record:
+``SearchGraph.visit_order`` returns the visit order, and
+``SearchGraph.cover`` marks tree-edge ids in a ``seen`` bytearray after
+the search. The DFS law is checked exactly on a reference search that
+calls ``randrange`` per step; the tests tie that reference to
+``sample_dfs`` and both search kernels, and per-step reference walks to
+``walk`` and ``cover_time``, draw for draw.
 """
 
 from __future__ import annotations
@@ -387,33 +388,26 @@ def sample_walk(
 # randomized DFS
 
 
-def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchRecord:
-    """Sample a random depth-first search.
+def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[int]]:
+    """The one randomized-DFS stepping loop, from `root`: returns the
+    visit order and `parents`, where ``parents[i]`` is the node that
+    discovered ``order[i + 1]``.
 
-    The root is uniform over V unless forced; a forced root must be a
-    node. Each step moves from the stack top to a uniform unvisited
-    neighbor, or pops the top if it has none: the rule `enumerate_dfs`
-    branches on. An entry's candidates are the neighbors unvisited when it
-    was pushed, in row order; a step swap-removes a uniform one (a lone
-    candidate needs no draw), and one found visited is dropped and
-    redrawn, so a search reads each neighbor list once and draws at most
-    2m + 1 times. The root draw is ``rng.randrange(n)``; every other draw
-    is ``randrange``'s rule inlined on ``getrandbits`` (see the module
-    docstring). A disconnected graph is rejected.
+    Each step moves from the stack top to a uniform unvisited neighbor,
+    or pops the top if it has none: the rule `enumerate_dfs` branches on.
+    An entry's candidates are the neighbors unvisited when it was pushed,
+    in row order; a step swap-removes a uniform one (a lone candidate
+    needs no draw), and one found visited is dropped and redrawn, so a
+    search reads each neighbor list once and draws at most 2m times. The
+    draws are ``randrange``'s rule inlined on ``getrandbits`` (see the
+    module docstring). On a disconnected graph the order misses the
+    nodes outside the root's component.
     """
-    n = g.n
-    if n < 1:
-        raise ValueError("empty graph")
-    if root is None:
-        root = rng.randrange(n)
-    elif not 0 <= root < n:
-        raise ValueError(f"root must be a node in 0..{n - 1}, got {root}")
-    adjacency = g.adjacency
     getrandbits = rng.getrandbits
-    visited = bytearray(n)
+    visited = bytearray(len(adjacency))
     visited[root] = 1
     order = [root]
-    tree: list[tuple[int, int]] = []
+    parents: list[int] = []
     # the entries below the top that still have candidates; the top is
     # held in u, candidates
     stack: list[tuple[int, list[int]]] = []
@@ -434,20 +428,43 @@ def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchR
             if not visited[v]:
                 visited[v] = 1
                 order.append(v)
-                tree.append((u, v) if u < v else (v, u))
+                parents.append(u)
                 # an entry with no candidate left would only be popped
                 if candidates:
                     stack.append((u, candidates))
-                u, candidates = v, [w for w in adjacency[v] if not visited[w]]
+                u = v
+                # a plain loop, not a comprehension: on CPython 3.11 a
+                # comprehension pays for a frame per discovered node
+                candidates = []
+                for w in adjacency[v]:
+                    if not visited[w]:
+                        candidates.append(w)
         elif stack:
             u, candidates = stack.pop()
         else:
-            break
+            return order, parents
+
+
+def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchRecord:
+    """Sample a random depth-first search: the record of one run of the
+    stepping loop (`_search`).
+
+    The root is uniform over V unless forced; a forced root must be a
+    node. The root draw is ``rng.randrange(n)``. A disconnected graph is
+    rejected.
+    """
+    n = g.n
+    if n < 1:
+        raise ValueError("empty graph")
+    if root is None:
+        root = rng.randrange(n)
+    elif not 0 <= root < n:
+        raise ValueError(f"root must be a node in 0..{n - 1}, got {root}")
+    order, parents = _search(g.adjacency, rng, root)
     if len(order) != n:
         raise ValueError("searches require a connected graph")
-    return SearchRecord(
-        visit_order=tuple(order), tree_edges=frozenset(tree), root=root
-    )
+    tree = frozenset((u, v) if u < v else (v, u) for u, v in zip(parents, order[1:]))
+    return SearchRecord(visit_order=tuple(order), tree_edges=tree, root=root)
 
 
 class SearchGraph:
@@ -456,8 +473,9 @@ class SearchGraph:
     The graph is checked here, once, with the messages of `sample_dfs`:
     it needs at least one node and must be connected. `edge_ids[u]` maps
     each neighbor v of u to the id in 0..m-1 of the edge {u, v} (both
-    ends read the same id). Each kernel runs the loop of ``sample_dfs(g,
-    rng)`` with a free root and makes exactly its draws, but builds no
+    ends read the same id). Each kernel runs the stepping loop of
+    ``sample_dfs(g, rng)`` with a free root, so it makes exactly its
+    draws and leaves the generator in the same state, but builds no
     record: `visit_order` keeps only the visit order, and `cover` only
     marks tree-edge ids.
     """
@@ -473,91 +491,25 @@ class SearchGraph:
         ]
 
     def visit_order(self, rng: random.Random) -> tuple[int, ...]:
-        """The visit order of ``sample_dfs(g, rng)``; the generator ends
-        in the same state."""
-        n = self.g.n
-        adjacency = self.g.adjacency
-        getrandbits = rng.getrandbits
-        root = rng.randrange(n)
-        visited = bytearray(n)
-        visited[root] = 1
-        order = [root]
-        # the candidate lists below the top that are not yet empty
-        stack: list[list[int]] = []
-        candidates = list(adjacency[root])
-        while True:
-            if candidates:
-                c = len(candidates)
-                if c > 1:
-                    k = c.bit_length()
-                    r = getrandbits(k)
-                    while r >= c:
-                        r = getrandbits(k)
-                    v = candidates[r]
-                    candidates[r] = candidates[-1]
-                    candidates.pop()
-                else:
-                    v = candidates.pop()
-                if not visited[v]:
-                    visited[v] = 1
-                    order.append(v)
-                    if candidates:
-                        stack.append(candidates)
-                    candidates = [w for w in adjacency[v] if not visited[w]]
-            elif stack:
-                candidates = stack.pop()
-            else:
-                return tuple(order)
+        """The visit order of ``sample_dfs(g, rng)``."""
+        order, _ = _search(self.g.adjacency, rng, rng.randrange(self.g.n))
+        return tuple(order)
 
     def cover(self, rng: random.Random, seen: bytearray, remaining: int) -> int:
         """Mark the edge ids of the tree of ``sample_dfs(g, rng)`` in
         `seen` and return how many ids are left unmarked.
 
-        `remaining`, at least 1, must be the number of unmarked ids in
-        `seen` on entry. The search stops at the draw that marks the last
-        one and returns 0, leaving the rest of its draws unmade; a search
-        that leaves an id unmarked makes all of them.
+        `remaining` must be the number of unmarked ids in `seen` on entry.
+        The ids are marked after the search, which makes all its draws.
         """
-        n = self.g.n
-        adjacency = self.g.adjacency
+        order, parents = _search(self.g.adjacency, rng, rng.randrange(self.g.n))
         edge_ids = self.edge_ids
-        getrandbits = rng.getrandbits
-        root = rng.randrange(n)
-        visited = bytearray(n)
-        visited[root] = 1
-        # the entries below the top that still have candidates; the top is
-        # held in ids (its edge-id map) and candidates
-        stack: list[tuple[dict[int, int], list[int]]] = []
-        ids, candidates = edge_ids[root], list(adjacency[root])
-        while True:
-            if candidates:
-                c = len(candidates)
-                if c > 1:
-                    k = c.bit_length()
-                    r = getrandbits(k)
-                    while r >= c:
-                        r = getrandbits(k)
-                    v = candidates[r]
-                    candidates[r] = candidates[-1]
-                    candidates.pop()
-                else:
-                    v = candidates.pop()
-                if not visited[v]:
-                    visited[v] = 1
-                    e = ids[v]
-                    if not seen[e]:
-                        seen[e] = 1
-                        remaining -= 1
-                        if not remaining:
-                            return 0
-                    if candidates:
-                        stack.append((ids, candidates))
-                    ids = edge_ids[v]
-                    candidates = [w for w in adjacency[v] if not visited[w]]
-            elif stack:
-                ids, candidates = stack.pop()
-            else:
-                return remaining
+        for u, v in zip(parents, order[1:]):
+            e = edge_ids[u][v]
+            if not seen[e]:
+                seen[e] = 1
+                remaining -= 1
+        return remaining
 
 
 def validate_search_record(g: Graph, rec: SearchRecord) -> None:

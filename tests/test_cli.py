@@ -15,17 +15,18 @@ import walksearch
 from walksearch import cli
 from walksearch.cli import main
 from walksearch.graphs import (
+    MAX_FILE_NODES,
     hex_chain,
     load_edge_list,
     path_graph,
     random_tree,
     save_edge_list,
 )
-from walksearch.samplers import POLICIES, SearchGraph, WalkPolicy, sample_dfs
+from walksearch.samplers import POLICIES, SearchGraph, WalkPolicy
 from walksearch.wl import RefinementRun, partition_of
 
 from .strategies import connected_graphs
-from .test_samplers import stdlib_cover_time, stdlib_walk
+from .test_samplers import stdlib_cover_time, stdlib_dfs, stdlib_walk
 from .test_wl import naive_wl, naive_wwl
 
 CYCLE6 = "# n=6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n"
@@ -207,11 +208,11 @@ class TestSearchVerbBytes:
 
         def visit_order(self, rng):
             calls["visit_order"] += 1
-            return sample_dfs(self.g, rng).visit_order
+            return stdlib_dfs(self.g, rng).visit_order
 
         def cover(self, rng, seen, remaining):
             calls["cover"] += 1
-            for u, v in sample_dfs(self.g, rng).tree_edges:
+            for u, v in stdlib_dfs(self.g, rng).tree_edges:
                 e = self.edge_ids[u][v]
                 if not seen[e]:
                     seen[e] = 1
@@ -531,6 +532,23 @@ class TestErrorsAndDeterminism:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GraphParseError"
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"# n={MAX_FILE_NODES + 1}\n0 1\n", f"0 {MAX_FILE_NODES}\n"],
+        ids=["header", "largest_id"],
+    )
+    def test_oversized_graph_file_refused(self, tmp_path, capsys, text):
+        graph = write(tmp_path, "big.el", text)
+        code = main(["sample", "--graph", graph, "--kind", "walks",
+                     "--m", "1", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "GraphParseError",
+            "message": f"n={MAX_FILE_NODES + 1} exceeds the graph-file cap "
+                       f"of {MAX_FILE_NODES} nodes",
+        }
 
     @pytest.mark.parametrize(
         "argv",

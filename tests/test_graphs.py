@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walksearch import graphs
 from walksearch.graphs import (
     ER_MAX_RETRIES,
     FAMILIES,
@@ -58,6 +59,14 @@ class TestEdgeListParsing:
     def test_header_too_small(self):
         with pytest.raises(GraphParseError, match="smaller than largest"):
             load_edge_list("# n=2\n0 5")
+
+    def test_node_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_FILE_NODES", 5)
+        assert load_edge_list("# n=5\n0 1").n == 5
+        assert load_edge_list("0 4").n == 5
+        for text in ("# n=6\n0 1", "0 5", "# n=6"):
+            with pytest.raises(GraphParseError, match="n=6 exceeds the graph-file cap of 5"):
+                load_edge_list(text)
 
     def test_comments_and_blank_lines_skipped(self):
         g = load_edge_list("# a comment\n\n0 1\n")

@@ -443,13 +443,13 @@ class TestSearchGraph:
                 )
                 assert left == expected_seen.count(0), (g.adjacency, seed)
                 assert bytes(seen) == expected_seen
-                same_state = rng.getstate() == expected_rng.getstate()
-                if left:
-                    assert same_state, (g.adjacency, seed)
-                outcomes[left > 0, same_state] += 1
-        # searches that leave an edge, that cover the last one at their
-        # last draw, and that stop before it all occur
-        assert set(outcomes) == {(True, True), (False, True), (False, False)}
+                # every search makes all its draws, even one that marks
+                # the last id
+                assert rng.getstate() == expected_rng.getstate(), (g.adjacency, seed)
+                outcomes[left > 0] += 1
+        # searches that leave an id unmarked and searches that mark the
+        # last one both occur
+        assert set(outcomes) == {True, False}
 
     def test_edge_ids_number_the_edges(self):
         for g in (PAW, BULL, hex_chain(3), complete_graph(6)):
