@@ -17,11 +17,13 @@ from itertools import islice
 
 from .graphs import Graph, degree_stats
 from .samplers import (
+    DEFAULT_ENUM_BUDGET,
     SampleSet,
     SearchGraph,
     WalkPolicy,
+    _enumerate,
+    _reciprocal_sum,
     derive_rng,
-    enumerate_dfs,
     sample_dfs,
 )
 
@@ -144,7 +146,9 @@ def edge_inclusion_prob(
 ) -> EdgeInclusionReport:
     """Probability that edge `e` lies in the tree of one random DFS.
 
-    Exact mode sums the outcomes of `enumerate_dfs`. Monte-Carlo mode runs
+    Exact mode sums 1/den, in integers, over the outcomes of the
+    enumeration behind `enumerate_dfs` whose parent array holds `e`,
+    building no record. Monte-Carlo mode runs
     `trials` searches, trial i on ``derive_rng(seed, i)``, as
     `SearchGraph.cover` calls with every other edge already seen, so a
     trial is one search that hits when its tree holds `e`; the searches
@@ -159,11 +163,14 @@ def edge_inclusion_prob(
     tau_bound = min(Fraction(1, tau_u + 1), Fraction(1, tau_v + 1))
     dmax_bound = Fraction(1, degree_stats(g).d_max)
     if mode == "exact":
-        outcomes = enumerate_dfs(g)
-        prob = sum(
-            (o.probability for o in outcomes if key in o.record.tree_edges),
-            start=Fraction(0),
-        )
+        a, b = key
+        # e is in the tree when one end discovered the other
+        dens = [
+            den
+            for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET)
+            if (parent[b] == a and b != order[0]) or (parent[a] == b and a != order[0])
+        ]
+        prob = Fraction(*_reciprocal_sum(dens))
         assert prob >= tau_bound >= dmax_bound
         return EdgeInclusionReport(
             edge=key,

@@ -38,18 +38,20 @@ class Graph:
         """
         if n < 0:
             raise ValueError(f"node count must be nonnegative, got {n}")
-        seen: set[tuple[int, int]] = set()
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        # edge {u, v}, u < v, keyed by the int u * n + v: no tuple per edge
+        seen: set[int] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop ({u}, {v}) not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add((u, v) if u < v else (v, u))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in seen:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        adjacency = tuple(tuple(sorted(row)) for row in nbrs)
+            key = u * n + v if u < v else v * n + u
+            if key not in seen:
+                seen.add(key)
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        adjacency = tuple(map(tuple, map(sorted, nbrs)))
         return Graph(n=n, adjacency=adjacency, edge_count=len(seen))
 
     def degree(self, v: int) -> int:
@@ -185,7 +187,10 @@ def load_edge_list(text: str) -> Graph:
 
 def save_edge_list(g: Graph) -> str:
     lines = [f"# n={g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
+    # rows are sorted, so the pairs u < v come out in sorted order
+    lines.extend(
+        f"{u} {v}" for u, row in enumerate(g.adjacency) for v in row if u < v
+    )
     return "\n".join(lines) + "\n"
 
 

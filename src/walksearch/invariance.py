@@ -3,9 +3,12 @@
 Relabeling a graph by a permutation and pushing DFS visit orders forward
 through the same permutation must give identical distributions. On small
 graphs this is checked exactly over the full enumerated distribution
-(rational arithmetic, expected discrepancy exactly 0); on larger graphs a
-two-sample comparison of sampled visit orders is calibrated against a
-self-vs-self baseline instead of a hand-picked threshold. The
+(expected discrepancy exactly 0), with each law held in integers as
+``{visit order: den}``, the probability being exactly ``1 / den``: sums
+to one are checked and gaps compared by cross-multiplication, and only
+the returned gap is a ``Fraction``. On larger graphs a two-sample
+comparison of sampled visit orders is calibrated against a self-vs-self
+baseline instead of a hand-picked threshold. The
 permutation test behind that comparison counts in exact integers: each
 distinct visit order is coded once as a small int and every reshuffle's
 statistic is 2*na*nb*TV, so no float tolerance decides a tie. Each
@@ -22,7 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, relabel
-from .samplers import SearchGraph, derive_rng, enumerate_dfs
+from .samplers import (
+    DEFAULT_ENUM_BUDGET,
+    SearchGraph,
+    _enumerate,
+    _reciprocal_sum,
+    derive_rng,
+    enumerate_dfs,
+)
 
 # label reshuffles of the permutation test behind `invariance_sampled`
 PERMUTATION_REPS = 200
@@ -35,6 +45,9 @@ class SequenceDistribution:
     support: dict
 
     def __post_init__(self):
+        for seq, p in self.support.items():
+            if p < 0:
+                raise ValueError(f"probability of {seq} is {p}, expected >= 0")
         total = sum(self.support.values(), start=Fraction(0))
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, expected 1")
@@ -55,6 +68,11 @@ def pushforward(d: SequenceDistribution, perm) -> SequenceDistribution:
     perm = list(perm)
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("perm is not a permutation of 0..n-1")
+    for seq in d.support:
+        if len(seq) != len(perm):
+            raise ValueError(
+                f"perm has length {len(perm)}, a sequence has length {len(seq)}"
+            )
     # a bijection maps distinct sequences to distinct sequences
     return SequenceDistribution(
         support={tuple(perm[v] for v in seq): p for seq, p in d.support.items()}
@@ -69,13 +87,60 @@ def sup_discrepancy(a: SequenceDistribution, b: SequenceDistribution) -> Fractio
     )
 
 
+def _check_law(law: dict) -> None:
+    """Raise ValueError unless the probabilities 1/den of an integer law
+    ``{sequence: den}`` sum to exactly 1: with L the lcm of the
+    denominators, the sum of L // den must be L."""
+    total, lcm = _reciprocal_sum(law.values())
+    if total != lcm:
+        raise ValueError(
+            f"probabilities sum to {Fraction(total, lcm)}, expected 1"
+        )
+
+
+def _dfs_law(g: Graph) -> dict:
+    """The DFS law of g in integers, ``{visit order: den}``, checked to
+    sum to one."""
+    law = {tuple(order): den for order, _, den in _enumerate(g, DEFAULT_ENUM_BUDGET)}
+    _check_law(law)
+    return law
+
+
+def _sup_gap(a: dict, b: dict) -> Fraction:
+    """`sup_discrepancy` of two integer laws: the largest |1/a[s] - 1/b[s]|
+    over all sequences s, a missing one having probability 0. Each gap is
+    a pair (num, den) and pairs are compared by cross-multiplication."""
+    num, den = 0, 1
+    for seq, x in a.items():
+        y = b.get(seq)
+        if y is None:
+            gap_num, gap_den = 1, x
+        elif x == y:
+            continue
+        else:
+            gap_num, gap_den = abs(y - x), x * y
+        if gap_num * den > num * gap_den:
+            num, den = gap_num, gap_den
+    for seq, y in b.items():
+        if seq not in a and den > num * y:
+            num, den = 1, y
+    return Fraction(num, den)
+
+
 def invariance_exact(g: Graph, perm) -> Fraction:
     """Sup-norm gap between the pushed-forward DFS law of g and the DFS law
     of the relabeled graph. Exactly 0 whenever perm is applied as a true
-    relabeling, which is the probabilistic-invariance statement."""
-    pushed = pushforward(dfs_distribution(g), perm)
-    direct = dfs_distribution(relabel(g, perm))
-    return sup_discrepancy(pushed, direct)
+    relabeling, which is the probabilistic-invariance statement.
+
+    `perm` is checked before anything is enumerated; both laws are held
+    and checked in integers (see `_check_law`), and the gap is the one
+    ``Fraction`` built."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of 0..n-1")
+    new_id = perm.__getitem__
+    pushed = {tuple(map(new_id, seq)): den for seq, den in _dfs_law(g).items()}
+    return _sup_gap(pushed, _dfs_law(relabel(g, perm)))
 
 
 # ---------------------------------------------------------------------------

@@ -564,20 +564,16 @@ def validate_search_record(g: Graph, rec: SearchRecord) -> None:
 # branch of this enumeration with that branch's probability.
 
 
-def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcome]:
-    """Enumerate every DFS outcome with its exact rational probability.
+def _enumerate(g: Graph, budget: int):
+    """The one exact DFS branching loop: yield ``(order, parent, den)`` for
+    every complete visit order, in increasing order, where the outcome's
+    probability is exactly ``1 / den`` and ``parent[v]`` is the node that
+    discovered v, for every v but ``order[0]`` (the root's entry is
+    stale). `order` and `parent` are reused: copy what must outlive the
+    next step.
 
-    Each visit order (which determines the tree) comes from exactly one
-    sequence of choices, so it is one outcome with probability
-    1 / (n * k_1 * k_2 * ...), where k_i is the number of candidates of
-    its i-th branch. Outcomes are sorted by visit order and their
-    probabilities sum to exactly 1. The enumeration is a loop, so no
-    recursion limit bounds it; it raises EnumerationBudgetError once more
-    than `budget` distinct nonempty visit-order prefixes have been
-    reached: the graph is too large to enumerate. Every root reaches its
-    one-node prefix and, through each neighbor as first choice, n - 1
-    longer prefixes, all distinct, so a graph with n + 2m(n - 1) > budget
-    (a path's exact count) is refused before any outcome is built.
+    The graph is checked, and refused at the prefix floor of
+    `enumerate_dfs`, on the first step.
     """
     if g.n < 1:
         raise ValueError("empty graph")
@@ -593,7 +589,6 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
     # one frame per open branch: [stack top, its unvisited neighbors, next
     # index, child denominator]
     frames: list[list] = []
-    result = []
     states = 0
     for root in range(n):
         w, den = root, n
@@ -607,18 +602,18 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
                 # the stack is the tree path up from w; its top is the
                 # first node on it with an unvisited neighbor
                 u = w
-                cands = [v for v in adjacency[u] if not visited[v]]
-                while not cands:
+                while True:
+                    # a plain loop, not a comprehension (see `_search`)
+                    cands = []
+                    for v in adjacency[u]:
+                        if not visited[v]:
+                            cands.append(v)
+                    if cands:
+                        break
                     u = parent[u]
-                    cands = [v for v in adjacency[u] if not visited[v]]
                 frames.append([u, cands, 0, den * len(cands)])
             else:
-                tree = frozenset(
-                    (parent[v], v) if parent[v] < v else (v, parent[v])
-                    for v in order[1:]
-                )
-                rec = SearchRecord(tuple(order), tree, root)
-                result.append(DfsOutcome(rec, Fraction(1, den)))
+                yield order, parent, den
                 # undo w, then every choice whose frame has no candidate left
                 visited[order.pop()] = 0
                 while frames and frames[-1][2] == len(frames[-1][1]):
@@ -631,6 +626,39 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
             frame[2] = i + 1
             w = cands[i]
             parent[w] = u
+
+
+def _reciprocal_sum(dens) -> tuple[int, int]:
+    """``(total, lcm)`` with the sum of 1/den over the collection `dens`
+    equal to total / lcm, lcm being the lcm of the denominators: an exact
+    sum with no ``Fraction``."""
+    lcm = math.lcm(*dens)
+    return sum(lcm // den for den in dens), lcm
+
+
+def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcome]:
+    """Enumerate every DFS outcome with its exact rational probability.
+
+    Each visit order (which determines the tree) comes from exactly one
+    sequence of choices, so it is one outcome with probability
+    1 / (n * k_1 * k_2 * ...), where k_i is the number of candidates of
+    its i-th branch. Outcomes are sorted by visit order and their
+    probabilities sum to exactly 1. The enumeration is a loop
+    (`_enumerate`), so no recursion limit bounds it; it raises
+    EnumerationBudgetError once more than `budget` distinct nonempty
+    visit-order prefixes have been reached: the graph is too large to
+    enumerate. Every root reaches its one-node prefix and, through each
+    neighbor as first choice, n - 1 longer prefixes, all distinct, so a
+    graph with n + 2m(n - 1) > budget (a path's exact count) is refused
+    before any outcome is built.
+    """
+    result = []
+    for order, parent, den in _enumerate(g, budget):
+        tree = frozenset(
+            (parent[v], v) if parent[v] < v else (v, parent[v]) for v in order[1:]
+        )
+        rec = SearchRecord(tuple(order), tree, order[0])
+        result.append(DfsOutcome(rec, Fraction(1, den)))
     return result
 
 

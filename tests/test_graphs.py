@@ -77,6 +77,14 @@ class TestEdgeListParsing:
     def test_save_load_roundtrip(self, g):
         assert load_edge_list(save_edge_list(g)) == g
 
+    @settings(max_examples=60)
+    @given(connected_graphs(min_n=1, max_n=12))
+    def test_writer_emits_sorted_edges(self, g):
+        # the writer walks the sorted rows; the pairs must come out as a
+        # sort of the edge set would give them
+        lines = [f"# n={g.n}"] + [f"{u} {v}" for u, v in sorted(g.edges())]
+        assert save_edge_list(g) == "\n".join(lines) + "\n"
+
 
 class TestConstruction:
     def test_out_of_range_edge(self):
@@ -86,6 +94,29 @@ class TestConstruction:
     def test_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(2, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (0, 5)], "self-loop"),
+            ([(0, 1), (0, 5), (2, 2)], "out of range"),
+            ([(1, 0), (3, 3)], "self-loop"),
+            ([(-1, 0), (1, 1)], "out of range"),
+        ],
+    )
+    def test_first_bad_edge_is_reported(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, edges)
+
+    @settings(max_examples=60)
+    @given(connected_graphs(min_n=2, max_n=10), st.randoms(use_true_random=False))
+    def test_repeated_edges_merge(self, g, rnd):
+        # every edge once more, in either orientation, in any order
+        edges = sorted(g.edges()) * 2
+        rnd.shuffle(edges)
+        h = Graph.from_edges(g.n, [e[::-1] if rnd.random() < 0.5 else e for e in edges])
+        assert h == g
+        h.validate()
 
     def test_edge_count_matches_half_degree_sum(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 0)])

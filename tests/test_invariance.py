@@ -4,17 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from walksearch import samplers
 from walksearch.graphs import (
     cycle_graph,
     hex_chain,
     path_graph,
     random_permutation,
+    relabel,
     star_graph,
 )
 from walksearch.invariance import (
     PERMUTATION_REPS,
     SequenceDistribution,
+    _check_law,
+    _dfs_law,
     _scaled_tv,
+    _sup_gap,
     dfs_distribution,
     invariance_exact,
     invariance_sampled,
@@ -24,6 +29,7 @@ from walksearch.invariance import (
     tv_permutation_pvalue,
     two_sample_tv,
 )
+from walksearch.samplers import enumerate_dfs
 
 from .corpus import all_labeled_connected_graphs_upto
 
@@ -51,6 +57,13 @@ class TestDistributions:
         with pytest.raises(ValueError, match="sum"):
             SequenceDistribution(support={(0, 1): Fraction(1, 3)})
 
+    def test_negative_probability_rejected(self):
+        # the sum is exactly 1, so only the sign check can refuse it
+        with pytest.raises(ValueError, match="expected >= 0"):
+            SequenceDistribution(
+                support={(0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)}
+            )
+
 
 class TestPushforward:
     def test_identity(self):
@@ -72,6 +85,12 @@ class TestPushforward:
         d = dfs_distribution(path_graph(2))
         with pytest.raises(ValueError, match="not a permutation"):
             pushforward(d, [0, 0])
+
+    @pytest.mark.parametrize("perm", [[0, 1], [0, 1, 2, 3]], ids=["short", "long"])
+    def test_wrong_length_rejected(self, perm):
+        d = dfs_distribution(path_graph(3))
+        with pytest.raises(ValueError, match="perm has length"):
+            pushforward(d, perm)
 
 
 class TestExactInvariance:
@@ -101,6 +120,126 @@ class TestExactInvariance:
             dfs_distribution(path_graph(3)), dfs_distribution(star_graph(3))
         )
         assert gap > 0
+
+    @pytest.mark.parametrize("perm", [[0, 1], [0, 1, 2, 3]], ids=["short", "long"])
+    def test_wrong_length_rejected_before_enumerating(self, perm, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr("walksearch.invariance._enumerate", no_enumeration)
+        with pytest.raises(ValueError, match="not a permutation"):
+            invariance_exact(path_graph(3), perm)
+
+    def test_matches_fraction_reference(self):
+        # the integer path against the Fraction one it replaced: pushforward
+        # and sup_discrepancy over the DfsOutcome probabilities
+        rng = random.Random(18)
+        for g in all_labeled_connected_graphs_upto(5):
+            perm = random_permutation(g.n, rng)
+            reference = sup_discrepancy(
+                pushforward(dfs_distribution(g), perm),
+                dfs_distribution(relabel(g, perm)),
+            )
+            assert invariance_exact(g, perm) == reference == 0
+
+
+class TestIntegerLaw:
+    def test_law_is_enumeration_inverted(self):
+        for g in all_labeled_connected_graphs_upto(5) + (hex_chain(2),):
+            assert _dfs_law(g) == {
+                o.record.visit_order: 1 / o.probability for o in enumerate_dfs(g)
+            }
+
+    def test_sum_check_catches_a_dropped_outcome(self):
+        for g in (path_graph(2), cycle_graph(4), star_graph(5), hex_chain(1)):
+            law = _dfs_law(g)
+            for seq in law:
+                short = dict(law)
+                del short[seq]
+                with pytest.raises(ValueError, match="sum"):
+                    _check_law(short)
+
+    def test_sum_check_catches_a_denominator_off_by_one(self):
+        for g in (path_graph(2), cycle_graph(4), star_graph(5), hex_chain(1)):
+            law = _dfs_law(g)
+            for seq, den in law.items():
+                for off in (den - 1, den + 1):
+                    if off:
+                        with pytest.raises(ValueError, match="sum"):
+                            _check_law({**law, seq: off})
+
+    @pytest.mark.parametrize("tampered_call", [0, 1], ids=["g", "relabeled"])
+    @pytest.mark.parametrize("tamper", ["drop", "off_by_one"])
+    def test_every_law_is_sum_checked(self, tampered_call, tamper, monkeypatch):
+        # invariance_exact enumerates g, then the relabeled graph; a law
+        # missing an outcome, or with one denominator off by one, must trip
+        # the sum check whichever of the two it is
+        calls = []
+
+        def tampered(g, budget):
+            outcomes = [
+                (tuple(order), parent, den)
+                for order, parent, den in samplers._enumerate(g, budget)
+            ]
+            if len(calls) == tampered_call:
+                if tamper == "drop":
+                    outcomes.pop(len(outcomes) // 2)
+                else:
+                    order, parent, den = outcomes.pop()
+                    outcomes.append((order, parent, den + 1))
+            calls.append(g)
+            yield from outcomes
+
+        monkeypatch.setattr("walksearch.invariance._enumerate", tampered)
+        g = hex_chain(1)
+        with pytest.raises(ValueError, match="sum"):
+            invariance_exact(g, random_permutation(g.n, random.Random(4)))
+        assert len(calls) == tampered_call + 1
+
+    def test_sum_check_is_exact(self):
+        _check_law({(0,): 1})
+        _check_law({"a": 2, "b": 3, "c": 6})
+        with pytest.raises(ValueError, match="sum to 0, expected 1"):
+            _check_law({})
+        # a float sum reads 1.0 here
+        assert 0.5 + 0.5 + 1 / 10**40 == 1.0
+        with pytest.raises(ValueError, match="sum"):
+            _check_law({"a": 2, "b": 2, "c": 10**40})
+
+    def test_gap_matches_sup_discrepancy(self):
+        # non-isomorphic pairs of one size, and laws pushed forward by a
+        # permutation that need not be an automorphism, give nonzero gaps
+        rng = random.Random(1)
+        for n in (3, 4, 5):
+            graphs = [
+                g for g in all_labeled_connected_graphs_upto(n) if g.n == n
+            ]
+            for _ in range(40):
+                g, h = rng.choice(graphs), rng.choice(graphs)
+                perm = random_permutation(n, rng)
+                d_g, d_h = dfs_distribution(g), dfs_distribution(h)
+                law_g, law_h = _dfs_law(g), _dfs_law(h)
+                pushed = {tuple(perm[v] for v in s): den for s, den in law_g.items()}
+                assert _sup_gap(law_g, law_h) == sup_discrepancy(d_g, d_h)
+                assert _sup_gap(pushed, law_g) == sup_discrepancy(
+                    pushforward(d_g, perm), d_g
+                )
+
+    def test_gap_compares_exactly(self):
+        # every branch, with a known answer: shared keys, keys on one side
+        assert _sup_gap({"a": 2, "b": 2}, {"a": 2, "b": 2}) == 0
+        assert _sup_gap({"a": 3, "b": 6}, {"a": 6, "b": 3}) == Fraction(1, 6)
+        assert _sup_gap({"a": 2, "b": 2}, {"a": 2, "c": 2}) == Fraction(1, 2)
+        assert _sup_gap({"a": 4, "b": 4}, {"a": 2, "c": 4}) == Fraction(1, 4)
+        assert _sup_gap({"a": 3}, {"a": 3, "c": 2}) == Fraction(1, 2)
+        # gaps a float cannot tell apart: 1/(10**20 + 1) < 1/10**20
+        big = 10**20
+        assert 1 / big == 1 / (big + 1)
+        assert _sup_gap({"b": big + 1, "a": big}, {}) == Fraction(1, big)
+        assert _sup_gap({}, {"b": big + 1, "a": big}) == Fraction(1, big)
+        assert _sup_gap(
+            {"a": big, "b": 7 * big}, {"a": 2 * big, "b": 7 * big + 1}
+        ) == Fraction(1, 2 * big)
 
 
 def float_tv_pvalue(samples_a, samples_b, reps, rng):

@@ -9,6 +9,7 @@ from itertools import accumulate, islice
 import pytest
 from hypothesis import given, settings
 
+from walksearch.coverage import edge_inclusion_prob
 from walksearch.graphs import (
     Graph,
     complete_graph,
@@ -574,6 +575,19 @@ class TestExactEnumeration:
         for e in cycle_graph(3).edges():
             p = sum(o.probability for o in outs if e in o.record.tree_edges)
             assert p == Fraction(2, 3)
+
+    def test_exact_edge_inclusion_sums_the_records(self):
+        # exact `edge_inclusion_prob` reads the enumeration's parent array
+        # (whose root entry is stale), not the records: same Fraction
+        for g in all_labeled_connected_graphs_upto(4) + (hex_chain(2), BULL):
+            outs = enumerate_dfs(g)
+            for e in g.edges():
+                p = sum(
+                    (o.probability for o in outs if e in o.record.tree_edges),
+                    start=Fraction(0),
+                )
+                assert edge_inclusion_prob(g, e, mode="exact").probability == p
+                assert edge_inclusion_prob(g, e[::-1], mode="exact").probability == p
 
     def test_budget_error(self):
         with pytest.raises(EnumerationBudgetError, match="too large"):
