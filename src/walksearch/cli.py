@@ -31,6 +31,12 @@ from .graphs import (
 from .samplers import POLICIES, derive_rng, sample_dfs, sample_set  # noqa: F401
 
 
+# `wl`/`wwl` print (rounds + 1) rows per graph, each listing the graph's
+# nodes, and build them all in memory; a run with more (rounds + 1) *
+# (graphs + nodes) than this is refused after refinement, before rendering
+MAX_REFINE_CELLS = 10**7
+
+
 class _UsageError(Exception):
     pass
 
@@ -241,6 +247,12 @@ def _cmd_refine(args, test: str) -> None:
         run = wlmod.wl_refine(graphs, rounds=args.rounds)
     else:
         run = wlmod.wwl_refine(graphs, args.length, rounds=args.rounds)
+    cells = (run.rounds + 1) * (len(graphs) + sum(g.n for g in graphs))
+    if cells > MAX_REFINE_CELLS:
+        raise ValueError(
+            f"(rounds + 1) * (graphs + nodes) = {cells} exceeds the output"
+            f" cap of {MAX_REFINE_CELLS}"
+        )
     lines = [
         f"graph={gi} round={r} blocks={text}"
         for r, gi, text in run.blocks_json()

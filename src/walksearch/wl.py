@@ -25,8 +25,11 @@ requested rounds are empty (see `_run_refinement`).
 graph, node by node), is rebuilt from the log on first access: round r's
 id of a node is the class counts of rounds 0..r-1 summed, plus the rank
 of the node's class by least joint node. The CLI renders each round's
-sorted blocks straight from the log (`RefinementRun.blocks_json`), and
-stable color multisets are read from the last round's classes, so
+sorted blocks straight from the log (`RefinementRun.blocks_json`): a
+class that splits keeps its sorted nodes and their labels, so a round
+builds in Python only the pieces that moved (O(N log N) nodes over a run
+on N nodes) and trims and re-joins each class they left in C, in O(its
+size). Stable color multisets are read from the last round's classes, so
 neither builds `history`.
 
 1-WL is walk refinement at length 1, and both run one update
@@ -43,13 +46,36 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import itemgetter
 
 from .graphs import Graph
 
 DEFAULT_WALK_GUARD = 10**5
 DEFAULT_TREE_GUARD = 10**5
+
+# RefinementRun.blocks_json's two limits, set from measurements (CPython
+# 3.11 on an Intel Xeon, CPU time, best of 7 runs, of 3 on 10**5 nodes).
+#
+# A class that loses at most _FEW_MOVED nodes deletes them from its sorted
+# lists at bisected positions, each deletion moving a tail; otherwise it
+# sorts its member set afresh. Deleting k of s nodes is the cheaper while
+# k is below about 6 for s = 32, 24 for s = 100, 128 for s = 1000 and 256
+# to 1024 for s >= 10**4. The benchmark's wl/wwl jobs fall on both sides
+# (path runs move 2 to 6 nodes at once, hex_chain runs up to 798). With
+# the limit at 0, `wl` on path_graph(1000) renders in 15.7 ms, not 6.5;
+# with no limit, a 10**5-node path with 5 * 10**4 random chords renders
+# in 0.85 s, not 0.32, and random_tree(10**5, seed 1) in 0.97 s, not 0.41.
+_FEW_MOVED = 8
+# A round that renders at most _FEW_CLASSES classes files each block in
+# its graph's compact lists by bisection, each insertion moving a tail;
+# a larger one joins the slot array. Filing k blocks is the cheaper while
+# k is below 16 to 32 on 100 nodes and 64 to 128 on 10**3 to 10**5 nodes.
+# No benchmark job renders more than 26 classes in a round. Never filing
+# takes path_graph(1000) from 6.5 to 9.9 ms; always filing takes the
+# chorded path above from 0.32 to 1.92 s and the tree from 0.41 to 1.71 s.
+# Limits from 16 to 256 give the same times.
+_FEW_CLASSES = 64
 
 
 class RefinementGuardError(RuntimeError):
@@ -141,16 +167,18 @@ class RefinementRun:
         return self._build_history()
 
     def _replay(self):
-        """Yield (round, cls, members, changed) for rounds 0..rounds: the
+        """Yield (round, cls, members, splits) for rounds 0..rounds: the
         class index per joint node and the joint node set per class after
         that round (one pair of lists, updated in place between yields) and
-        the classes that round created or split (every class at round 0)."""
+        the round's (class, nodes that left it) pairs, whose i-th piece took
+        index len(members) - len(splits) + i (none at round 0)."""
         cls = list(self.initial)
         members = _member_sets(cls)
-        yield 0, cls, members, range(len(members))
+        yield 0, cls, members, ()
         for r in range(1, self.rounds + 1):
             splits = self.splits[r - 1] if r <= len(self.splits) else ()
-            yield r, cls, members, _apply_splits(cls, members, splits)
+            _apply_splits(cls, members, splits)
+            yield r, cls, members, splits
 
     def _build_history(self):
         """Replay the log: round r's ids are its offset (the class counts
@@ -175,39 +203,102 @@ class RefinementRun:
         graph).sorted_blocks())`, rendered from the split log without
         `history`.
 
-        Each graph keeps one JSON fragment per block, stored at the
-        block's least local node. A round re-renders only the classes that
-        split and their new pieces: the pieces of a block cover it, so the
-        piece holding the old least node overwrites the old fragment and
-        every other piece lands on a node that led no block. Joining the
-        fragments in node order gives the blocks sorted by least node.
+        Each class that some round splits keeps its joint nodes sorted
+        and, beside them, their labels (local indices as JSON text). When
+        it splits, a piece's two lists are built once, in Python. The
+        class's own lists lose the moved nodes at bisected positions, or
+        are sorted afresh from the replay's member set when more than
+        `_FEW_MOVED` left; its blocks are then re-joined. Those two steps
+        run in C in O(size of the kept class). A node moves only in a
+        piece no larger than the one that keeps its class (see
+        `_split_update`), so over a run on N joint nodes the pieces hold
+        O(N log N) nodes.
+
+        Each graph keeps a block's text at its least local node ("" at
+        the others), and, while rounds render few classes, the blocks'
+        least nodes and texts compacted in that order. A round that
+        renders at most `_FEW_CLASSES` classes files each block there by
+        bisection and joins the compact texts; a larger one joins the
+        whole slot array and leaves the compact lists to be rebuilt from
+        it by the next small round. No least node is ever dropped: the
+        pieces of a split block cover it, and the one holding its least
+        node is led by that node again.
         """
         spans = self._spans()
-        frags = [[""] * g.n for g in self.graphs]
         ends = [b for _, b in spans]
         # joint node -> its local index as JSON text
         label = [str(u) for g in self.graphs for u in range(g.n)].__getitem__
+        splitting = {c for splits in self.splits for c, _ in splits}
+        # class -> its sorted joint nodes and their labels, for the classes
+        # in `splitting` (the others never change once built)
+        lists: dict[int, tuple[list[int], list[str]]] = {}
+        opened = 0  # classes built so far
+        # per graph: each block's text at its least local node, "" elsewhere
+        slots = [[""] * g.n for g in self.graphs]
+        # per graph: its blocks' least joint nodes, ascending, and their
+        # texts in the same order; None after a large round
+        leads: list = [[] for _ in spans]
+        frags: list = [[] for _ in spans]
+        touched: set[int] = set()
 
-        def render(block, touched):
-            nodes = sorted(block)
+        def begin(xs, ls, filing):
+            """Begin a class's blocks, one per graph holding some of its
+            sorted joint nodes xs (labels ls), filing each in its graph's
+            compact lists when `filing`."""
             i = 0
-            while i < len(nodes):
-                gi = bisect_right(ends, nodes[i])
+            while i < len(xs):
+                x = xs[i]
+                gi = bisect_right(ends, x)
                 start, end = spans[gi]
-                j = bisect_left(nodes, end, i)
-                text = ", ".join(map(label, nodes[i:j]))
-                frags[gi][nodes[i] - start] = "[" + text + "]"
+                j = bisect_left(xs, end, i)
+                text = "[" + ", ".join(ls[i:j]) + "]"
+                slot = slots[gi]
+                if filing:
+                    if frags[gi] is None:  # rebuilt after a large round
+                        frags[gi] = list(filter(None, slot))
+                        leads[gi] = list(compress(range(start, end), slot))
+                    p = bisect_left(leads[gi], x)
+                    if slot[x - start]:  # x led a block already
+                        frags[gi][p] = text
+                    else:
+                        leads[gi].insert(p, x)
+                        frags[gi].insert(p, text)
+                slot[x - start] = text
                 touched.add(gi)
                 i = j
 
         # a graph without nodes has no blocks
-        texts = ["[]"] * len(self.graphs)
-        for r, _, members, changed in self._replay():
-            touched: set[int] = set()
-            for c in changed:
-                render(members[c], touched)
+        texts = ["[]"] * len(spans)
+        for r, _, members, splits in self._replay():
+            moved: dict = {}  # split class -> the nodes that left it
+            for c, ys in splits:
+                moved.setdefault(c, []).extend(ys)
+            # round 0 builds every class, a later round its pieces
+            pieces = members if r == 0 else [ys for _, ys in splits]
+            filing = len(moved) + len(pieces) <= _FEW_CLASSES
+            for c, ys in moved.items():
+                xs, ls = lists[c]
+                if len(ys) <= _FEW_MOVED:
+                    for p in sorted(map(bisect_left, repeat(xs), ys))[::-1]:
+                        del xs[p], ls[p]
+                else:
+                    xs[:] = sorted(members[c])
+                    ls[:] = map(label, xs)
+                begin(xs, ls, filing)
+            for block in pieces:
+                xs = sorted(block)
+                ls = list(map(label, xs))
+                begin(xs, ls, filing)
+                if opened in splitting:
+                    lists[opened] = xs, ls
+                opened += 1
             for gi in touched:
-                texts[gi] = "[" + ", ".join(filter(None, frags[gi])) + "]"
+                if filing:
+                    texts[gi] = "[" + ", ".join(frags[gi]) + "]"
+                else:
+                    frags[gi] = leads[gi] = None
+                    texts[gi] = "[" + ", ".join(filter(None, slots[gi])) + "]"
+            touched.clear()
             for gi, text in enumerate(texts):
                 yield r, gi, text
 
@@ -244,19 +335,16 @@ def _member_sets(cls) -> list[set[int]]:
     return members
 
 
-def _apply_splits(cls, members, splits) -> set[int]:
+def _apply_splits(cls, members, splits) -> None:
     """Apply one round's splits to `cls` and `members` in place: the
     nodes of the i-th (class, nodes) pair leave their class for index
-    len(members) + i. Returns the classes that split and the new ones."""
-    changed = set()
+    len(members) + i."""
     for c, nodes in splits:
         k = len(members)
         members[c].difference_update(nodes)
         members.append(set(nodes))
         for y in nodes:
             cls[y] = k
-        changed.update((c, k))
-    return changed
 
 
 def _checked_inputs(graphs, length, rounds, init):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -446,6 +447,39 @@ class TestRefinementVerbs:
 
         monkeypatch.setattr(RefinementRun, "_build_history", refuse)
         assert run_all() == unpatched
+
+    @pytest.mark.parametrize("verb", ["wl", "wwl"])
+    def test_huge_round_budget_is_refused_quickly(self, tmp_path, capsys,
+                                                  verb):
+        graph = write(tmp_path, "p.el", PATH5)
+        argv = [verb, "--graph", graph, "--rounds", str(10**30)]
+        if verb == "wwl":
+            argv += ["--length", "2"]
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        cells = (10**30 + 1) * (1 + 5)
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"(rounds + 1) * (graphs + nodes) = {cells} exceeds"
+                       f" the output cap of {cli.MAX_REFINE_CELLS}",
+        }
+        assert elapsed < 1.0
+
+    def test_output_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        graph = write(tmp_path, "p.el", PATH3)
+        g2 = write(tmp_path, "t.el", TRIANGLE)
+        argv = ["wl", "--graph", graph, "--graph2", g2, "--rounds"]
+        # far above the largest benchmark job, wl path1000: 501 x 1001 cells
+        assert cli.MAX_REFINE_CELLS >= 10 * 501 * 1001
+        # (rounds + 1) * (2 graphs + 6 nodes): 24 at two rounds, 32 at three
+        monkeypatch.setattr(cli, "MAX_REFINE_CELLS", 24)
+        assert main(argv + ["2"]) == 0
+        assert capsys.readouterr().out.count(" blocks=") == 3 * 2
+        assert main(argv + ["3"]) == 1
+        assert "exceeds the output cap of 24" in capsys.readouterr().err
 
     def test_distinguish_verdict(self, tmp_path, capsys):
         g1 = write(tmp_path, "p.el", PATH3)

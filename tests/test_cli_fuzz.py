@@ -3,8 +3,10 @@ bad values: each call exits 0, 1 or 2 without a traceback, and a nonzero
 exit prints exactly one JSON error object on stderr and nothing on stdout.
 
 Values whose work grows with their size (walk lengths, sample counts,
-trial and round budgets, node counts past the edges) are kept small; the
-huge value 10**30 goes only to flags whose work it does not grow.
+trial budgets, node counts past the edges) are kept small; the huge value
+10**30 goes only to flags whose work it does not grow. Round budgets take
+it too: refinement stops at the stable round, and `wl`/`wwl` refuse a
+budget whose output would pass `cli.MAX_REFINE_CELLS` before rendering.
 """
 
 import contextlib
@@ -68,9 +70,9 @@ VERBS = {
                   ("--trials", INTS, True), ("--cap", BIG_INTS, False),
                   ("--seed", SEEDS, True)),
     "wl": (("--graph", GRAPH, True), ("--graph2", GRAPH2, False),
-           ("--rounds", INTS, False)),
+           ("--rounds", BIG_INTS, False)),
     "wwl": (("--graph", GRAPH, True), ("--graph2", GRAPH2, False),
-            ("--rounds", INTS, False), ("--length", INTS, True)),
+            ("--rounds", BIG_INTS, False), ("--length", INTS, True)),
     "distinguish": (("--graph", GRAPH, True), ("--graph2", GRAPH2, True),
                     ("--test", choice("wl", "wwl"), False),
                     ("--length", INTS, False)),

@@ -3,7 +3,7 @@ import math
 from collections import Counter, defaultdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walksearch.graphs import (
@@ -13,6 +13,7 @@ from walksearch.graphs import (
     disjoint_union,
     hex_chain,
     path_graph,
+    random_tree,
     relabel,
     star_graph,
 )
@@ -287,17 +288,44 @@ class TestSplitLog:
         run = wwl_refine([hex_chain(2)], 2, rounds=6)
         assert run.history is run.history
 
-    def test_blocks_json_renders_sorted_blocks(self):
-        for graphs in self.CASES:
-            stable = wl_refine(graphs).stable_round
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(connected_graphs(1, 9), min_size=1, max_size=3),
+           st.sampled_from(["uniform", "degree", "parity"]))
+    @example([path_graph(12)], "uniform")
+    @example([hex_chain(3)], "uniform")
+    @example([cycle_graph(9), path_graph(9)], "uniform")
+    @example([Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)]),
+              Graph.from_edges(0, [])], "uniform")
+    # long remainders: each round deletes the two path ends from one class
+    @example([path_graph(300)], "uniform")
+    # round 1 moves the path's ends out of the one class, node 4 among
+    # them, the least node of the class's block in the second graph
+    @example([cycle_graph(4), path_graph(4)], "uniform")
+    @example([hex_chain(3), path_graph(6)], "parity")
+    # rounds where a class loses dozens of nodes, and rounds rendering
+    # more than wl._FEW_CLASSES classes followed by rounds rendering fewer
+    @example([random_tree(150, 0)], "uniform")
+    @example([random_tree(150, 0), path_graph(40)], "uniform")
+    def test_blocks_json_renders_sorted_blocks(self, graphs, labels):
+        init = None
+        if labels == "degree":
+            init = [g.degrees() for g in graphs]
+        elif labels == "parity":
+            init = [[u % 2 for u in range(g.n)] for g in graphs]
+        refinements = (
+            lambda rounds: wl_refine(graphs, rounds=rounds, init=init),
+            lambda rounds: wwl_refine(graphs, 2, rounds=rounds, init=init),
+        )
+        for refine in refinements:
+            stable = refine(None).stable_round
+            # rounds past the stable round render its blocks again
             for rounds in (None, 0, 1, stable + 3):
-                for run in (wl_refine(graphs, rounds=rounds),
-                            wwl_refine(graphs, 2, rounds=rounds)):
-                    assert list(run.blocks_json()) == [
-                        (r, gi, json.dumps(run.partition(r, gi).sorted_blocks()))
-                        for r in range(run.rounds + 1)
-                        for gi in range(len(graphs))
-                    ]
+                run = refine(rounds)
+                assert list(run.blocks_json()) == [
+                    (r, gi, json.dumps(run.partition(r, gi).sorted_blocks()))
+                    for r in range(run.rounds + 1)
+                    for gi in range(len(graphs))
+                ]
 
     def test_stable_reads_build_no_history(self, monkeypatch):
         runs = [wl_refine(graphs) for graphs in self.CASES]
