@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import sys
+from itertools import chain
 
 from . import coverage as cov
 from . import invariance as inv
@@ -32,8 +33,8 @@ from .samplers import POLICIES, derive_rng, sample_dfs, sample_set  # noqa: F401
 
 
 # `wl`/`wwl` print (rounds + 1) rows per graph, each listing the graph's
-# nodes, and build them all in memory; a run with more (rounds + 1) *
-# (graphs + nodes) than this is refused after refinement, before rendering
+# nodes; a run with more (rounds + 1) * (graphs + nodes) than this is
+# refused after refinement, before rendering
 MAX_REFINE_CELLS = 10**7
 
 
@@ -46,16 +47,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the text chunks, in order, to stdout or to the file `out`."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n", out)
+    _emit([json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"], out)
 
 
 def _int_list(text: str) -> list[int]:
@@ -173,7 +175,7 @@ def _cmd_gen(args) -> None:
             flag = "--" + name.replace("_", "-")
             raise _UsageError(f"{flag} is required for family {args.family}")
     g = gen_family(args.family, **params)
-    _emit(save_edge_list(g), args.out)
+    _emit([save_edge_list(g)], args.out)
 
 
 def _cmd_sample(args) -> None:
@@ -199,7 +201,7 @@ def _cmd_coverage(args) -> None:
         seed=args.seed,
         length=args.length,
     )
-    _emit(cov.curve_rows_to_csv(rows), args.out)
+    _emit([cov.curve_rows_to_csv(rows)], args.out)
 
 
 def _cmd_bound(args) -> None:
@@ -253,12 +255,11 @@ def _cmd_refine(args, test: str) -> None:
             f"(rounds + 1) * (graphs + nodes) = {cells} exceeds the output"
             f" cap of {MAX_REFINE_CELLS}"
         )
-    lines = [
-        f"graph={gi} round={r} blocks={text}"
+    rows = (
+        f"graph={gi} round={r} blocks={text}\n"
         for r, gi, text in run.blocks_json()
-    ]
-    lines.append(f"stable_round={run.stable_round}")
-    _emit("\n".join(lines) + "\n", args.out)
+    )
+    _emit(chain(rows, [f"stable_round={run.stable_round}\n"]), args.out)
 
 
 def _cmd_distinguish(args) -> None:

@@ -33,10 +33,14 @@ size). Stable color multisets are read from the last round's classes, so
 neither builds `history`.
 
 1-WL is walk refinement at length 1, and both run one update
-(`_split_update`): it lists every terminating walk once and, after round
-1, recolors only the walks through nodes that moved in the round before,
-the only walks whose colors can have changed. Color ids are run-relative
-and never compared across runs.
+(`_split_update`). It lists no walk. A round names each colored walk by
+an id interned from (id of the walk without its last node, class of that
+node), and pushes, level by level, the ids of the walks through nodes
+that moved in the round before (the only walks whose colors can have
+changed) from those nodes out to their neighbors; round 1 counts every
+node as moved. A round holds the ids it pushed and one length's walks
+near the moved nodes, and the walk guard counts walks without listing
+them. Color ids are run-relative and never compared across runs.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat, starmap
-from operator import itemgetter
+from itertools import chain, compress, count, repeat
 
 from .graphs import Graph
 
@@ -348,7 +351,7 @@ def _apply_splits(cls, members, splits) -> None:
 
 
 def _checked_inputs(graphs, length, rounds, init):
-    """Reject a refinement's inputs before any walk is listed, in this
+    """Reject a refinement's inputs before any walk is counted, in this
     order: no graph, a walk length below 1, a negative round budget, then
     `init` not giving one label per node per graph. Returns `graphs` and
     `init` as tuples."""
@@ -450,57 +453,160 @@ def terminating_walks(
     return out
 
 
+def _check_walk_guard(graphs, length, guard) -> None:
+    """Raise RefinementGuardError at the first node, in graph order and
+    then node order, at which more than `guard` walks of length 1..length
+    end (the node `terminating_walks` would trip at), without listing a
+    walk.
+
+    `ends[u]` counts the walks of the current length that end at u, the
+    sum of its neighbors' counts one length shorter, and `totals[u]` the
+    walks of every length so far; both are capped at guard + 1. Once a
+    length's counts repeat the previous length's, every longer length
+    repeats them too, so the lengths left add that many copies at once.
+    That happens within about 2 * log2(guard) lengths, however large
+    `length` is: an isolated node has no walk, a node of a lone edge one
+    walk of every length, and in any larger component a node's count at
+    least doubles every two lengths until it is capped.
+    """
+    cap = guard + 1
+    for g in graphs:
+        ends, totals = [1] * g.n, [0] * g.n
+        reached = 0
+        while reached < length:
+            reached += 1
+            counts = [min(cap, sum(map(ends.__getitem__, row)))
+                      for row in g.adjacency]
+            if counts == ends:  # so are the counts of every longer length
+                left = length - reached + 1
+                totals = [min(cap, t + left * w) for t, w in zip(totals, counts)]
+                break
+            totals = [min(cap, t + w) for t, w in zip(totals, counts)]
+            ends = counts
+        for u, total in enumerate(totals):
+            if total > guard:
+                raise RefinementGuardError(
+                    f"more than {guard} terminating walks at node {u}"
+                )
+
+
+def _ball(adjacency, sources, radius: int) -> list:
+    """The nodes within `radius` steps of `sources`, in layers by distance
+    (layer 0 is `sources`), ending at the first empty layer."""
+    layers = [sources]
+    seen = set(sources) if radius > 0 else ()  # 1-WL rounds need none
+    while len(layers) <= radius:
+        layer = []
+        for x in layers[-1]:
+            for u in adjacency[x]:
+                if u not in seen:
+                    seen.add(u)
+                    layer.append(u)
+        if not layer:
+            break
+        layers.append(layer)
+    return layers
+
+
+def _push(adjacency, changed):
+    """Send every node's walk ids in `changed` to each of its neighbors;
+    returns node -> the ids it received, in one list."""
+    received = defaultdict(list)
+    for y, walk_ids in changed.items():
+        for u in adjacency[y]:
+            received[u] += walk_ids
+    return received
+
+
 def _split_update(graphs, length, guard):
     """The round update of walk refinement at `length` (1-WL at length 1)
     for `_run_refinement`.
 
-    Every terminating walk is listed once (`terminating_walks` with
-    `guard`) and indexed under the nodes it visits before its last node.
-    A round recolors only the walks through a node that moved to a fresh
-    index in the round before; round 1 counts every node as moved, so it
-    recolors every walk. In a class, the touched nodes are grouped by
-    their sorted recolored walks and the untouched nodes form one more
-    group; the largest group keeps the class index and every other group
-    moves.
+    Walks are not listed. Before any round, `_check_walk_guard` raises at
+    the node `terminating_walks` with `guard` would trip at (a guard of
+    math.inf is not checked). A round names each colored walk by an id,
+    interned in a table made fresh for the round: a one-node walk's id is
+    its node's class, and a longer walk's id is a negative int interned
+    from (the id of the walk without its last node, its last node's
+    class). By induction on the length, two ids are equal exactly when the
+    colored walks are, and walks of different lengths never share an id.
 
-    This is exact. Class-mates had equal payloads in the round before. A
-    walk's colors change only at nodes that moved, and each fresh index
-    names the class it came from, so a recolored walk determines its old
-    colors: two touched class-mates have equal payloads exactly when
-    their recolored walks are equal. A recolored walk holds a fresh index
-    before its last position and an untouched node's walks never do, so
-    no touched node shares a payload with an untouched one. A walk's last
-    node is its owner, whose class-mates share its color, so only the
-    nodes before it need indexing. A node moves only in a group no larger
-    than the one that keeps the index, so it moves at most log2(N) times,
-    and a walk is recolored in round 1 and then at most once per move of
-    one of its first `length` nodes.
+    A round starts from the nodes that moved to a fresh index in the round
+    before; round 1 counts every node as moved. `changed[y]` holds the ids
+    of the walks of the current length that end at y and pass a moved
+    node: for a moved y, all of its walks, built level by level over the
+    nodes within length - 1 steps of a moved node (`_ball`); for another
+    y, the extensions of what it received. Each level pushes every
+    `changed[y]` to y's neighbors (`_push`): the ids u receives name its
+    walks one step longer that pass a moved node before u, and they join
+    u's signature. The level loop stops at `length` or at the first level
+    with no such walk. In a class, the nodes that received ids are grouped
+    by their sorted signatures and the others form one more group; the
+    largest group keeps the class index and every other group moves.
+
+    This is exact. Class-mates had equal payloads in the round before and
+    share their own class, so the ids in a signature determine the colored
+    walks they end. A walk's colors change only at nodes that moved, and
+    each fresh index names the class it came from, so a recolored walk
+    determines its old colors: two class-mates that received ids have
+    equal payloads exactly when their signatures are equal. A received id
+    names a walk holding a fresh index before its last node, and a node
+    that received none has no such walk, so the two never share a payload.
+    A node moves only in a group no larger than the one that keeps the
+    index, so it moves at most log2(N) times, and a walk's id is pushed in
+    round 1 and then at most once per move of one of its first `length`
+    nodes.
     """
-    walks, start = [], 0
+    if guard < math.inf:
+        _check_walk_guard(graphs, length, guard)
+    adjacency, start = [], 0
     for g in graphs:
-        for u in range(g.n):
-            listed = terminating_walks(g, u, length, guard)
-            if start:  # to joint node ids
-                listed = [tuple(map(start.__add__, w)) for w in listed]
-            walks += listed
+        if start:  # to joint node ids
+            adjacency += [tuple(map(start.__add__, row)) for row in g.adjacency]
+        else:
+            adjacency += g.adjacency
         start += g.n
-    owner = list(map(itemgetter(-1), walks))
-    # walk i is recolored as recolor[i](cls), its class indices node by node
-    recolor = list(starmap(itemgetter, walks))
-    through = [[] for _ in range(start)]
-    for i, walk in enumerate(walks):
-        for v in walk[:-1]:
-            through[v].append(i)
-    moved = range(start)  # round 1 recolors every walk
+    moved = range(start)  # round 1 counts every node as moved
 
     def update(cls, members):
         nonlocal moved
-        ids = set().union(*map(through.__getitem__, moved))
-        recolored = defaultdict(list)
-        for i in ids:
-            recolored[owner[i]].append(recolor[i](cls))
+        k = len(members)  # the key p * k + c names the pair (p, c)
+        ids = defaultdict(count(-1, -1).__next__)
+        layers = _ball(adjacency, moved, length - 1)
+        # full[x]: the ids of all walks of the current length ending at x,
+        # for the nodes close enough to a moved node to need them
+        full = {x: [cls[x]] for layer in layers for x in layer}
+        # one dict when the ball is the moved nodes alone, as at length 1
+        changed = full if len(layers) == 1 else {y: full[y] for y in moved}
+        signature: dict = {}
+        level = 1
+        while changed:
+            received = _push(adjacency, changed)
+            if level == 1:
+                signature = received
+            else:
+                for u, walk_ids in received.items():
+                    signature.setdefault(u, []).extend(walk_ids)
+            if level == length:
+                break
+            # the ids of the walks of `level` steps, kept where the walks
+            # of later levels need them
+            shorter, full = full, {}
+            for x in chain.from_iterable(layers[: length - level]):
+                c = cls[x]
+                full[x] = [ids[p * k + c] for y in adjacency[x] for p in shorter[y]]
+            # a moved node's walks all changed; another node's changed
+            # walks extend what it received (a moved node without walks
+            # has no neighbor, so it received nothing)
+            changed = {x: full[x] for x in moved if full[x]}
+            for u, walk_ids in received.items():
+                if u not in changed:
+                    c = cls[u]
+                    changed[u] = [ids[p * k + c] for p in walk_ids]
+            level += 1
+
         groups = defaultdict(dict)
-        for y, sig in recolored.items():
+        for y, sig in signature.items():
             sig.sort()
             groups[cls[y]].setdefault(tuple(sig), []).append(y)
 
@@ -524,9 +630,9 @@ def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
     """Joint 1-WL refinement: hash (color, multiset of neighbor colors).
 
     This is walk refinement at length 1, whose walks are the edges into a
-    node, run without a walk guard (see `_split_update`): after round 1
-    an edge is recolored only when the node it leaves moved, so a run
-    over N nodes and m edges recolors O(m log N) walks.
+    node, run without a walk guard (see `_split_update`): after round 1 a
+    node's class is pushed along its edges only when it moved, so a run
+    over N nodes and m edges pushes O(m log N) ids.
     """
     graphs, init = _checked_inputs(graphs, 1, rounds, init)
     update = _split_update(graphs, 1, math.inf)
@@ -539,9 +645,10 @@ def wwl_refine(
     """Walk-based refinement at a fixed maximum walk length.
 
     Each round hashes (current color, multiset of colored terminating
-    walks of length 1..length), recoloring only the walks through nodes
-    that moved (see `_split_update`); more than DEFAULT_WALK_GUARD walks
-    at one node raise RefinementGuardError. Supports a non-uniform initial
+    walks of length 1..length), pushing only the ids of the walks through
+    nodes that moved (see `_split_update`); more than DEFAULT_WALK_GUARD
+    walks at one node raise RefinementGuardError before any round, for
+    any `length`. Supports a non-uniform initial
     coloring, which is what the fixed-point comparison against classic WL
     uses.
     """

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -467,6 +468,53 @@ class TestRefinementVerbs:
                        f" the output cap of {cli.MAX_REFINE_CELLS}",
         }
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("length", [10**8, 10**30])
+    def test_huge_length_on_an_edgeless_graph_answers(self, tmp_path, capsys,
+                                                      length):
+        # no node ends a walk, so the walk levels stop at length 1
+        graph = write(tmp_path, "e.el", "# n=3\n")
+        start = time.perf_counter()
+        code = main(["wwl", "--graph", graph, "--length", str(length)])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "graph=0 round=0 blocks=[[0, 1, 2]]\n"
+            "graph=0 round=1 blocks=[[0, 1, 2]]\n"
+            "stable_round=0\n"
+        )
+        assert elapsed < 1.0
+
+    def test_huge_length_past_the_walk_guard_is_refused_quickly(
+        self, tmp_path, capsys
+    ):
+        # node 0 ends one walk of every length, more than the guard allows
+        graph = write(tmp_path, "e.el", EDGE_PLUS_NODE)
+        start = time.perf_counter()
+        code = main(["wwl", "--graph", graph, "--length", str(10**30)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "RefinementGuardError",
+            "message": "more than 100000 terminating walks at node 0",
+        }
+        assert elapsed < 1.0
+
+    def test_rows_are_written_as_rendered(self, tmp_path):
+        # the verb holds one round's text at a time, not the whole output
+        graph = tmp_path / "p.el"
+        graph.write_text(save_edge_list(path_graph(1500)))
+        out = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            assert main(["wl", "--graph", str(graph), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 5 * 2**20
+        assert peak < size / 2
 
     def test_output_cap_is_inclusive(self, tmp_path, capsys, monkeypatch):
         graph = write(tmp_path, "p.el", PATH3)

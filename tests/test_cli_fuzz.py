@@ -2,11 +2,15 @@
 bad values: each call exits 0, 1 or 2 without a traceback, and a nonzero
 exit prints exactly one JSON error object on stderr and nothing on stdout.
 
-Values whose work grows with their size (walk lengths, sample counts,
-trial budgets, node counts past the edges) are kept small; the huge value
-10**30 goes only to flags whose work it does not grow. Round budgets take
-it too: refinement stops at the stable round, and `wl`/`wwl` refuse a
-budget whose output would pass `cli.MAX_REFINE_CELLS` before rendering.
+Values whose work grows with their size (sampled walk lengths, sample
+counts, trial budgets, node counts past the edges) are kept small; the
+huge value 10**30 goes only to flags whose work it does not grow. Round
+budgets take it too: refinement stops at the stable round, and `wl`/`wwl`
+refuse a budget whose output would pass `cli.MAX_REFINE_CELLS` before
+rendering. So do the refinement walk lengths of `wwl` and `distinguish`:
+the walk guard is checked before any round in a number of steps bounded
+by the guard, not the length, and a graph without edges ends no walk
+past length 0.
 """
 
 import contextlib
@@ -72,10 +76,10 @@ VERBS = {
     "wl": (("--graph", GRAPH, True), ("--graph2", GRAPH2, False),
            ("--rounds", BIG_INTS, False)),
     "wwl": (("--graph", GRAPH, True), ("--graph2", GRAPH2, False),
-            ("--rounds", BIG_INTS, False), ("--length", INTS, True)),
+            ("--rounds", BIG_INTS, False), ("--length", BIG_INTS, True)),
     "distinguish": (("--graph", GRAPH, True), ("--graph2", GRAPH2, True),
                     ("--test", choice("wl", "wwl"), False),
-                    ("--length", INTS, False)),
+                    ("--length", BIG_INTS, False)),
     "invariance": (("--graph", GRAPH, True),
                    ("--mode", choice("exact", "sampled"), False),
                    ("--perm-seed", SEEDS, True), ("--trials", INTS, True),

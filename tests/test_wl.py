@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -418,7 +419,7 @@ class TestSharedUpdate:
                 )
                 assert max(moves.values(), default=0) <= int(math.log2(g.n))
 
-    @pytest.mark.parametrize(
+    WORK_CASES = pytest.mark.parametrize(
         "graph, lengths",
         [
             (path_graph(400), (1, 2, 3)),
@@ -428,6 +429,8 @@ class TestSharedUpdate:
         ],
         ids=["path400", "hex60", "fan300", "path2000"],
     )
+
+    @WORK_CASES
     def test_recolors_each_walk_once_per_move(self, monkeypatch, graph, lengths):
         # a walk is recolored in round 1 and then at most once per move of
         # one of its nodes before the end, and a node moves at most
@@ -472,6 +475,37 @@ class TestSharedUpdate:
                 assert wl_refine([graph]).stable_round is not None
                 assert 0 < reads[0] <= bound
 
+    @WORK_CASES
+    def test_pushes_each_walk_id_once_per_move(self, monkeypatch, graph, lengths):
+        # the update's work is the walk ids it pushes to neighbors: a walk's
+        # id is pushed in round 1 and then at most once per move of one of
+        # its nodes before the end, and a node moves at most floor(log2 N)
+        # times
+        pushed = [0]
+        real = wlmod._push
+
+        def counting(adjacency, changed):
+            received = real(adjacency, changed)
+            pushed[0] += sum(map(len, received.values()))
+            return received
+
+        monkeypatch.setattr(wlmod, "_push", counting)
+        moves = int(math.log2(graph.n))
+        # ends[u]: walks of the current length that end at u
+        ends, bound = [1] * graph.n, 0
+        for ell in range(1, max(lengths) + 1):
+            ends = [sum(ends[v] for v in row) for row in graph.adjacency]
+            # a length-ell walk has ell nodes before its end
+            bound += sum(ends) * (1 + ell * moves)
+            if ell in lengths:
+                pushed[0] = 0
+                assert wwl_refine([graph], ell).stable_round is not None
+                assert 0 < pushed[0] <= bound
+            if ell == 1 and 1 in lengths:
+                pushed[0] = 0
+                assert wl_refine([graph]).stable_round is not None
+                assert 0 < pushed[0] <= bound
+
     def test_classic_refinement_has_no_walk_guard(self, monkeypatch):
         # a hub past the guard stops the walk refinement at that node (by
         # its index within its own graph) but not 1-WL, which lists the
@@ -483,6 +517,111 @@ class TestSharedUpdate:
         ):
             wwl_refine(graphs, 1)
         assert wl_refine(graphs).history == naive_wl(graphs)[0]
+
+
+class TestWalkGuard:
+    """The update counts walks instead of listing them, and trips its guard
+    before any round at the node where listing them would."""
+
+    @staticmethod
+    def listing_trip(graphs, length, guard):
+        """The message `terminating_walks` raises first, graph by graph and
+        node by node, or None."""
+        for g in graphs:
+            for u in range(g.n):
+                try:
+                    terminating_walks(g, u, length, guard)
+                except RefinementGuardError as exc:
+                    return str(exc)
+        return None
+
+    @staticmethod
+    def counting_trip(graphs, length, monkeypatch, guard):
+        monkeypatch.setattr(wlmod, "DEFAULT_WALK_GUARD", guard)
+        try:
+            wwl_refine(graphs, length)
+        except RefinementGuardError as exc:
+            return str(exc)
+        return None
+
+    GRAPH_LISTS = (
+        [path_graph(2)],
+        [Graph.from_edges(3, [])],
+        [Graph.from_edges(5, [(3, 4)]), star_graph(5)],
+        [Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)])],
+        [Graph.from_edges(0, []), fan_graph(6)],
+        [disjoint_union(path_graph(2), path_graph(4)), complete_graph(4)],
+        [cycle_graph(5), hex_chain(2)],
+        *([g] for g in random_connected_corpus(12, seed=25, n_max=8)),
+    )
+
+    def test_trips_where_listing_would(self, monkeypatch):
+        trips = 0
+        for graphs in self.GRAPH_LISTS:
+            for guard in (1, 3, 7, 20, 60):
+                for length in range(1, 8):
+                    want = self.listing_trip(graphs, length, guard)
+                    got = self.counting_trip(graphs, length, monkeypatch, guard)
+                    assert got == want, (graphs, length, guard)
+                    trips += want is not None
+        assert trips > 100
+
+    def test_lengths_past_the_guard_trip_at_the_first_edge(self, monkeypatch):
+        # every node on an edge ends at least one walk of each length, and
+        # a node without one ends none
+        for graphs in self.GRAPH_LISTS:
+            first = next(
+                (u for g in graphs for u in range(g.n) if g.adjacency[u]), None
+            )
+            for length in (61, 10**4, 10**30):
+                got = self.counting_trip(graphs, length, monkeypatch, 60)
+                if first is None:
+                    assert got is None
+                else:
+                    assert got == f"more than 60 terminating walks at node {first}"
+
+    def test_edgeless_graphs_take_any_length(self):
+        graphs = [Graph.from_edges(3, []), Graph.from_edges(0, [])]
+        for length in (10**8, 10**30):
+            run = wwl_refine(graphs, length, init=[[0, 1, 0], []])
+            assert (run.history, run.stable_round) == (
+                naive_wwl(graphs, 1, init=[[0, 1, 0], []])
+            )
+
+
+class TestWalkMemory:
+    """A run holds one round's pushed ids and one length's walks near the
+    moved nodes, never a list of walks (peaks under tracemalloc)."""
+
+    @staticmethod
+    def traced_peak(refine):
+        tracemalloc.start()
+        try:
+            result = refine()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fan_at_length_three(self):
+        # 638,000 terminating walks, 92,000 of them at the hub
+        g = fan_graph(300)
+        run, peak = self.traced_peak(lambda: wwl_refine([g], 3))
+        assert run.stable_round is not None
+        assert peak < 20 * 2**20
+
+    def test_long_walks_on_an_edge(self):
+        # a two-node path ends one walk of every length at each node
+        run, peak = self.traced_peak(lambda: wwl_refine([path_graph(2)], 1000))
+        assert run.stable_round == 0
+        assert peak < 2 * 2**20
+
+    def test_length_ten_thousand_completes(self):
+        # round 1 parts node 0 of the first graph, whose walks all start
+        # or end at the other label, from the second graph's two nodes
+        graphs = [path_graph(2), path_graph(2)]
+        run = wwl_refine(graphs, 10**4, init=[[0, 1], [0, 0]])
+        assert run.splits == (((0, (0,)),),) and run.stable_round == 1
+        assert run.stable_color_multiset(0) != run.stable_color_multiset(1)
 
 
 class TestTerminatingWalks:
