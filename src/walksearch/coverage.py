@@ -43,7 +43,10 @@ def coverage_report(g: Graph, sset: SampleSet) -> CoverageReport:
     union of their tree edges. Occurrence counts tally every sequence
     position, so a walk revisiting a node counts it repeatedly. A walk
     step or tree edge that is not an edge of `g`, or a node id out of
-    range, raises ValueError (`SampleSet` itself checks its kind)."""
+    range, raises ValueError (`SampleSet` itself checks its kind), and
+    so does a graph with no node."""
+    if g.n < 1:
+        raise ValueError("empty graph")
     counts = [0] * g.n
     covered_nodes: set[int] = set()
     covered_edges: set[tuple[int, int]] = set()
@@ -406,7 +409,9 @@ def coverage_curve(
     visits every node, so its node fraction is 1 by construction; its
     edge fraction comes from `SearchGraph.cover`, and a search trial runs
     no further search once every edge is covered (its generator is not
-    used again).
+    used again). Each mean adds the trials' fractions in trial order as
+    they are drawn, not through `sum()`, whose float rounding differs
+    from CPython 3.12 on.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -435,8 +440,6 @@ def coverage_curve(
     edge_count = g.edge_count
 
     def walk_trial(rng):
-        node_fracs = []
-        edge_fracs = []
         covered_nodes: set[int] = set()
         covered_edges: set[tuple[int, int]] = set()
         for j in range(1, max_m + 1):
@@ -446,34 +449,36 @@ def coverage_curve(
                 (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])
             )
             if j in targets:
-                node_fracs.append(len(covered_nodes) / g.n)
-                edge_fracs.append(len(covered_edges) / edge_count)
-        return node_fracs, edge_fracs
+                yield len(covered_nodes) / g.n, len(covered_edges) / edge_count
 
     def search_trial(rng):
-        edge_fracs = []
         seen, remaining = bytearray(edge_count), edge_count
         for j in range(1, max_m + 1):
             if remaining:
                 remaining = search_graph.cover(rng, seen, remaining)
             if j in targets:
                 # a graph without edges (one node) has none to miss
-                edge_fracs.append(
+                yield 1.0, (
                     (edge_count - remaining) / edge_count if edge_count else 1.0
                 )
-        return [1.0] * len(m_list), edge_fracs
 
     rows = []
     for kind in kinds:
         trial = walk_trial if kind == "walks" else search_trial
-        per_trial = [trial(derive_rng(seed, kind, t)) for t in range(trials)]
-        for idx, m in enumerate(m_list):
+        totals = [[0.0, 0.0] for _ in m_list]
+        for t in range(trials):
+            for total, (node_frac, edge_frac) in zip(
+                totals, trial(derive_rng(seed, kind, t))
+            ):
+                total[0] += node_frac
+                total[1] += edge_frac
+        for m, (node_total, edge_total) in zip(m_list, totals):
             rows.append(
                 CoverageCurveRow(
                     kind=kind,
                     m=m,
-                    node_frac_mean=sum(t[0][idx] for t in per_trial) / trials,
-                    edge_frac_mean=sum(t[1][idx] for t in per_trial) / trials,
+                    node_frac_mean=node_total / trials,
+                    edge_frac_mean=edge_total / trials,
                     trials=trials,
                     seed=seed,
                 )

@@ -148,11 +148,17 @@ def invariance_exact(g: Graph, perm) -> Fraction:
 
 
 def two_sample_tv(samples_a, samples_b) -> float:
-    """Total-variation distance between two empirical distributions."""
-    ca, cb = Counter(samples_a), Counter(samples_b)
+    """Total-variation distance between two empirical distributions. The
+    per-key gaps are added in key order, not through `sum()`, whose float
+    rounding differs from CPython 3.12 on."""
     na, nb = len(samples_a), len(samples_b)
-    keys = set(ca) | set(cb)
-    return 0.5 * sum(abs(ca[k] / na - cb[k] / nb) for k in keys)
+    if na == 0 or nb == 0:
+        raise ValueError("both samples must be nonempty")
+    ca, cb = Counter(samples_a), Counter(samples_b)
+    total = 0.0
+    for k in set(ca) | set(cb):
+        total += abs(ca[k] / na - cb[k] / nb)
+    return 0.5 * total
 
 
 def _scaled_tv(first, weights, na: int, n: int) -> int:

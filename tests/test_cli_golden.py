@@ -8,6 +8,9 @@ stream on purpose regenerates only the digest of the verb it touches and
 says so in CHANGES.md. To print fresh digests:
 
     PYTHONPATH=src python -m tests.test_cli_golden
+
+The same printout, under each other CPython that pyenv holds in its
+default place, must give the same digests.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
 
 import pytest
 
@@ -178,8 +184,36 @@ def test_verb_bytes_match_golden(verb, graph_dir):
     assert verb_digest(sweep()[verb], graph_dir) == GOLDEN[verb]
 
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
+# the module runs without pytest under these: its two decorators do nothing
+PYTEST_STUB = """
+def fixture(*args, **kwargs):
+    return lambda f: f
+
+
+class mark:
+    @staticmethod
+    def parametrize(*args, **kwargs):
+        return lambda f: f
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10.13", "3.12.1", "3.13.0"])
+def test_other_interpreters_print_golden(version, tmp_path):
+    python = pathlib.Path.home() / ".pyenv" / "versions" / version / "bin" / "python"
+    if not python.exists():
+        pytest.skip(f"no CPython {version} at {python}")
+    (tmp_path / "pytest.py").write_text(PYTEST_STUB)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO / "src")]))
+    out = subprocess.run(
+        [str(python), "-m", "tests.test_cli_golden"], cwd=REPO, env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert json.loads("{" + out.strip().rstrip(",") + "}") == GOLDEN
+
+
 if __name__ == "__main__":
-    import pathlib
     import tempfile
 
     with tempfile.TemporaryDirectory() as name:

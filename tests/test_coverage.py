@@ -102,6 +102,12 @@ class TestCoverageReport:
         assert rep.covered_edges == frozenset({(0, 1), (1, 2)})
         assert rep.edge_fraction == 1.0
 
+    def test_empty_graph_rejected(self):
+        g = Graph.from_edges(0, ())
+        for kind in ("walks", "searches"):
+            with pytest.raises(ValueError, match="^empty graph$"):
+                coverage_report(g, SampleSet(kind=kind, items=(), seed=0))
+
     def test_unknown_kind_rejected(self):
         # the set refuses the kind when built, so no report can see it
         rec = sample_dfs(path_graph(3), random.Random(0))

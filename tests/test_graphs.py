@@ -179,6 +179,11 @@ class TestGenerators:
             assert t.edge_count == t.n - 1
             assert t.is_connected()
 
+    def test_random_tree_on_two_nodes_is_the_edge(self):
+        # an empty Pruefer sequence decodes to the edge (0, 1)
+        for seed in range(8):
+            assert random_tree(2, seed) == path_graph(2)
+
     def test_too_small_families_error(self):
         with pytest.raises(ValueError):
             cycle_graph(2)

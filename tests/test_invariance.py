@@ -372,6 +372,13 @@ class TestPermutationPvalue:
         with pytest.raises(ValueError, match="nonempty"):
             tv_permutation_pvalue([], [(0,)], 10, random.Random(0))
 
+    @pytest.mark.parametrize(
+        "a, b", [([], [(0,)]), ([(0,)], []), ([], [])], ids=["a", "b", "both"]
+    )
+    def test_tv_of_an_empty_sample_rejected(self, a, b):
+        with pytest.raises(ValueError, match="^both samples must be nonempty$"):
+            two_sample_tv(a, b)
+
 
 class TestSampledInvariance:
     def test_isomorphic_pair_indistinguishable(self):

@@ -4,10 +4,11 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walksearch.coverage import edge_inclusion_prob
 from walksearch.graphs import (
@@ -86,6 +87,54 @@ def stdlib_dfs(g: Graph, rng, root=None) -> SearchRecord:
     return SearchRecord(
         visit_order=tuple(order), tree_edges=frozenset(tree), root=root
     )
+
+
+def union_find_validate(g: Graph, rec: SearchRecord) -> None:
+    """`validate_search_record` plus explicit cycle and connectivity checks
+    by union-find over the tree edges, which its parent-count rule implies."""
+    validate_search_record(g, rec)
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in rec.tree_edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ValueError("tree edges contain a cycle")
+        parent[ru] = rv
+    if len({find(v) for v in range(g.n)}) != 1:
+        raise ValueError("tree edges do not connect all nodes")
+
+
+def accepts(validate, g: Graph, rec: SearchRecord) -> bool:
+    try:
+        validate(g, rec)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def search_records(draw, max_n: int = 7):
+    """A graph on 1..max_n nodes and a record that passes every check
+    before the parent counts: a visit order, its first node as root, and
+    n - 1 graph edges as tree edges, which may hold a cycle."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(n), 2))
+    order = tuple(draw(st.permutations(range(n))))
+    tree: set = set()
+    edges: set = set()
+    if pairs:
+        tree = draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=n - 1))
+        edges = tree | draw(st.sets(st.sampled_from(pairs)))
+    record = SearchRecord(
+        visit_order=order, tree_edges=frozenset(tree), root=order[0]
+    )
+    return Graph.from_edges(n, edges), record
 
 
 class ScriptedRng:
@@ -518,6 +567,32 @@ class TestRandomDfs:
         rec = sample_dfs(g, random.Random(11))
         validate_search_record(g, rec)
         assert set(rec.visit_order) == set(range(g.n))
+
+    @settings(max_examples=300)
+    @given(search_records())
+    def test_validator_decides_like_union_find(self, case):
+        # exactly one earlier-visited tree neighbor per non-root node makes
+        # the n - 1 edges a spanning tree, so no cycle or split is left over
+        g, rec = case
+        assert accepts(validate_search_record, g, rec) == accepts(
+            union_find_validate, g, rec
+        )
+
+    def test_validator_rejects_every_cycle_on_four_nodes(self):
+        g = complete_graph(4)
+        decided = Counter()
+        for order in permutations(range(4)):
+            for tree in combinations(sorted(g.edges()), 3):
+                rec = SearchRecord(
+                    visit_order=order, tree_edges=frozenset(tree), root=order[0]
+                )
+                trimmed = accepts(validate_search_record, g, rec)
+                assert trimmed == accepts(union_find_validate, g, rec)
+                decided[trimmed] += 1
+        # in a visit order, the i-th node after the root picks its parent
+        # from the i nodes before it: 1 * 2 * 3 trees pass per order, and
+        # the rest of the 20 triples (the 4 triangles among them) fail
+        assert decided == {True: 24 * 6, False: 24 * 14}
 
     @pytest.mark.parametrize(
         "g",
