@@ -2,10 +2,9 @@
 
 Covers four related questions about sampled walks and searches:
 how much of the graph a sample set touches, how likely a single random
-DFS tree is to contain a given edge (exactly, or by Monte Carlo, with the
-escape-set lower bounds), how many searches guarantee full edge coverage
-with failure probability delta, and how long walks take to cover all
-nodes or edges.
+DFS tree is to contain a given edge (exactly, with the escape-set lower
+bounds), how many searches guarantee full edge coverage with failure
+probability delta, and how long walks take to cover all nodes or edges.
 """
 
 from __future__ import annotations
@@ -128,34 +127,21 @@ def escape_set(g: Graph, e: tuple[int, int], side: int) -> EscapeSet:
 
 @dataclass(frozen=True)
 class EdgeInclusionReport:
-    """Probability that an edge appears in one random DFS tree, with the
-    escape-set bound min(1/(tau_u+1), 1/(tau_v+1)) and the 1/d_max bound."""
+    """Exact probability that an edge appears in one random DFS tree, with
+    the escape-set bound min(1/(tau_u+1), 1/(tau_v+1)) and the 1/d_max
+    bound."""
 
     edge: tuple[int, int]
-    mode: str
-    probability: object  # Fraction (exact) or float (monte_carlo)
+    probability: Fraction
     tau_bound: Fraction
     dmax_bound: Fraction
-    trials: int | None = None
-    stderr: float | None = None
 
 
-def edge_inclusion_prob(
-    g: Graph,
-    e: tuple[int, int],
-    mode: str = "exact",
-    trials: int = 10000,
-    seed: int = 0,
-) -> EdgeInclusionReport:
-    """Probability that edge `e` lies in the tree of one random DFS.
+def edge_inclusion_prob(g: Graph, e: tuple[int, int]) -> EdgeInclusionReport:
+    """Exact probability that edge `e` lies in the tree of one random DFS.
 
-    Exact mode sums 1/den, in integers, over the outcomes of the
-    enumeration behind `enumerate_dfs` whose parent array holds `e`,
-    building no record. Monte-Carlo mode runs
-    `trials` searches, trial i on ``derive_rng(seed, i)``, as
-    `SearchGraph.cover` calls with every other edge already seen, so a
-    trial is one search that hits when its tree holds `e`; the searches
-    need a connected graph.
+    Sums 1/den, in integers, over the outcomes of the enumeration behind
+    `enumerate_dfs` whose parent array holds `e`, building no record.
     """
     u, v = e
     if not g.has_edge(u, v):
@@ -165,45 +151,18 @@ def edge_inclusion_prob(
     tau_v = escape_set(g, key, key[1]).tau
     tau_bound = min(Fraction(1, tau_u + 1), Fraction(1, tau_v + 1))
     dmax_bound = Fraction(1, degree_stats(g).d_max)
-    if mode == "exact":
-        a, b = key
-        # e is in the tree when one end discovered the other
-        dens = [
-            den
-            for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET)
-            if (parent[b] == a and b != order[0]) or (parent[a] == b and a != order[0])
-        ]
-        prob = Fraction(*_reciprocal_sum(dens))
-        assert prob >= tau_bound >= dmax_bound
-        return EdgeInclusionReport(
-            edge=key,
-            mode="exact",
-            probability=prob,
-            tau_bound=tau_bound,
-            dmax_bound=dmax_bound,
-        )
-    if mode == "monte_carlo":
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        search_graph = SearchGraph(g)
-        seen = bytearray(b"\x01" * g.edge_count)
-        target = search_graph.edge_ids[key[0]][key[1]]
-        hits = 0
-        for i in range(trials):
-            seen[target] = 0
-            if not search_graph.cover(derive_rng(seed, i), seen, 1):
-                hits += 1
-        p = hits / trials
-        return EdgeInclusionReport(
-            edge=key,
-            mode="monte_carlo",
-            probability=p,
-            tau_bound=tau_bound,
-            dmax_bound=dmax_bound,
-            trials=trials,
-            stderr=math.sqrt(p * (1.0 - p) / trials),
-        )
-    raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    a, b = key
+    # e is in the tree when one end discovered the other
+    dens = [
+        den
+        for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET)
+        if (parent[b] == a and b != order[0]) or (parent[a] == b and a != order[0])
+    ]
+    prob = Fraction(*_reciprocal_sum(dens))
+    assert prob >= tau_bound >= dmax_bound
+    return EdgeInclusionReport(
+        edge=key, probability=prob, tau_bound=tau_bound, dmax_bound=dmax_bound
+    )
 
 
 # ---------------------------------------------------------------------------

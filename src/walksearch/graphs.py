@@ -71,6 +71,9 @@ class Graph:
         return [set(row) for row in self.adjacency]
 
     def has_edge(self, u: int, v: int) -> bool:
+        """True when u and v are node ids (0..n-1) joined by an edge."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
         row = self.adjacency[u]
         if len(row) > len(self.adjacency[v]):
             row, u, v = self.adjacency[v], v, u

@@ -37,12 +37,13 @@ class ReconstructionReport:
 
 
 def reconstruct_from_searches(
-    seqs, encodings, s: int, n: int | None = None
+    seqs, encodings, s: int, n: int
 ) -> frozenset[tuple[int, int]]:
     """Union of edges named by the encodings' 1 entries.
 
-    `seqs` holds node sequences, `encodings` the matching adjacency
-    matrices, each shaped (len(seq), s-1) for the same window s. The
+    `seqs` holds node sequences over nodes 0..n-1, `encodings` the
+    matching adjacency matrices, each shaped (len(seq), s-1) for the same
+    window s. The
     entry at row i, column j-1 asserts the edge (seq[i], seq[i-j]);
     entries with j > i lie outside the sequence and are ignored.
     """
@@ -56,7 +57,7 @@ def reconstruct_from_searches(
                 f"encoding shape {enc.shape} does not match "
                 f"({len(seq)}, {s - 1})"
             )
-        if n is not None and any(not 0 <= w < n for w in seq):
+        if any(not 0 <= w < n for w in seq):
             raise ValueError("node id out of range")
         cells = enc.tobytes()
         k = -1

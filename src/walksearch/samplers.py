@@ -1,16 +1,18 @@
 """Walk and search samplers.
 
-Three walk policies (uniform, non-backtracking, and a pluggable local
-rule), a randomized depth-first search whose visit sequence induces a
-spanning tree, and an exact enumerator of all DFS outcomes with rational
-probabilities. Both DFS routines step from the top of the stack to a
-uniform unvisited neighbor: the sampler draws one, the enumerator
-branches on all of them and is the ground-truth oracle used by the
-coverage and invariance labs.
+Three walk policies (uniform, non-backtracking, and the minimum-degree
+local rule), a randomized depth-first search whose visit sequence
+induces a spanning tree, and an exact enumerator of all DFS outcomes
+with rational probabilities. Both DFS routines step from the top of the
+stack to a uniform unvisited neighbor: the sampler draws one, the
+enumerator branches on all of them and is the ground-truth oracle used
+by the coverage and invariance labs.
 
-Randomness contract: every sampler takes an explicit ``random.Random``;
-batch sampling derives the trial-i generator deterministically from
-``(seed, i)``, so results are identical regardless of evaluation order.
+Randomness contract: every sampler takes an explicit ``random.Random``
+and draws its own start or root, uniform over the nodes, with
+``rng.randrange(n)``; batch sampling derives the trial-i generator
+deterministically from ``(seed, i)``, so results are identical
+regardless of evaluation order.
 Hot loops draw inline with the stdlib's own rules, so a ``random.Random``
 gives the same results, and ends in the same state, as the per-step
 stdlib calls would. A uniform index below c is ``randrange(c)``'s
@@ -146,11 +148,7 @@ class DfsOutcome:
 
 
 def min_degree_weight(g: Graph, u: int, v: int) -> float:
-    """Default local-rule weight w(u, v) = 1 / min(deg u, deg v).
-
-    The minimum-degree local rule is a configurable stand-in: callers may
-    supply any positive weight function of an edge instead.
-    """
+    """Local-rule weight w(u, v) = 1 / min(deg u, deg v)."""
     return 1.0 / min(len(g.adjacency[u]), len(g.adjacency[v]))
 
 
@@ -159,15 +157,15 @@ class WalkPolicy:
 
     Walks need a connected graph on at least 2 nodes: on a disconnected
     graph a walk is trapped in one component, so such graphs are rejected
-    here, once, rather than on every walk. Local-rule weights are checked
-    here too: every node's weight total must be positive and finite.
+    here, once, rather than on every walk. Every node then has a neighbor,
+    so every local-rule weight lies in (0, 1].
 
     The constructor builds one row per node for the policy, holding what
     a step from that node needs, so a step is one table read and one
     stdlib-rule draw.
     """
 
-    def __init__(self, g: Graph, policy: str = "uniform", weight_fn=None):
+    def __init__(self, g: Graph, policy: str = "uniform"):
         if not g.is_connected():
             raise ValueError("walks require a connected graph")
         if g.n < 2:
@@ -202,22 +200,17 @@ class WalkPolicy:
                 m = max(len(nbrs) - 1, 1)
                 self._table.append((nbrs, skip, m, m.bit_length()))
         else:
-            fn = weight_fn if weight_fn is not None else min_degree_weight
             self._table = []
             for u, nbrs in enumerate(adjacency):
-                cum_weights = list(accumulate(fn(g, u, v) for v in nbrs))
-                total = cum_weights[-1] + 0.0
-                if not (total > 0.0 and math.isfinite(total)):
-                    raise ValueError(
-                        f"local-rule weights at node {u} must have a "
-                        f"positive finite total, got {total!r}"
-                    )
+                cum_weights = list(
+                    accumulate(min_degree_weight(g, u, v) for v in nbrs)
+                )
+                total = cum_weights[-1]
                 self._table.append((nbrs, cum_weights, total, len(nbrs) - 1))
 
-    def walk(self, rng: random.Random, start: int | None = None):
-        """Yield the start node (uniform over V unless given; a given start
-        must be a node), then one node per step, without end; callers take
-        an ``islice``.
+    def walk(self, rng: random.Random):
+        """Yield the start node, uniform over V, then one node per step,
+        without end; callers take an ``islice``.
 
         A step from a node of degree d makes exactly the draws of a
         stdlib call: ``randrange(d)`` for a uniform step (that is,
@@ -229,13 +222,7 @@ class WalkPolicy:
         non-backtracking step call ``rng.randrange`` itself.
         """
         table = self._table
-        n = self.g.n
-        if start is None:
-            cur = rng.randrange(n)
-        elif 0 <= start < n:
-            cur = start
-        else:
-            raise ValueError(f"start must be a node in 0..{n - 1}, got {start}")
+        cur = rng.randrange(self.g.n)
         yield cur
         getrandbits = rng.getrandbits
         if self.policy == "uniform":
@@ -364,22 +351,15 @@ def _edge_id_rows(g: Graph) -> list[list[int]]:
 
 
 def sample_walk(
-    g: Graph,
-    length: int,
-    rng: random.Random,
-    policy: str = "uniform",
-    weight_fn=None,
-    start: int | None = None,
+    g: Graph, length: int, rng: random.Random, policy: str = "uniform"
 ) -> WalkRecord:
-    """Sample a walk of `length` steps (so the record holds length+1 nodes).
-
-    The start node is uniform over V unless forced; a forced start must
-    be a node. Requires a connected graph on at least 2 nodes (see
-    `WalkPolicy`).
+    """Sample a walk of `length` steps (so the record holds length+1 nodes)
+    from a uniform start. Requires a connected graph on at least 2 nodes
+    (see `WalkPolicy`).
     """
     if length < 1:
         raise ValueError("walk length must be >= 1")
-    walk = WalkPolicy(g, policy, weight_fn).walk(rng, start)
+    walk = WalkPolicy(g, policy).walk(rng)
     nodes = tuple(islice(walk, length + 1))
     return WalkRecord(nodes=nodes, policy=policy, start=nodes[0])
 
@@ -445,21 +425,15 @@ def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[i
             return order, parents
 
 
-def sample_dfs(g: Graph, rng: random.Random, root: int | None = None) -> SearchRecord:
+def sample_dfs(g: Graph, rng: random.Random) -> SearchRecord:
     """Sample a random depth-first search: the record of one run of the
-    stepping loop (`_search`).
-
-    The root is uniform over V unless forced; a forced root must be a
-    node. The root draw is ``rng.randrange(n)``. A disconnected graph is
-    rejected.
+    stepping loop (`_search`) from a uniform root, drawn with
+    ``rng.randrange(n)``. A disconnected graph is rejected.
     """
     n = g.n
     if n < 1:
         raise ValueError("empty graph")
-    if root is None:
-        root = rng.randrange(n)
-    elif not 0 <= root < n:
-        raise ValueError(f"root must be a node in 0..{n - 1}, got {root}")
+    root = rng.randrange(n)
     order, parents = _search(g.adjacency, rng, root)
     if len(order) != n:
         raise ValueError("searches require a connected graph")
@@ -474,10 +448,9 @@ class SearchGraph:
     it needs at least one node and must be connected. `edge_ids[u]` maps
     each neighbor v of u to the id in 0..m-1 of the edge {u, v} (both
     ends read the same id). Each kernel runs the stepping loop of
-    ``sample_dfs(g, rng)`` with a free root, so it makes exactly its
-    draws and leaves the generator in the same state, but builds no
-    record: `visit_order` keeps only the visit order, and `cover` only
-    marks tree-edge ids.
+    ``sample_dfs(g, rng)``, so it makes exactly its draws and leaves the
+    generator in the same state, but builds no record: `visit_order`
+    keeps only the visit order, and `cover` only marks tree-edge ids.
     """
 
     def __init__(self, g: Graph):
@@ -515,6 +488,8 @@ class SearchGraph:
 def validate_search_record(g: Graph, rec: SearchRecord) -> None:
     """Check the spanning-tree and full-coverage invariants; raise on violation."""
     n = g.n
+    if n < 1:
+        raise ValueError("empty graph")
     if len(rec.visit_order) != n or sorted(rec.visit_order) != list(range(n)):
         raise ValueError("visit_order is not a permutation of 0..n-1")
     if rec.visit_order[0] != rec.root:
@@ -671,10 +646,10 @@ def sample_set(
         raise ValueError(f"kind must be 'walks' or 'searches', got {kind!r}")
     items = []
     if kind == "walks":
-        ell = g.n if length is None else length
-        if ell < 1:
+        if length is not None and length < 1:
             raise ValueError("walk length must be >= 1")
         walk_pol = WalkPolicy(g, policy)
+        ell = g.n if length is None else length
         for i in range(m):
             nodes = tuple(islice(walk_pol.walk(derive_rng(seed, i)), ell + 1))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))

@@ -129,7 +129,7 @@ def test_criterion_2_edge_inclusion_bound():
             edges = sorted(g.edges())
             # run the public op end to end on one random edge per graph
             probe = edges[rng.randrange(len(edges))]
-            rep = edge_inclusion_prob(g, probe, mode="exact")
+            rep = edge_inclusion_prob(g, probe)
             for e in edges:
                 prob = sum(
                     (o.probability for o in outcomes if e in o.record.tree_edges),
@@ -145,7 +145,7 @@ def test_criterion_2_edge_inclusion_bound():
                     violations += 1
         assert violations == 0
         # the triangle case is exact
-        tri = edge_inclusion_prob(cycle_graph(3), (0, 1), mode="exact")
+        tri = edge_inclusion_prob(cycle_graph(3), (0, 1))
         assert tri.probability == Fraction(2, 3)
 
 

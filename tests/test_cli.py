@@ -164,9 +164,9 @@ class TestWalkVerbBytes:
         table_driven = run_all()
         calls = Counter()
 
-        def walk(self, rng, start=None):
+        def walk(self, rng):
             calls["walk"] += 1
-            return stdlib_walk(self.g, self.policy, rng, start)
+            return stdlib_walk(self.g, self.policy, rng)
 
         def cover_time(self, rng, target, cap):
             calls["cover_time"] += 1
@@ -738,6 +738,22 @@ class TestErrorsAndDeterminism:
             assert code == 1
             err = json.loads(captured.err)
             assert err == {"error": "ValueError", "message": message}
+
+    def test_walks_on_an_empty_graph_give_one_message(self, tmp_path, capsys):
+        # no length is given, so no verb may blame one
+        graph = write(tmp_path, "g.el", EMPTY)
+        for argv in (
+            ["sample", "--kind", "walks", "--m", "2", "--seed", "0"],
+            ["coverage", "--kinds", "walks", "--m-list", "1", "--trials", "5",
+             "--seed", "0"],
+            ["covertime", "--trials", "5", "--seed", "0"],
+        ):
+            code = main(argv + ["--graph", graph])
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert json.loads(captured.err) == {
+                "error": "ValueError", "message": "walks require at least 2 nodes"
+            }, argv
 
 
 class TestParserReuse:

@@ -155,68 +155,41 @@ class TestEscapeSets:
 
 class TestEdgeInclusion:
     def test_triangle_exact(self):
-        rep = edge_inclusion_prob(cycle_graph(3), (0, 1), mode="exact")
+        rep = edge_inclusion_prob(cycle_graph(3), (0, 1))
         assert rep.probability == Fraction(2, 3)
         assert rep.tau_bound == Fraction(1, 2)
         # triangle degrees are all 2, so the degree bound is 1/2 as well
         assert rep.dmax_bound == Fraction(1, 2)
 
     def test_path_edges_always_included(self):
-        rep = edge_inclusion_prob(path_graph(3), (0, 1), mode="exact")
+        rep = edge_inclusion_prob(path_graph(3), (0, 1))
         assert rep.probability == 1
         assert rep.tau_bound == 1
         assert rep.dmax_bound == Fraction(1, 2)
 
-    def test_cycle6_monte_carlo(self):
+    def test_cycle6_every_edge_five_sixths(self):
         g = cycle_graph(6)
-        # symmetry check first: every edge has the same exact probability
-        exact = {
-            e: edge_inclusion_prob(g, e, mode="exact").probability
-            for e in g.edges()
-        }
+        exact = {e: edge_inclusion_prob(g, e).probability for e in g.edges()}
         assert set(exact.values()) == {Fraction(5, 6)}
-        rep = edge_inclusion_prob(
-            g, (0, 1), mode="monte_carlo", trials=20000, seed=5
-        )
-        assert rep.probability == pytest.approx(5 / 6, abs=0.01)
-        assert rep.trials == 20000 and rep.stderr is not None
-
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_monte_carlo_rejects_trials_below_one(self, trials, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("sampled")
-
-        monkeypatch.setattr("walksearch.coverage.sample_dfs", no_search)
-        monkeypatch.setattr("walksearch.coverage.SearchGraph", no_search)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
-            edge_inclusion_prob(
-                cycle_graph(6), (0, 1), mode="monte_carlo", trials=trials
-            )
-        # exact mode takes no trials
-        rep = edge_inclusion_prob(cycle_graph(6), (0, 1), trials=trials)
-        assert rep.probability == Fraction(5, 6)
-
-    def test_monte_carlo_matches_sample_dfs_loop(self):
-        for g, e, trials, seed in (
-            (cycle_graph(6), (2, 3), 300, 4),
-            (hex_chain(2), (2, 3), 300, 5),
-            (PAW, (1, 2), 300, 6),
-            (BULL, (0, 1), 300, 7),
-            (path_graph(2), (0, 1), 5, 8),
-        ):
-            hits = sum(
-                e in sample_dfs(g, derive_rng(seed, i)).tree_edges
-                for i in range(trials)
-            )
-            rep = edge_inclusion_prob(g, e, mode="monte_carlo", trials=trials, seed=seed)
-            assert rep.probability == hits / trials
 
     @pytest.mark.parametrize(
         "g", [DISCONNECTED_TWO_EDGES, EDGE_PLUS_NODE], ids=["two_edges", "edge_plus_node"]
     )
-    def test_monte_carlo_refuses_disconnected(self, g):
-        with pytest.raises(ValueError, match="^searches require a connected graph$"):
-            edge_inclusion_prob(g, (0, 1), mode="monte_carlo", trials=10)
+    def test_refuses_disconnected(self, g):
+        with pytest.raises(
+            ValueError, match="^exact enumeration requires a connected graph$"
+        ):
+            edge_inclusion_prob(g, (0, 1))
+
+    @pytest.mark.parametrize("e", [(-1, 1), (1, -1), (-3, 1), (0, 3), (3, 2), (1, 9)])
+    def test_ids_outside_the_graph_are_no_edge(self, e):
+        # a negative id must not read a row from the end of the adjacency
+        g = path_graph(3)
+        with pytest.raises(ValueError, match=r"^edge \(.*\) not in graph$"):
+            edge_inclusion_prob(g, e)
+        for side in e:
+            with pytest.raises(ValueError, match=r"^edge \(.*\) not in graph$"):
+                escape_set(g, e, side)
 
     def test_bound_chain_exhaustive_small(self):
         for g in all_labeled_connected_graphs_upto(5):
@@ -224,7 +197,7 @@ class TestEdgeInclusion:
                 continue
             d_max = degree_stats(g).d_max
             for e in g.edges():
-                rep = edge_inclusion_prob(g, e, mode="exact")
+                rep = edge_inclusion_prob(g, e)
                 u, v = e
                 deg_bound = Fraction(1, max(g.degree(u), g.degree(v)))
                 assert (
@@ -233,10 +206,6 @@ class TestEdgeInclusion:
                     >= deg_bound
                     >= Fraction(1, d_max)
                 )
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            edge_inclusion_prob(cycle_graph(3), (0, 1), mode="nope")
 
 
 class TestSampleBound:
@@ -287,8 +256,6 @@ class TestFullCoverage:
 
     def test_union_monotone_in_m(self):
         g = hex_chain(2)
-        from walksearch.samplers import derive_rng
-
         rng = derive_rng(3, 0)
         covered = set()
         sizes = []

@@ -20,6 +20,7 @@ from walksearch.graphs import (
     star_graph,
 )
 from walksearch.samplers import (
+    SearchRecord,
     derive_rng,
     enumerate_dfs,
     sample_dfs,
@@ -187,26 +188,27 @@ class TestAnonymousEncoding:
         assert anonymous_encoding(w.nodes) == anonymous_encoding(mapped)
 
 
+def path_search(order) -> SearchRecord:
+    """The record of a search on a path that visits `order`."""
+    edges = frozenset((v, v + 1) for v in range(len(order) - 1))
+    return SearchRecord(visit_order=tuple(order), tree_edges=edges, root=order[0])
+
+
 class TestAnonymousTags:
     def test_definition(self):
-        rec = sample_dfs(path_graph(3), random.Random(0), root=1)
-        tags = anonymous_tags(rec)
-        assert tags.tags == {
-            rec.visit_order[0]: 1,
-            rec.visit_order[1]: 2,
-            rec.visit_order[2]: 3,
-        }
+        tags = anonymous_tags(path_search((1, 2, 0)))
+        assert tags.tags == {1: 1, 2: 2, 0: 3}
 
     def test_identity_visit_order(self):
-        rec = sample_dfs(path_graph(4), random.Random(0), root=0)
-        assert rec.visit_order == (0, 1, 2, 3)
-        tags = anonymous_tags(rec)
+        tags = anonymous_tags(path_search((0, 1, 2, 3)))
         assert all(tags.tags[v] == v + 1 for v in range(4))
 
     def test_apply_to_other_sequences(self):
-        rec = sample_dfs(path_graph(3), random.Random(0), root=2)
+        rec = path_search((2, 1, 0))
         tags = anonymous_tags(rec)
         assert tags.apply(rec) == (1, 2, 3)
+        assert tags.apply(path_search((1, 0, 2))) == (2, 3, 1)
+        assert tags.apply((0, 1, 0, 2)) == (3, 2, 3, 1)
 
     def test_tag_distribution_pushes_forward_exactly(self):
         # tag-tuple law of a relabeled graph equals the pushforward of the

@@ -118,6 +118,15 @@ class TestConstruction:
         assert h == g
         h.validate()
 
+    def test_has_edge_takes_only_node_ids(self):
+        # a negative id would otherwise read a row from the end of the list
+        g = path_graph(3)
+        assert g.has_edge(0, 1) and g.has_edge(2, 1)
+        assert not g.has_edge(0, 2)
+        for u, v in ((-1, 1), (1, -1), (-2, -1), (0, 3), (3, 2), (0, 9)):
+            assert not g.has_edge(u, v)
+        assert not Graph.from_edges(0, []).has_edge(0, 0)
+
     def test_edge_count_matches_half_degree_sum(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 0)])
         assert g.edge_count == 4

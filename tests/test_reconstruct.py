@@ -98,7 +98,7 @@ class TestDecodeOracle:
             st.integers(0, 1), min_size=rows * (s - 1), max_size=rows * (s - 1)
         ))
         enc = byte_view(cells, rows, s - 1)
-        assert reconstruct_from_searches([seq], [enc], s) == per_cell_decode(
+        assert reconstruct_from_searches([seq], [enc], s, 6) == per_cell_decode(
             [seq], [enc], s
         )
 
@@ -109,7 +109,7 @@ class TestDecodeOracle:
         enc = byte_view([1, 1, 1,
                          0, 1, 1,
                          1, 1, 1], 3, 3)
-        assert reconstruct_from_searches([seq], [enc], 4) == {(1, 2), (0, 2)}
+        assert reconstruct_from_searches([seq], [enc], 4, 3) == {(1, 2), (0, 2)}
 
 
 class TestReportAndErrors:
@@ -131,7 +131,7 @@ class TestReportAndErrors:
         seq = sample_set(g, "searches", 1, seed=0).items[0].visit_order
         enc = adjacency_encoding(g, seq, 4)
         with pytest.raises(ValueError, match="shape"):
-            reconstruct_from_searches([seq], [enc], 5)
+            reconstruct_from_searches([seq], [enc], 5, g.n)
 
     def test_node_id_out_of_range(self):
         g = cycle_graph(5)
