@@ -82,11 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--length", type=int)
-    sp.add_argument(
-        "--policy",
-        default="uniform",
-        choices=POLICIES,
-    )
+    # no default, so that a --policy given with --kind searches is seen
+    sp.add_argument("--policy", choices=POLICIES)
     sp.add_argument("--out")
 
     sp = sub.add_parser("coverage", help="mean coverage vs sample count (CSV)")
@@ -178,7 +175,16 @@ def _cmd_gen(args) -> None:
     _emit([save_edge_list(g)], args.out)
 
 
+def _refuse_walk_flags(args, names) -> None:
+    """Usage error for a walk-only flag given to a call that draws no walks."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name} applies only to walks")
+
+
 def _cmd_sample(args) -> None:
+    if args.kind == "searches":
+        _refuse_walk_flags(args, ("length", "policy"))
     g = read_edge_list(args.graph)
     ss = sample_set(
         g,
@@ -186,16 +192,19 @@ def _cmd_sample(args) -> None:
         args.m,
         args.seed,
         length=args.length,
-        policy=args.policy,
+        policy=args.policy or "uniform",
     )
     _emit_json(ss.to_dict(), args.out)
 
 
 def _cmd_coverage(args) -> None:
+    kinds = [k for k in args.kinds.split(",") if k]
+    if kinds and "walks" not in kinds:
+        _refuse_walk_flags(args, ("length",))
     g = read_edge_list(args.graph)
     rows = cov.coverage_curve(
         g,
-        kinds=[k for k in args.kinds.split(",") if k],
+        kinds=kinds,
         m_list=_int_list(args.m_list),
         trials=args.trials,
         seed=args.seed,

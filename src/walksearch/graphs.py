@@ -137,8 +137,11 @@ def degree_stats(g: Graph) -> DegreeStats:
 #
 # Format: one "u v" pair per line, 0-based ids. Lines starting with '#' are
 # comments; a "# n=<k>" line declares the node count (otherwise it is
-# 1 + the largest id seen). The writer emits the header and edges with
-# u < v, sorted.
+# 1 + the largest id seen). Pairs may come in any order and either
+# orientation, and repeats merge. The writer emits the canonical form: a
+# "# n=<k>" first line, then one "u v\n" line of ASCII digits per edge,
+# u < v < k, the pairs strictly increasing. The reader takes that form in
+# bulk and parses any other text line by line; both give the same Graph.
 
 # the most nodes a graph file may have, far above the largest benchmark
 # graph (16,100 nodes): the graph holds one neighbor list per node, so a
@@ -147,6 +150,52 @@ MAX_FILE_NODES = 10**6
 
 
 def load_edge_list(text: str) -> Graph:
+    """Parse edge-list text in the format above; raises GraphParseError."""
+    g = _load_canonical(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _load_canonical(text: str) -> Graph | None:
+    """The graph of `text` if it is in the writer's canonical form, else None.
+
+    The pairs arrive strictly increasing with u < v, so appending each to
+    both rows gives sorted rows free of repeats, with no per-edge tuple,
+    dedup set or per-row sort (what the line parser pays for).
+    """
+    if not (text.startswith("# n=") and text.endswith("\n")):
+        return None
+    head, _, body = text.partition("\n")
+    lines = body.count("\n")
+    # deleting the ASCII digits leaves " \n" once per line (a regex over
+    # the body would hold backtracking state for every line it matched);
+    # with 2 ids per line, each line is then "u v\n"
+    if body.encode().translate(None, b"0123456789") != b" \n" * lines:
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * lines or not head[4:].isdigit():
+        return None
+    try:
+        n = int(head[4:])
+        ids = list(map(int, tokens))
+    except ValueError:  # past int's digit limit, or a digit int() refuses
+        return None
+    if n > MAX_FILE_NODES:
+        return None
+    rows: list[list[int]] = [[] for _ in range(n)]
+    # pair (u, v), u < v < n, keyed by u * n + v, which orders as the pairs
+    last = -1
+    pairs = iter(ids)
+    for u, v in zip(pairs, pairs):
+        key = u * n + v
+        if not (last < key and u < v < n):
+            return None
+        last = key
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n=n, adjacency=tuple(map(tuple, rows)), edge_count=lines)
+
+
+def _parse_lines(text: str) -> Graph:
     declared_n: int | None = None
     edges: list[tuple[int, int]] = []
     max_id = -1

@@ -739,6 +739,38 @@ class TestErrorsAndDeterminism:
             err = json.loads(captured.err)
             assert err == {"error": "ValueError", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sample", "--kind", "searches", "--m", "1", "--seed", "0",
+              "--length", "0"], "--length"),
+            (["sample", "--kind", "searches", "--m", "1", "--seed", "0",
+              "--policy", "local_rule"], "--policy"),
+            (["coverage", "--kinds", "searches", "--m-list", "1",
+              "--trials", "5", "--seed", "0", "--length", "0"], "--length"),
+        ],
+        ids=["sample-length", "sample-policy", "coverage-length"],
+    )
+    def test_walk_only_flags_refused_without_walks(self, tmp_path, capsys,
+                                                   argv, flag):
+        graph = write(tmp_path, "p.el", PATH3)
+        code = main(argv + ["--graph", graph])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "usage", "message": f"{flag} applies only to walks"
+        }
+
+    def test_walks_default_to_the_uniform_policy(self, tmp_path, capsys):
+        graph = write(tmp_path, "c.el", CYCLE6)
+        argv = ["sample", "--graph", graph, "--kind", "walks", "--m", "3",
+                "--seed", "4"]
+        outputs = []
+        for extra in ([], ["--policy", "uniform"]):
+            run_ok(argv + extra)
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_walks_on_an_empty_graph_give_one_message(self, tmp_path, capsys):
         # no length is given, so no verb may blame one
         graph = write(tmp_path, "g.el", EMPTY)

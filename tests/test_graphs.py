@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from walksearch import graphs
 from walksearch.graphs import (
     ER_MAX_RETRIES,
     FAMILIES,
+    MAX_FILE_NODES,
     Graph,
     GraphParseError,
     complete_graph,
@@ -21,6 +25,7 @@ from walksearch.graphs import (
     inverse_permutation,
     load_edge_list,
     path_graph,
+    random_permutation,
     random_tree,
     relabel,
     save_edge_list,
@@ -84,6 +89,203 @@ class TestEdgeListParsing:
         # sort of the edge set would give them
         lines = [f"# n={g.n}"] + [f"{u} {v}" for u, v in sorted(g.edges())]
         assert save_edge_list(g) == "\n".join(lines) + "\n"
+
+
+_REF_HEADER_RE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+
+
+def reference_load_edge_list(text: str) -> Graph:
+    """The line parser that read every graph file before the bulk path:
+    `load_edge_list` must give an equal graph or the same error."""
+    declared_n = None
+    edges = []
+    max_id = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _REF_HEADER_RE.match(line)
+            if m:
+                declared_n = int(m.group(1))
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(
+                f"line {lineno}: expected 'u v', got {line!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(
+                f"line {lineno}: non-integer node id in {line!r}"
+            ) from None
+        if u < 0 or v < 0:
+            raise GraphParseError(f"line {lineno}: negative node id in {line!r}")
+        if u == v:
+            raise GraphParseError(f"line {lineno}: self-loop {u} {v}")
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    n = declared_n if declared_n is not None else max_id + 1
+    if max_id >= n:
+        raise GraphParseError(
+            f"declared n={n} is smaller than largest node id {max_id}"
+        )
+    if n > graphs.MAX_FILE_NODES:
+        raise GraphParseError(
+            f"n={n} exceeds the graph-file cap of {graphs.MAX_FILE_NODES} nodes"
+        )
+    return Graph.from_edges(n, edges)
+
+
+def parse_outcome(parse, text):
+    """The graph `parse` returns, or the type and message of its error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# digits int() reads (Arabic-Indic three, fullwidth three) and one that
+# str.isdigit accepts but int() refuses (superscript two)
+ODD_DIGITS = ("\u0663", "\uff13", "\u00b2")
+
+# ways a hand-written file may differ from the writer's text
+TEXT_CHANGES = ("shuffle", "reverse", "duplicate", "comment", "blank",
+                "second_header", "no_header", "spaces", "token", "self_loop",
+                "large_id", "crlf", "no_final_newline")
+
+
+def _changed_token(draw, tok: str) -> str:
+    kind = draw(st.sampled_from(("plus", "underscore", "zeros", "odd", "bad")))
+    if kind == "plus":
+        return "+" + tok
+    if kind == "underscore":
+        return tok[0] + "_" + tok[1:] if len(tok) > 1 else tok + "_0"
+    if kind == "zeros":
+        return "0" * draw(st.integers(1, 3)) + tok
+    if kind == "odd":
+        return draw(st.sampled_from(("", tok))) + draw(st.sampled_from(ODD_DIGITS))
+    return draw(st.sampled_from(("x", "-1", "1.5", "", "0x1", tok + " " + tok)))
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """The writer's text for a small graph, changed in up to three of the
+    `TEXT_CHANGES` ways (in none, it is the writer's text as is)."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = save_edge_list(Graph.from_edges(n, edges)).split("\n")[:-1]
+    changes = draw(st.lists(st.sampled_from(TEXT_CHANGES), max_size=3))
+    for change in changes:
+        at = draw(st.integers(0, len(lines)))
+        i = min(at, len(lines) - 1)  # a line to edit, when there is one
+        if change == "shuffle":
+            lines = list(draw(st.permutations(lines)))
+        elif change == "reverse" and lines:
+            lines[i] = " ".join(reversed(lines[i].split(" ")))
+        elif change == "duplicate" and lines:
+            lines.insert(at, lines[i])
+        elif change == "comment":
+            lines.insert(at, "# a comment")
+        elif change == "blank":
+            lines.insert(at, draw(st.sampled_from(("", "  ", "\t"))))
+        elif change == "second_header":
+            lines.insert(at, f"# n={draw(st.integers(0, 9))}")
+        elif change == "no_header" and lines and lines[0].startswith("# n="):
+            del lines[0]
+        elif change == "spaces" and lines:
+            line = lines[i]
+            lines[i] = draw(st.sampled_from(
+                (line + " ", " " + line, line + "\t", line.replace(" ", "  ", 1))
+            ))
+        elif change == "token" and lines:
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = _changed_token(draw, tokens[j])
+            lines[i] = " ".join(tokens)
+        elif change == "self_loop":
+            u = draw(st.integers(0, n))
+            lines.insert(at, f"{u} {u}")
+        elif change == "large_id":
+            lines.insert(at, f"0 {draw(st.integers(n, n + 9))}")
+    end = "\r\n" if "crlf" in changes else "\n"
+    return end.join(lines) + ("" if "no_final_newline" in changes else end)
+
+
+class TestBulkReader:
+    """`load_edge_list` reads the writer's form in bulk and any other text
+    with the line parser; both must agree with `reference_load_edge_list`."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        text=st.one_of(
+            edge_list_texts(),
+            st.text(alphabet="0123456789 #n=\n\r\t+_-x\u0663", max_size=30),
+        ),
+        cap=st.sampled_from((MAX_FILE_NODES, 0, 3, 6)),
+    )
+    def test_matches_the_line_parser(self, text, cap):
+        with mock.patch.object(graphs, "MAX_FILE_NODES", cap):
+            assert parse_outcome(load_edge_list, text) == parse_outcome(
+                reference_load_edge_list, text
+            )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", "# n=3", "# n=\n", "# n=3\n", "# n=03\n0 1\n",
+            "# n=3\n0 1", "# n=3\n0 1\r\n", "# n=3\n0  1\n", "# n=3\n0 1 \n",
+            "# n=3\n0\t1\n", "#n=3\n0 1\n", "# n=3\n\n0 1\n",
+            "# n=3\n# n=2\n0 1\n", "# n=3\n1 0\n", "# n=3\n1 1\n",
+            "# n=3\n0 3\n", "# n=3\n0 1\n0 1\n", "# n=3\n0 2\n0 1\n",
+            "# n=3\n1 2\n0 1\n", "# n=3\n0 \n", "# n=3\n 1\n",
+            # one id short and a last line without "\n": 2 ids a line overall
+            "# n=6\n0 \n5",
+            # 3 ids then 1: 2 ids a line overall, but not line by line
+            "# n=4\n0 1 2\n3\n",
+            "# n=3\n+0 1\n", "# n=3\n0 1_0\n", "# n=12\n0 1_0\n",
+            "# n=3\n00 01\n", "# n=3\n0 \u0661\n", "# n=\u0663\n0 1\n",
+            "# n=\u00b2\n0 1\n", "# n=3\n0 1\x1c1 2\n", "# n=3\n0 -1\n",
+            # int() takes these headers, the header pattern does not
+            "# n=-1\n", "# n=+3\n0 1\n", "# n=3_0\n0 1\n",
+            "# n= 3\n0 1\n",
+            # int() refuses more than 4300 digits on CPython 3.11+
+            f"# n=3\n0 {'9' * 5000}\n", f"# n={'9' * 5000}\n0 1\n",
+            f"# n={MAX_FILE_NODES + 1}\n0 1\n",
+        ],
+        ids=lambda text: text[:24],
+    )
+    def test_near_misses_match_the_line_parser(self, text):
+        assert parse_outcome(load_edge_list, text) == parse_outcome(
+            reference_load_edge_list, text
+        )
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *(
+                gen_family(family, **{
+                    name: {"n": n, "k": n, "avg_deg": 3.0, "seed": 5}[name]
+                    for name in names
+                })
+                for family, (_, names) in FAMILIES.items()
+                for n in (3, 9, 40)
+            ),
+            relabel(hex_chain(3), random_permutation(21, random.Random(4))),
+            Graph.from_edges(0, ()),
+            path_graph(1),
+        ],
+    )
+    def test_writer_output_skips_the_line_parser(self, monkeypatch, g):
+        # a writer change that breaks the bulk form would still give
+        # equal graphs, only slower: this is what notices
+        def line_parser(text):
+            raise AssertionError("the writer's text reached the line parser")
+
+        monkeypatch.setattr(graphs, "_parse_lines", line_parser)
+        assert load_edge_list(save_edge_list(g)) == g
 
 
 class TestConstruction:
