@@ -26,10 +26,12 @@ from .graphs import (
     read_edge_list,
     save_edge_list,
 )
+from .samplers import POLICIES, derive_rng, sample_set, search_set_dict
+
 # sample_dfs is unused here; it stays bound as walksearch.cli.sample_dfs
 # because test_tracer_wraps_every_binding_and_restores_them checks that the
 # span tracer wraps this binding too
-from .samplers import POLICIES, derive_rng, sample_dfs, sample_set  # noqa: F401
+from .samplers import sample_dfs  # noqa: F401
 
 
 # `wl`/`wwl` print (rounds + 1) rows per graph, each listing the graph's
@@ -57,7 +59,10 @@ def _emit(chunks, out: str | None) -> None:
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit([json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"], out)
+    # every object printed is a tree built for the call, so the check for
+    # circular references (one per list and dict) would find none
+    text = json.dumps(obj, sort_keys=True, allow_nan=False, check_circular=False)
+    _emit([text + "\n"], out)
 
 
 def _int_list(text: str) -> list[int]:
@@ -186,15 +191,19 @@ def _cmd_sample(args) -> None:
     if args.kind == "searches":
         _refuse_walk_flags(args, ("length", "policy"))
     g = read_edge_list(args.graph)
-    ss = sample_set(
-        g,
-        args.kind,
-        args.m,
-        args.seed,
-        length=args.length,
-        policy=args.policy or "uniform",
-    )
-    _emit_json(ss.to_dict(), args.out)
+    if args.kind == "searches":
+        payload = search_set_dict(g, args.m, args.seed)
+    else:
+        ss = sample_set(
+            g,
+            "walks",
+            args.m,
+            args.seed,
+            length=args.length,
+            policy=args.policy or "uniform",
+        )
+        payload = ss.to_dict()
+    _emit_json(payload, args.out)
 
 
 def _cmd_coverage(args) -> None:

@@ -206,7 +206,13 @@ def _parse_lines(text: str) -> Graph:
         if line.startswith("#"):
             m = _HEADER_RE.match(line)
             if m:
-                declared_n = int(m.group(1))
+                try:
+                    declared_n = int(m.group(1))
+                except ValueError:  # past int's digit limit
+                    raise GraphParseError(
+                        f"line {lineno}: declared n exceeds the graph-file cap"
+                        f" of {MAX_FILE_NODES} nodes"
+                    ) from None
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -24,8 +24,13 @@ which steps and tallies coverage in one loop per policy, with no
 generator. DFS steps draw this way too, and so does the Fisher-Yates loop
 of ``random.shuffle`` behind the permutation test in ``invariance``.
 Every randomized DFS runs one stepping loop, ``_search``, which returns
-the visit order and each visited node's discoverer. ``sample_dfs`` builds
-a record per search from them; trial loops instead prepare a
+the visit order and each visited node's discoverer. ``_dfs_arrays`` draws
+the root, runs the loop and rejects a disconnected graph, and a batch
+runs it for search i on ``derive_rng(seed, i)`` (``_trial_searches``).
+``sample_dfs`` and ``sample_set`` build a ``SearchRecord`` per search from
+the two arrays; ``search_set_dict``, the writer behind ``sample --kind
+searches``, builds the JSON of ``sample_set(...).to_dict()`` straight from
+them, with no record. Trial loops instead prepare a
 ``SearchGraph`` once (connectivity check and per-node edge ids) and run
 its kernels on the same loop without building a record:
 ``SearchGraph.visit_order`` returns the visit order, and
@@ -120,6 +125,13 @@ class SampleSet:
                 )
 
     def to_dict(self) -> dict:
+        """``{"kind", "seed", "items"}``, ready for JSON. A walk item is
+        ``{"nodes", "start"}``; a search item is ``{"visit_order",
+        "tree_edges", "root"}``, its tree edges sorted ``[u, v]`` pairs
+        with u < v. This is the layout the ``sample`` verb prints: it
+        writes searches with `search_set_dict`, whose JSON the tests hold
+        equal to this one's, byte for byte.
+        """
         items = []
         for rec in self.items:
             if self.kind == "walks":
@@ -425,20 +437,39 @@ def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[i
             return order, parents
 
 
+def _dfs_arrays(g: Graph, rng: random.Random) -> tuple[list[int], list[int]]:
+    """One search as `_search` returns it, ``(order, parents)``, from a
+    uniform root drawn with ``rng.randrange(n)``: the search of
+    `sample_dfs`, `sample_set` and `search_set_dict`. An empty or
+    disconnected graph is rejected.
+    """
+    n = g.n
+    if n < 1:
+        raise ValueError("empty graph")
+    order, parents = _search(g.adjacency, rng, rng.randrange(n))
+    if len(order) != n:
+        raise ValueError("searches require a connected graph")
+    return order, parents
+
+
+def _trial_searches(g: Graph, m: int, seed: int):
+    """Yield the m searches of a batch as ``(order, parents)``; search i
+    runs on ``derive_rng(seed, i)``."""
+    for i in range(m):
+        yield _dfs_arrays(g, derive_rng(seed, i))
+
+
+def _search_record(order: list[int], parents: list[int]) -> SearchRecord:
+    tree = frozenset((u, v) if u < v else (v, u) for u, v in zip(parents, order[1:]))
+    return SearchRecord(visit_order=tuple(order), tree_edges=tree, root=order[0])
+
+
 def sample_dfs(g: Graph, rng: random.Random) -> SearchRecord:
     """Sample a random depth-first search: the record of one run of the
     stepping loop (`_search`) from a uniform root, drawn with
     ``rng.randrange(n)``. A disconnected graph is rejected.
     """
-    n = g.n
-    if n < 1:
-        raise ValueError("empty graph")
-    root = rng.randrange(n)
-    order, parents = _search(g.adjacency, rng, root)
-    if len(order) != n:
-        raise ValueError("searches require a connected graph")
-    tree = frozenset((u, v) if u < v else (v, u) for u, v in zip(parents, order[1:]))
-    return SearchRecord(visit_order=tuple(order), tree_edges=tree, root=root)
+    return _search_record(*_dfs_arrays(g, rng))
 
 
 class SearchGraph:
@@ -654,5 +685,35 @@ def sample_set(
             nodes = tuple(islice(walk_pol.walk(derive_rng(seed, i)), ell + 1))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))
     else:
-        items.extend(sample_dfs(g, derive_rng(seed, i)) for i in range(m))
+        items.extend(_search_record(*arrays) for arrays in _trial_searches(g, m, seed))
     return SampleSet(kind=kind, items=tuple(items), seed=seed)
+
+
+def search_set_dict(g: Graph, m: int, seed: int) -> dict:
+    """``sample_set(g, "searches", m, seed).to_dict()`` up to tuples in
+    place of lists, so the two print the same JSON, written straight from
+    each search's arrays with no `SearchRecord`.
+
+    A tree edge {u, v}, u < v, is keyed ``u * n + v``, which orders as the
+    pairs do, so one sort of ints gives the sorted edge list, and
+    ``divmod(key, n)`` gives the pair back. The errors, and their order,
+    are those of `sample_set`.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    n = g.n
+    items = []
+    for order, parents in _trial_searches(g, m, seed):
+        keys = [
+            u * n + v if u < v else v * n + u
+            for u, v in zip(parents, islice(order, 1, None))
+        ]
+        keys.sort()
+        items.append(
+            {
+                "visit_order": order,
+                "tree_edges": [divmod(key, n) for key in keys],
+                "root": order[0],
+            }
+        )
+    return {"kind": "searches", "seed": seed, "items": items}

@@ -18,16 +18,18 @@ from walksearch import cli
 from walksearch.cli import main
 from walksearch.graphs import (
     MAX_FILE_NODES,
+    cycle_graph,
     hex_chain,
     load_edge_list,
     path_graph,
     random_tree,
+    relabel,
     save_edge_list,
 )
-from walksearch.samplers import POLICIES, SearchGraph, WalkPolicy
+from walksearch.samplers import POLICIES, SearchGraph, WalkPolicy, sample_set
 from walksearch.wl import RefinementRun, partition_of
 
-from .strategies import connected_graphs
+from .strategies import connected_graphs, graphs_with_permutation
 from .test_samplers import stdlib_cover_time, stdlib_dfs, stdlib_walk
 from .test_wl import naive_wl, naive_wwl
 
@@ -232,6 +234,40 @@ class TestSearchVerbBytes:
         # tree) does at its first search and the one-node graph at none
         assert calls["visit_order"] == 5 * 4 * 30
         assert 0 < calls["cover"] < 4 * (8 * 4 + 5 * 3)
+
+    @staticmethod
+    def sample_out(g, m, seed, tmp_dir) -> str:
+        graph = write(Path(tmp_dir), "g.el", save_edge_list(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["sample", "--graph", graph, "--kind", "searches",
+                         "--m", str(m), "--seed", str(seed)]) == 0
+        return out.getvalue()
+
+    @staticmethod
+    def sample_set_out(g, m, seed) -> str:
+        """The reference: the `SampleSet` of the same batch, as JSON."""
+        ss = sample_set(g, "searches", m, seed)
+        return json.dumps(ss.to_dict(), sort_keys=True) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_permutation(1, 12), st.integers(1, 3),
+           st.integers(0, 2**32))
+    def test_sample_matches_sample_set_on_random_graphs(self, g_perm, m, seed):
+        # relabelled, so the rows and tree edges are not in generator order
+        g = relabel(*g_perm)
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            assert self.sample_out(g, m, seed, tmp_dir) == (
+                self.sample_set_out(g, m, seed))
+
+    @pytest.mark.parametrize(
+        "g", [hex_chain(150), random_tree(500, 8), cycle_graph(257)],
+        ids=["hex150", "tree500", "cycle257"],
+    )
+    def test_sample_matches_sample_set(self, tmp_path, g):
+        for seed in (0, 11):
+            assert self.sample_out(g, 2, seed, tmp_path) == (
+                self.sample_set_out(g, 2, seed))
 
 
 class TestBound:
@@ -703,6 +739,16 @@ class TestErrorsAndDeterminism:
             (["coverage", "--kinds", "searches,searches", "--m-list", "1",
               "--trials", "5", "--seed", "0"], CYCLE6,
              "kinds must not repeat"),
+            (["sample", "--kind", "searches", "--m", "1", "--seed", "0"],
+             ONE_NODE, None),
+            (["sample", "--kind", "searches", "--m", "1", "--seed", "0"],
+             EMPTY, "empty graph"),
+            (["sample", "--kind", "searches", "--m", "1", "--seed", "0"],
+             TWO_EDGES, "searches require a connected graph"),
+            (["sample", "--kind", "searches", "--m", "2", "--seed", "0"],
+             EDGE_PLUS_NODE, "searches require a connected graph"),
+            (["sample", "--kind", "searches", "--m", "0", "--seed", "0"],
+             TWO_EDGES, "m must be >= 1"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
@@ -714,7 +760,9 @@ class TestErrorsAndDeterminism:
              "invariance-sampled-disconnected",
              "invariance-sampled-edge-plus-node", "wl-rounds-1",
              "wwl-rounds-2", "coverage-kinds-empty",
-             "coverage-kinds-repeat"],
+             "coverage-kinds-repeat", "sample-searches-one-node",
+             "sample-searches-empty", "sample-searches-disconnected",
+             "sample-searches-edge-plus-node", "sample-searches-m0"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)
@@ -727,6 +775,12 @@ class TestErrorsAndDeterminism:
             payload = json.loads(captured.out)
             assert payload["m_required"] == 1
             assert payload["empirical_success"] == 1.0
+        elif message is None and argv[0] == "sample":
+            # one node: one search, the root alone, with no tree edge
+            assert code == 0
+            assert json.loads(captured.out)["items"] == [
+                {"root": 0, "tree_edges": [], "visit_order": [0]}
+            ]
         elif message is None:
             # one node: every search covers it, with no edge to miss
             assert code == 0

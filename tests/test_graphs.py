@@ -107,7 +107,13 @@ def reference_load_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             m = _REF_HEADER_RE.match(line)
             if m:
-                declared_n = int(m.group(1))
+                try:
+                    declared_n = int(m.group(1))
+                except ValueError:
+                    raise GraphParseError(
+                        f"line {lineno}: declared n exceeds the graph-file cap"
+                        f" of {graphs.MAX_FILE_NODES} nodes"
+                    ) from None
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -261,6 +267,14 @@ class TestBulkReader:
         assert parse_outcome(load_edge_list, text) == parse_outcome(
             reference_load_edge_list, text
         )
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [(f"# n={'9' * 5000}\n0 1\n", 1), (f"0 1\n\n# n={'9' * 5000}\n", 3)],
+    )
+    def test_header_past_the_digit_limit_names_its_line(self, text, lineno):
+        with pytest.raises(GraphParseError, match=rf"^line {lineno}: declared n"):
+            load_edge_list(text)
 
     @pytest.mark.parametrize(
         "g",
