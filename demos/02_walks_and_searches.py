@@ -44,7 +44,8 @@ print("\nempirical frequencies over 30k draws:")
 for order, c in sorted(counts.items()):
     print(f"  {order}  {c / 30000:.4f}")
 
-# Batch sampling derives trial i from (seed, i), so sets reproduce.
+# Batch sampling draws its records in turn from one generator seeded by
+# `seed`, so sets reproduce.
 ss = sample_set(g, "searches", m=3, seed=11)
 print("\nsample_set determinism:",
       ss == sample_set(g, "searches", m=3, seed=11))

@@ -228,21 +228,24 @@ def sample_bound_m(c: float, n: int, d_max: int, delta: float) -> int:
 
 
 def full_coverage_probability(g: Graph, m: int, trials: int, seed: int) -> float:
-    """Fraction of trials in which m independent DFS trees cover all of E."""
+    """Fraction of trials in which m independent DFS trees cover all of E.
+
+    The trials draw their searches in turn from one ``derive_rng(seed)``;
+    a trial runs no further search once its trees cover E.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     all_edges = g.edges()
-
-    def one_trial(i: int) -> int:
-        rng = derive_rng(seed, i)
+    rng = derive_rng(seed)
+    covered = 0
+    for _ in range(trials):
         uncovered = set(all_edges)
         for _ in range(m):
             uncovered -= sample_dfs(g, rng).tree_edges
             if not uncovered:
-                return 1
-        return 0
-
-    return sum(one_trial(i) for i in range(trials)) / trials
+                covered += 1
+                break
+    return covered / trials
 
 
 def bound_check_report(g: Graph, delta: float, trials: int, seed: int) -> dict:
@@ -293,9 +296,10 @@ def cover_time_estimate(
     edge) has been visited (traversed), or until `cap` steps (default
     50·n²); capped trials are reported as censored, never silently
     dropped. The mean and quantiles summarize uncensored trials only.
-    Trial i runs `WalkPolicy.cover_time` on ``derive_rng(seed, i)`` and
-    makes exactly the draws of ``WalkPolicy.walk`` on that generator up
-    to its covering step (or its first `cap` steps).
+    The trials run `WalkPolicy.cover_time` in turn on one
+    ``derive_rng(seed)``; each makes exactly the draws of
+    ``WalkPolicy.walk`` up to its covering step (or its first `cap`
+    steps), and the next trial starts there.
     """
     if target not in ("node", "edge"):
         raise ValueError("target must be 'node' or 'edge'")
@@ -306,7 +310,8 @@ def cover_time_estimate(
     elif cap < 1:
         raise ValueError("cap must be >= 1")
     pol = WalkPolicy(g, policy)
-    results = [pol.cover_time(derive_rng(seed, i), target, cap) for i in range(trials)]
+    rng = derive_rng(seed)
+    results = [pol.cover_time(rng, target, cap) for _ in range(trials)]
     finished = sorted(r for r in results if r is not None)
     censored = trials - len(finished)
 
@@ -367,10 +372,11 @@ def coverage_curve(
     graph, and on one node they cover it with no edge to miss. A search
     visits every node, so its node fraction is 1 by construction; its
     edge fraction comes from `SearchGraph.cover`, and a search trial runs
-    no further search once every edge is covered (its generator is not
-    used again). Each mean adds the trials' fractions in trial order as
-    they are drawn, not through `sum()`, whose float rounding differs
-    from CPython 3.12 on.
+    no further search once every edge is covered. Each kind draws its
+    trials in turn from its own generator, ``derive_rng(seed, kind)``, so
+    a trial starts where the one before stopped drawing. Each mean adds
+    the trials' fractions in trial order as they are drawn, not through
+    `sum()`, whose float rounding differs from CPython 3.12 on.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -425,10 +431,9 @@ def coverage_curve(
     for kind in kinds:
         trial = walk_trial if kind == "walks" else search_trial
         totals = [[0.0, 0.0] for _ in m_list]
-        for t in range(trials):
-            for total, (node_frac, edge_frac) in zip(
-                totals, trial(derive_rng(seed, kind, t))
-            ):
+        rng = derive_rng(seed, kind)
+        for _ in range(trials):
+            for total, (node_frac, edge_frac) in zip(totals, trial(rng)):
                 total[0] += node_frac
                 total[1] += edge_frac
         for m, (node_total, edge_total) in zip(m_list, totals):

@@ -8,11 +8,14 @@ stack to a uniform unvisited neighbor: the sampler draws one, the
 enumerator branches on all of them and is the ground-truth oracle used
 by the coverage and invariance labs.
 
-Randomness contract: every sampler takes an explicit ``random.Random``
-and draws its own start or root, uniform over the nodes, with
-``rng.randrange(n)``; batch sampling derives the trial-i generator
-deterministically from ``(seed, i)``, so results are identical
-regardless of evaluation order.
+Randomness contract (stream revision 2): every sampler takes an explicit
+``random.Random`` and draws its own start or root, uniform over the
+nodes, with ``rng.randrange(n)``; a batch seeds one generator per job
+and kind, ``derive_rng(seed, *key)``, and draws its trials from it in
+trial order, so trial i starts where trial i - 1 stopped drawing. Each
+trial's stop (a search's last visit, a walk's length, a covering step)
+is a stopping time of the stream, so the trials stay independent; trial
+i can be replayed only by rerunning its batch.
 Hot loops draw inline with the stdlib's own rules, so a ``random.Random``
 gives the same results, and ends in the same state, as the per-step
 stdlib calls would. A uniform index below c is ``randrange(c)``'s
@@ -24,9 +27,11 @@ which steps and tallies coverage in one loop per policy, with no
 generator. DFS steps draw this way too, and so does the Fisher-Yates loop
 of ``random.shuffle`` behind the permutation test in ``invariance``.
 Every randomized DFS runs one stepping loop, ``_search``, which returns
-the visit order and each visited node's discoverer. ``_dfs_arrays`` draws
-the root, runs the loop and rejects a disconnected graph, and a batch
-runs it for search i on ``derive_rng(seed, i)`` (``_trial_searches``).
+the visit order and each visited node's discoverer, and which stops at
+its n-th visit, before any draw the order no longer needs.
+``_dfs_arrays`` draws the root, runs the loop and rejects a disconnected
+graph, and a batch runs it m times on one ``derive_rng(seed)``
+(``_trial_searches``).
 ``sample_dfs`` and ``sample_set`` build a ``SearchRecord`` per search from
 the two arrays; ``search_set_dict``, the writer behind ``sample --kind
 searches``, builds the JSON of ``sample_set(...).to_dict()`` straight from
@@ -69,7 +74,8 @@ def _budget_error(budget: int) -> EnumerationBudgetError:
 
 
 def derive_seed(seed: int, *key) -> int:
-    """Deterministic 64-bit seed for trial `key` of a run seeded by `seed`."""
+    """Deterministic 64-bit seed for the stream `key` (a job's kind or
+    tag, or nothing) of a run seeded by `seed`."""
     material = repr((seed,) + tuple(key)).encode()
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "big")
 
@@ -392,11 +398,15 @@ def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[i
     needs no draw), and one found visited is dropped and redrawn, so a
     search reads each neighbor list once and draws at most 2m times. The
     draws are ``randrange``'s rule inlined on ``getrandbits`` (see the
-    module docstring). On a disconnected graph the order misses the
-    nodes outside the root's component.
+    module docstring). The search ends at its n-th visit: that node has
+    no unvisited neighbor, so the next step pops, and the pop checks the
+    count, so no draw follows the last visit and a visit pays no check.
+    On a disconnected graph the order misses the nodes outside the
+    root's component.
     """
     getrandbits = rng.getrandbits
-    visited = bytearray(len(adjacency))
+    n = len(adjacency)
+    visited = bytearray(n)
     visited[root] = 1
     order = [root]
     parents: list[int] = []
@@ -431,7 +441,7 @@ def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[i
                 for w in adjacency[v]:
                     if not visited[w]:
                         candidates.append(w)
-        elif stack:
+        elif stack and len(order) < n:
             u, candidates = stack.pop()
         else:
             return order, parents
@@ -453,10 +463,11 @@ def _dfs_arrays(g: Graph, rng: random.Random) -> tuple[list[int], list[int]]:
 
 
 def _trial_searches(g: Graph, m: int, seed: int):
-    """Yield the m searches of a batch as ``(order, parents)``; search i
-    runs on ``derive_rng(seed, i)``."""
-    for i in range(m):
-        yield _dfs_arrays(g, derive_rng(seed, i))
+    """Yield the m searches of a batch as ``(order, parents)``, drawn in
+    turn from one ``derive_rng(seed)``."""
+    rng = derive_rng(seed)
+    for _ in range(m):
+        yield _dfs_arrays(g, rng)
 
 
 def _search_record(order: list[int], parents: list[int]) -> SearchRecord:
@@ -504,7 +515,8 @@ class SearchGraph:
         `seen` and return how many ids are left unmarked.
 
         `remaining` must be the number of unmarked ids in `seen` on entry.
-        The ids are marked after the search, which makes all its draws.
+        The ids are marked after the search, which makes all its draws
+        up to its last visit.
         """
         order, parents = _search(self.g.adjacency, rng, rng.randrange(self.g.n))
         edge_ids = self.edge_ids
@@ -666,7 +678,8 @@ def sample_set(
     length: int | None = None,
     policy: str = "uniform",
 ) -> SampleSet:
-    """Draw m independent records; trial i uses an RNG derived from (seed, i).
+    """Draw m independent records in turn from one ``derive_rng(seed)``:
+    record i starts where record i - 1 stopped drawing.
 
     Walk records share one `WalkPolicy`, so the graph is checked (and a
     local-rule weight table built) once per call, not once per walk.
@@ -681,8 +694,9 @@ def sample_set(
             raise ValueError("walk length must be >= 1")
         walk_pol = WalkPolicy(g, policy)
         ell = g.n if length is None else length
-        for i in range(m):
-            nodes = tuple(islice(walk_pol.walk(derive_rng(seed, i)), ell + 1))
+        rng = derive_rng(seed)
+        for _ in range(m):
+            nodes = tuple(islice(walk_pol.walk(rng), ell + 1))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))
     else:
         items.extend(_search_record(*arrays) for arrays in _trial_searches(g, m, seed))

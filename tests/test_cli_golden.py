@@ -52,15 +52,15 @@ PAIRS = (("cycle12", "path10"), ("star6", "k5"), ("hex3", "tree20"))
 
 GOLDEN = {
     "gen": "0efec334a01ba97451999ee0f64364b6504839299263ea0506fd4f4aa3037e9e",
-    "sample": "6878453eb60bd350a9e86230ae4cdb52761168448e1814b7c014af18204c04be",
-    "coverage": "30a50057af2d84eaa5291b0da1a7b3b76f0843d66e3a3e4ddcd9ee930e3d8313",
+    "sample": "abfc951a697f6f0e571eff0d3d2eef4a02973dbb7f00b8cd3f57da430259cf1b",
+    "coverage": "7e2452500d5ef8f643ddaf6f3b8efbd296525871c3bf7fb9865f414bd0683145",
     "bound": "c080e87f504680fc131423388b14d88e8547c6fbebe5608bd7d032f6dee2a78a",
-    "covertime": "4d191ad0d4db3f8192cc1d2cc1f046fdfe6abf0108f3ff50ccd403de673e21f6",
+    "covertime": "ff000e9c9583ccbe62677bb98aa34d08548a31ae07e990a6ebe26d18d431099c",
     "wl": "b489aaa3b44d937af211aa1c2afcdb3f2c0ef3d267ec0761bf784a179b5590af",
     "wwl": "9305e3d6e223e60f19632b6e8e4503494e936bb4f59c174298873de6f3e20f6a",
     "distinguish": "381ecb6edfd00ad512e44673df96f6a7a8356b4d563e4a528b5429e556958099",
-    "invariance": "f1e7adaaf741adddeae038f5be52f48671b00acb4f40ef2ad14a88dd99c56e7b",
-    "reconstruct": "a4276faac6aa74eb5dbe8ddcc02cae09951ee124bef96bd57760be06ebce29ce",
+    "invariance": "309fb84dadce30ca7710d4220e12f175bc2abd77033e653892af27ced7b6a5f8",
+    "reconstruct": "5bf86834342897f7bb4e264fba50405685c40e1df887cc7c01b32a1659ba6b8b",
 }
 
 

@@ -36,6 +36,7 @@ from walksearch.samplers import (
     derive_rng,
     sample_dfs,
     sample_set,
+    sample_walk,
 )
 
 from .corpus import all_labeled_connected_graphs_upto
@@ -277,6 +278,27 @@ class TestFullCoverage:
         }
         assert rep["empirical_success"] >= 0.9
 
+    @pytest.mark.parametrize(
+        "g, m",
+        [(cycle_graph(6), 2), (hex_chain(2), 3), (BULL, 1), (random_tree(8, 1), 2)],
+        ids=["cycle6", "hex2", "bull", "tree8"],
+    )
+    def test_matches_per_record_sampler(self, g, m):
+        # the trials draw their searches in turn from one generator, and a
+        # trial draws no search after the one that covers every edge
+        trials = 40
+        for seed in (0, 7, 12):
+            rng = derive_rng(seed)
+            covered = 0
+            for _ in range(trials):
+                uncovered = set(g.edges())
+                for _ in range(m):
+                    uncovered -= sample_dfs(g, rng).tree_edges
+                    if not uncovered:
+                        covered += 1
+                        break
+            assert full_coverage_probability(g, m, trials, seed) == covered / trials
+
     def test_hex_chain3_failure_rate_within_delta(self):
         g = hex_chain(3)
         stats = degree_stats(g)
@@ -321,6 +343,28 @@ class TestCoverTime:
 
 
 class TestCoverTimeOracle:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_trials_share_one_stream(self, policy):
+        # each trial starts where the one before stopped drawing, whether
+        # it covered or was censored at its cap
+        trials = 30
+        for g, target, cap in (
+            (hex_chain(2), "edge", None),
+            (cycle_graph(8), "node", 12),
+            (BULL, "node", None),
+        ):
+            rng = derive_rng(4)
+            steps = 50 * g.n * g.n if cap is None else cap
+            results = [
+                stdlib_cover_time(g, policy, rng, target, steps)
+                for _ in range(trials)
+            ]
+            finished = sorted(r for r in results if r is not None)
+            rep = cover_time_estimate(g, policy, target, trials, cap, seed=4)
+            assert rep.censored == trials - len(finished)
+            assert rep.mean == sum(finished) / len(finished)
+            assert rep.quantiles["p50"] == finished[len(finished) // 2]
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_matches_stdlib_cover_time(self, policy):
         outcomes = Counter()
@@ -414,6 +458,44 @@ class TestCoverageCurve:
             law = sum(1 - (1 - pe) ** row.m for pe in p) / g.edge_count
             assert row.node_frac_mean == 1.0
             assert abs(row.edge_frac_mean - float(law)) <= 4 * 0.5 / math.sqrt(trials)
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(6), hex_chain(2), BULL], ids=["cycle6", "hex2", "bull"]
+    )
+    def test_matches_per_record_samplers(self, g):
+        # each kind draws its trials in turn from its own generator; a
+        # search trial draws no search once its trees cover every edge
+        m_list, trials, seed, length = [1, 2, 5], 12, 8, 4
+        rows = coverage_curve(
+            g, ["searches", "walks"], m_list, trials, seed, length=length
+        )
+        expected = []
+        for kind in ("searches", "walks"):
+            rng = derive_rng(seed, kind)
+            totals = {m: [0.0, 0.0] for m in m_list}
+            for _ in range(trials):
+                nodes, edges = set(), set()
+                for j in range(1, m_list[-1] + 1):
+                    if kind == "walks":
+                        walk = sample_walk(g, length, rng).nodes
+                        nodes.update(walk)
+                        edges.update(
+                            (a, b) if a < b else (b, a) for a, b in zip(walk, walk[1:])
+                        )
+                    elif len(edges) < g.edge_count:
+                        rec = sample_dfs(g, rng)
+                        nodes.update(rec.visit_order)
+                        edges |= rec.tree_edges
+                    if j in totals:
+                        totals[j][0] += len(nodes) / g.n
+                        totals[j][1] += len(edges) / g.edge_count
+            expected += [
+                (kind, m, node_total / trials, edge_total / trials)
+                for m, (node_total, edge_total) in totals.items()
+            ]
+        assert [
+            (r.kind, r.m, r.node_frac_mean, r.edge_frac_mean) for r in rows
+        ] == expected
 
     @pytest.mark.parametrize(
         "g", [DISCONNECTED_TWO_EDGES, EDGE_PLUS_NODE], ids=["two_edges", "edge_plus_node"]

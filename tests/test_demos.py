@@ -23,9 +23,9 @@ DIGESTS = {
     "01_graph_families.py": "ae7c429be1aa70a842e3038ff5396383369535858d9c698c0bacf25e3ef11f76",
     "02_walks_and_searches.py": "8e8ff1e3f7c0a6e8ef58a5bb85dd69eed8dcb3d754cc4935da0d2f18857583ed",
     "03_positional_encodings.py": "9d44eee252ccceb5c086f4b118a470695864b363950ff4c018c2aa118e582188",
-    "04_coverage_and_bounds.py": "643084ffdbec1e6086aa836fd4ed3becb1d332ed7fc5456a5079bedad7c71bd4",
+    "04_coverage_and_bounds.py": "1ba341b2bcb0d220a98df431b737cd18aa26a4dd61b8b4ac5a42d443d438a96d",
     "05_color_refinement.py": "2b08aba56bf8ad0c4809083d476e31953fb8b2ecff6cd831dd7a1ef8cf8a6bef",
-    "06_invariance.py": "f2bff378d967c0f6ecaea3de5bab0a007db957f61eff0a8c1b3e89521cc5c26d",
+    "06_invariance.py": "60b341042092299f29bbd1065be95d409c3a3c8ea0e2f08b4e3b2c2b37463da0",
     "07_reconstruction.py": "e2476a0a038ce015422f876b43381c7d919a59e052b85ce8b14fdd5205262f2c",
 }
 

@@ -29,7 +29,7 @@ from walksearch.invariance import (
     tv_permutation_pvalue,
     two_sample_tv,
 )
-from walksearch.samplers import enumerate_dfs
+from walksearch.samplers import derive_rng, enumerate_dfs, sample_dfs
 
 from .corpus import all_labeled_connected_graphs_upto
 
@@ -378,6 +378,16 @@ class TestPermutationPvalue:
     def test_tv_of_an_empty_sample_rejected(self, a, b):
         with pytest.raises(ValueError, match="^both samples must be nonempty$"):
             two_sample_tv(a, b)
+
+
+class TestSampleVisitOrders:
+    def test_matches_per_record_sampler(self):
+        # the orders of one tag are drawn in turn from one generator
+        for g in (hex_chain(2), cycle_graph(5), star_graph(4)):
+            for tag in ("", "g", "base_a"):
+                rng = derive_rng(3, tag)
+                expected = [sample_dfs(g, rng).visit_order for _ in range(25)]
+                assert sample_visit_orders(g, 25, 3, tag) == expected
 
 
 class TestSampledInvariance:

@@ -35,6 +35,7 @@ from walksearch.samplers import (
     sample_dfs,
     sample_set,
     sample_walk,
+    search_set_dict,
     validate_search_record,
 )
 
@@ -51,10 +52,11 @@ BULL = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
 
 def stdlib_dfs(g: Graph, rng) -> SearchRecord:
     """Reference search that calls `rng.randrange` at every draw, over
-    the candidate lists and swap-removes of `sample_dfs`. `sample_dfs`
-    must return the same record and leave the generator in the same
-    state (`TestDfsOracle`), so the exact law checked on this reference
-    is the law of `sample_dfs`."""
+    the candidate lists and swap-removes of `sample_dfs`, and stops
+    popping once all n nodes are visited. `sample_dfs` must return the
+    same record and leave the generator in the same state
+    (`TestDfsOracle`), so the exact law checked on this reference is the
+    law of `sample_dfs`."""
     if g.n < 1:
         raise ValueError("empty graph")
     adjacency = g.adjacency
@@ -79,6 +81,8 @@ def stdlib_dfs(g: Graph, rng) -> SearchRecord:
                 stack.append((v, [w for w in adjacency[v] if not visited[w]]))
                 break
         else:
+            if len(order) == g.n:
+                break
             stack.pop()
     if len(order) != g.n:
         raise ValueError("searches require a connected graph")
@@ -424,8 +428,8 @@ class TestSearchGraph:
                 )
                 assert left == expected_seen.count(0), (g.adjacency, seed)
                 assert bytes(seen) == expected_seen
-                # every search makes all its draws, even one that marks
-                # the last id
+                # every search makes all its draws up to its last visit,
+                # even one that marks the last id
                 assert rng.getstate() == expected_rng.getstate(), (g.adjacency, seed)
                 outcomes[left > 0] += 1
         # searches that leave an id unmarked and searches that mark the
@@ -560,6 +564,37 @@ class TestRandomDfs:
             assert rec == stdlib_dfs(g, reference_rng)
             assert rng.draws["getrandbits"] == reference_rng.draws["getrandbits"]
             assert reference_rng.draws["randrange"] <= 2 * g.edge_count + 1
+
+
+    def test_no_draw_after_the_last_visit(self):
+        # on K40 the stack still holds hundreds of candidates, all visited,
+        # when the last node is reached; the search reads that node's list
+        # and ends there, with no draw to drop them
+        g = complete_graph(40)
+        events: list[str] = []
+
+        class Row(tuple):
+            def __iter__(self):
+                events.append("read")
+                return tuple.__iter__(self)
+
+        class LoggedRng(random.Random):
+            def getrandbits(self, k):
+                events.append("draw")
+                return super().getrandbits(k)
+
+        logged = Graph(
+            n=g.n,
+            adjacency=tuple(Row(row) for row in g.adjacency),
+            edge_count=g.edge_count,
+        )
+        for seed in range(50):
+            events.clear()
+            rec = sample_dfs(logged, LoggedRng(seed))
+            validate_search_record(g, rec)
+            assert events.count("read") == g.n
+            last_visit = len(events) - events[::-1].index("read")
+            assert "draw" not in events[last_visit:], seed
 
 
 class TestExactEnumeration:
@@ -774,15 +809,32 @@ class TestSampleSets:
             ss = sample_set(g, "walks", 6, 21, length=length, policy=policy)
             assert len(calls) == 1
             ell = g.n if length is None else length
+            # the records are drawn in turn from one generator
+            rng = derive_rng(21)
             expected = SampleSet(
                 kind="walks",
-                items=tuple(
-                    sample_walk(g, ell, derive_rng(21, i), policy)
-                    for i in range(6)
-                ),
+                items=tuple(sample_walk(g, ell, rng, policy) for _ in range(6)),
                 seed=21,
             )
             assert json.dumps(ss.to_dict()) == json.dumps(expected.to_dict())
+
+    @pytest.mark.parametrize(
+        "g", [PAW, hex_chain(3), complete_graph(7)], ids=["paw", "hex3", "K7"]
+    )
+    def test_searches_match_per_record_sampler(self, g):
+        # `sample_set` and the writer behind `sample --kind searches` both
+        # draw their searches in turn from one generator
+        for seed, m in ((0, 1), (5, 4), (21, 9)):
+            rng = derive_rng(seed)
+            expected = SampleSet(
+                kind="searches",
+                items=tuple(sample_dfs(g, rng) for _ in range(m)),
+                seed=seed,
+            )
+            assert sample_set(g, "searches", m, seed) == expected
+            assert json.dumps(search_set_dict(g, m, seed)) == json.dumps(
+                expected.to_dict()
+            )
 
     def test_walk_length_must_be_positive(self):
         for length in (0, -1):
