@@ -281,6 +281,8 @@ def _cmd_refine(args, test: str) -> None:
 
 
 def _cmd_distinguish(args) -> None:
+    if args.test == "wl":
+        _refuse_walk_flags(args, ("length",))
     g = read_edge_list(args.graph)
     h = read_edge_list(args.graph2)
     verdict = wlmod.distinguish(g, h, test=args.test, length=args.length)

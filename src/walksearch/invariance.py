@@ -27,9 +27,9 @@ from fractions import Fraction
 from .graphs import Graph, relabel
 from .samplers import (
     DEFAULT_ENUM_BUDGET,
-    SearchGraph,
     _enumerate,
     _reciprocal_sum,
+    _search,
     derive_rng,
     enumerate_dfs,
 )
@@ -210,10 +210,9 @@ def tv_permutation_pvalue(samples_a, samples_b, reps, rng) -> float:
 
 def sample_visit_orders(g: Graph, trials: int, seed: int, tag: str = ""):
     """Draw `trials` DFS visit orders in turn from one ``derive_rng(seed,
-    tag)``, on one `SearchGraph` of g (so g must be connected)."""
-    search_graph = SearchGraph(g)
+    tag)``; a search rejects an empty or disconnected g."""
     rng = derive_rng(seed, tag)
-    return [search_graph.visit_order(rng) for _ in range(trials)]
+    return [tuple(_search(g, rng)[0]) for _ in range(trials)]
 
 
 @dataclass(frozen=True)

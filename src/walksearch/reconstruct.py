@@ -73,19 +73,23 @@ def verify_reconstruction(g: Graph, sset: SampleSet, s: int) -> ReconstructionRe
     """Encode each search of `sset` against g, reconstruct, and diff vs E.
 
     A search visits at most n nodes, so lags past n - 1 are always empty:
-    windows past n + 1 are encoded and decoded as n + 1.
+    windows past n + 1 are encoded and decoded as n + 1. Each encoding is
+    decoded as soon as it is built, so one encoding is alive at a time.
     """
     if sset.kind != "searches":
         raise ValueError("reconstruction expects a search sample set")
     s = min(s, g.n + 1)
-    seqs = [rec.visit_order for rec in sset.items]
-    encs = [adjacency_encoding(g, seq, s) for seq in seqs]
-    recovered = reconstruct_from_searches(seqs, encs, s, n=g.n)
+    recovered: set[tuple[int, int]] = set()
+    for rec in sset.items:
+        seq = rec.visit_order
+        recovered |= reconstruct_from_searches(
+            [seq], [adjacency_encoding(g, seq, s)], s, n=g.n
+        )
     true_edges = g.edges()
     missing = true_edges - recovered
     spurious = recovered - true_edges
     return ReconstructionReport(
-        recovered_edges=recovered,
+        recovered_edges=frozenset(recovered),
         missing=frozenset(missing),
         spurious=frozenset(spurious),
         exact=not missing and not spurious,

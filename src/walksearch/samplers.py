@@ -26,24 +26,19 @@ makes the one ``random()`` of ``choices`` and bisects), both in
 which steps and tallies coverage in one loop per policy, with no
 generator. DFS steps draw this way too, and so does the Fisher-Yates loop
 of ``random.shuffle`` behind the permutation test in ``invariance``.
-Every randomized DFS runs one stepping loop, ``_search``, which returns
-the visit order and each visited node's discoverer, and which stops at
-its n-th visit, before any draw the order no longer needs.
-``_dfs_arrays`` draws the root, runs the loop and rejects a disconnected
-graph, and a batch runs it m times on one ``derive_rng(seed)``
-(``_trial_searches``).
-``sample_dfs`` and ``sample_set`` build a ``SearchRecord`` per search from
-the two arrays; ``search_set_dict``, the writer behind ``sample --kind
-searches``, builds the JSON of ``sample_set(...).to_dict()`` straight from
-them, with no record. Trial loops instead prepare a
-``SearchGraph`` once (connectivity check and per-node edge ids) and run
-its kernels on the same loop without building a record:
-``SearchGraph.visit_order`` returns the visit order, and
-``SearchGraph.cover`` marks tree-edge ids in a ``seen`` bytearray after
-the search. The DFS law is checked exactly on a reference search that
-calls ``randrange`` per step; the tests tie that reference to
-``sample_dfs`` and both search kernels, and per-step reference walks to
-``walk`` and ``cover_time``, draw for draw.
+Every randomized DFS is one call of ``_search(g, rng)``: it rejects an
+empty graph, draws the root, steps, rejects a disconnected graph, and
+returns the visit order and each visited node's discoverer, stopping at
+its n-th visit, before any draw the order no longer needs. `sample_dfs`
+builds a ``SearchRecord`` from one call; the batches call it in a loop
+on one ``derive_rng(seed)``: `sample_set` builds a record per search,
+and `search_set_dict`, the writer behind ``sample --kind searches``,
+writes the JSON of ``sample_set(...).to_dict()`` with no record. A
+trial loop that only needs coverage marks each search's tree-edge ids
+with ``SearchGraph.cover``. The DFS law is checked exactly on a
+reference search that calls ``randrange`` per step; the tests tie that
+reference to ``_search``, and per-step reference walks to ``walk`` and
+``cover_time``, draw for draw.
 """
 
 from __future__ import annotations
@@ -386,10 +381,12 @@ def sample_walk(
 # randomized DFS
 
 
-def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[int]]:
-    """The one randomized-DFS stepping loop, from `root`: returns the
-    visit order and `parents`, where ``parents[i]`` is the node that
-    discovered ``order[i + 1]``.
+def _search(g: Graph, rng: random.Random) -> tuple[list[int], list[int]]:
+    """The one randomized DFS: from a uniform root, drawn with
+    ``rng.randrange(n)``, return the visit order and `parents`, where
+    ``parents[i]`` is the node that discovered ``order[i + 1]``. An empty
+    graph is rejected before any draw, a disconnected one once the stack
+    empties before the n-th visit.
 
     Each step moves from the stack top to a uniform unvisited neighbor,
     or pops the top if it has none: the rule `enumerate_dfs` branches on.
@@ -401,11 +398,13 @@ def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[i
     module docstring). The search ends at its n-th visit: that node has
     no unvisited neighbor, so the next step pops, and the pop checks the
     count, so no draw follows the last visit and a visit pays no check.
-    On a disconnected graph the order misses the nodes outside the
-    root's component.
     """
+    n = g.n
+    if n < 1:
+        raise ValueError("empty graph")
+    adjacency = g.adjacency
     getrandbits = rng.getrandbits
-    n = len(adjacency)
+    root = rng.randrange(n)
     visited = bytearray(n)
     visited[root] = 1
     order = [root]
@@ -443,31 +442,10 @@ def _search(adjacency, rng: random.Random, root: int) -> tuple[list[int], list[i
                         candidates.append(w)
         elif stack and len(order) < n:
             u, candidates = stack.pop()
+        elif len(order) < n:
+            raise ValueError("searches require a connected graph")
         else:
             return order, parents
-
-
-def _dfs_arrays(g: Graph, rng: random.Random) -> tuple[list[int], list[int]]:
-    """One search as `_search` returns it, ``(order, parents)``, from a
-    uniform root drawn with ``rng.randrange(n)``: the search of
-    `sample_dfs`, `sample_set` and `search_set_dict`. An empty or
-    disconnected graph is rejected.
-    """
-    n = g.n
-    if n < 1:
-        raise ValueError("empty graph")
-    order, parents = _search(g.adjacency, rng, rng.randrange(n))
-    if len(order) != n:
-        raise ValueError("searches require a connected graph")
-    return order, parents
-
-
-def _trial_searches(g: Graph, m: int, seed: int):
-    """Yield the m searches of a batch as ``(order, parents)``, drawn in
-    turn from one ``derive_rng(seed)``."""
-    rng = derive_rng(seed)
-    for _ in range(m):
-        yield _dfs_arrays(g, rng)
 
 
 def _search_record(order: list[int], parents: list[int]) -> SearchRecord:
@@ -476,23 +454,21 @@ def _search_record(order: list[int], parents: list[int]) -> SearchRecord:
 
 
 def sample_dfs(g: Graph, rng: random.Random) -> SearchRecord:
-    """Sample a random depth-first search: the record of one run of the
-    stepping loop (`_search`) from a uniform root, drawn with
-    ``rng.randrange(n)``. A disconnected graph is rejected.
+    """Sample a random depth-first search: the record of one `_search`.
+    An empty or disconnected graph is rejected.
     """
-    return _search_record(*_dfs_arrays(g, rng))
+    return _search_record(*_search(g, rng))
 
 
 class SearchGraph:
-    """Randomized-DFS sampler for a fixed graph, for trial loops.
+    """Randomized-DFS edge cover for a fixed graph, for trial loops.
 
-    The graph is checked here, once, with the messages of `sample_dfs`:
-    it needs at least one node and must be connected. `edge_ids[u]` maps
+    The graph is checked here, once, with the messages of `_search`: it
+    needs at least one node and must be connected. `edge_ids[u]` maps
     each neighbor v of u to the id in 0..m-1 of the edge {u, v} (both
-    ends read the same id). Each kernel runs the stepping loop of
-    ``sample_dfs(g, rng)``, so it makes exactly its draws and leaves the
-    generator in the same state, but builds no record: `visit_order`
-    keeps only the visit order, and `cover` only marks tree-edge ids.
+    ends read the same id). `cover` runs one `_search`, so it makes
+    exactly the draws of ``sample_dfs(g, rng)`` and leaves the generator
+    in the same state, but builds no record: it only marks tree-edge ids.
     """
 
     def __init__(self, g: Graph):
@@ -505,11 +481,6 @@ class SearchGraph:
             dict(zip(nbrs, ids)) for nbrs, ids in zip(g.adjacency, _edge_id_rows(g))
         ]
 
-    def visit_order(self, rng: random.Random) -> tuple[int, ...]:
-        """The visit order of ``sample_dfs(g, rng)``."""
-        order, _ = _search(self.g.adjacency, rng, rng.randrange(self.g.n))
-        return tuple(order)
-
     def cover(self, rng: random.Random, seen: bytearray, remaining: int) -> int:
         """Mark the edge ids of the tree of ``sample_dfs(g, rng)`` in
         `seen` and return how many ids are left unmarked.
@@ -518,7 +489,7 @@ class SearchGraph:
         The ids are marked after the search, which makes all its draws
         up to its last visit.
         """
-        order, parents = _search(self.g.adjacency, rng, rng.randrange(self.g.n))
+        order, parents = _search(self.g, rng)
         edge_ids = self.edge_ids
         for u, v in zip(parents, order[1:]):
             e = edge_ids[u][v]
@@ -656,14 +627,12 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
     graph with n + 2m(n - 1) > budget (a path's exact count) is refused
     before any outcome is built.
     """
-    result = []
-    for order, parent, den in _enumerate(g, budget):
-        tree = frozenset(
-            (parent[v], v) if parent[v] < v else (v, parent[v]) for v in order[1:]
+    return [
+        DfsOutcome(
+            _search_record(order, [parent[v] for v in order[1:]]), Fraction(1, den)
         )
-        rec = SearchRecord(tuple(order), tree, order[0])
-        result.append(DfsOutcome(rec, Fraction(1, den)))
-    return result
+        for order, parent, den in _enumerate(g, budget)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -689,17 +658,17 @@ def sample_set(
     if kind not in ("walks", "searches"):
         raise ValueError(f"kind must be 'walks' or 'searches', got {kind!r}")
     items = []
+    rng = derive_rng(seed)
     if kind == "walks":
         if length is not None and length < 1:
             raise ValueError("walk length must be >= 1")
         walk_pol = WalkPolicy(g, policy)
         ell = g.n if length is None else length
-        rng = derive_rng(seed)
         for _ in range(m):
             nodes = tuple(islice(walk_pol.walk(rng), ell + 1))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))
     else:
-        items.extend(_search_record(*arrays) for arrays in _trial_searches(g, m, seed))
+        items.extend(_search_record(*_search(g, rng)) for _ in range(m))
     return SampleSet(kind=kind, items=tuple(items), seed=seed)
 
 
@@ -717,7 +686,9 @@ def search_set_dict(g: Graph, m: int, seed: int) -> dict:
         raise ValueError("m must be >= 1")
     n = g.n
     items = []
-    for order, parents in _trial_searches(g, m, seed):
+    rng = derive_rng(seed)
+    for _ in range(m):
+        order, parents = _search(g, rng)
         keys = [
             u * n + v if u < v else v * n + u
             for u, v in zip(parents, islice(order, 1, None))

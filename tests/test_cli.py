@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walksearch
-from walksearch import cli
+from walksearch import cli, samplers
 from walksearch.cli import main
 from walksearch.graphs import (
     MAX_FILE_NODES,
@@ -26,7 +27,7 @@ from walksearch.graphs import (
     relabel,
     save_edge_list,
 )
-from walksearch.samplers import POLICIES, SearchGraph, WalkPolicy, sample_set
+from walksearch.samplers import POLICIES, WalkPolicy, sample_set
 from walksearch.wl import RefinementRun, partition_of
 
 from .strategies import connected_graphs, graphs_with_permutation
@@ -190,50 +191,79 @@ class TestSearchVerbBytes:
                  "triangle": TRIANGLE, "one_node": ONE_NODE}
         graphs = [write(tmp_path, f"{key}.el", text) for key, text in texts.items()]
         argvs = [
+            ["sample", "--kind", "searches", "--m", "3", "--seed", "2"],
+            ["reconstruct", "--m", "2", "--window", "4", "--seed", "3"],
+            ["bound", "--delta", "0.2", "--trials", "6", "--seed", "4"],
             ["coverage", "--kinds", "searches", "--m-list", "1,2,4",
              "--trials", "8", "--seed", "1"],
-            ["coverage", "--kinds", "searches,walks", "--m-list", "3",
-             "--trials", "5", "--seed", "2"],
             ["invariance", "--mode", "sampled", "--perm-seed", "4",
              "--trials", "30", "--seed", "5"],
         ]
 
-        def run_all():
-            results = []
+        def run_all(counter):
+            """Per call: (exit code, stdout, stderr), and how much the call
+            added to counter["calls"]."""
+            results, counts = [], []
             for graph in graphs:
                 for argv in argvs:
+                    before = counter["calls"]
                     code = main(argv + ["--graph", graph])
                     captured = capsys.readouterr()
                     results.append((code, captured.out, captured.err))
-            return results
+                    counts.append(counter["calls"] - before)
+            return results, counts
 
-        kernels = run_all()
+        # every search draws its root with one randrange, and nothing else
+        # these verbs run calls it, so the root count is the search count
+        roots = Counter()
+        randrange = random.Random.randrange
+
+        def counted_randrange(self, *args):
+            roots["calls"] += 1
+            return randrange(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(random.Random, "randrange", counted_randrange)
+            kernels, searches = run_all(roots)
+
         calls = Counter()
 
-        def visit_order(self, rng):
-            calls["visit_order"] += 1
-            return stdlib_dfs(self.g, rng).visit_order
+        def reference(g, rng):
+            calls["calls"] += 1
+            rec = stdlib_dfs(g, rng)
+            pos = {v: i for i, v in enumerate(rec.visit_order)}
+            parent = {}
+            for u, v in rec.tree_edges:
+                if pos[u] > pos[v]:
+                    u, v = v, u
+                parent[v] = u
+            order = list(rec.visit_order)
+            return order, [parent[v] for v in order[1:]]
 
-        def cover(self, rng, seen, remaining):
-            calls["cover"] += 1
-            for u, v in stdlib_dfs(self.g, rng).tree_edges:
-                e = self.edge_ids[u][v]
-                if not seen[e]:
-                    seen[e] = 1
-                    remaining -= 1
-            return remaining
-
-        monkeypatch.setattr(SearchGraph, "visit_order", visit_order)
-        monkeypatch.setattr(SearchGraph, "cover", cover)
-        assert run_all() == kernels
-        # the one-node graph has no walk (exit 1 on its walks argv); every
-        # other call succeeds
-        assert [code for code, _, _ in kernels] == [0] * 12 + [0, 1, 0]
-        # four sampled-invariance batches of 30 orders per graph; a curve
-        # trial stops once a search covers every edge, which the path (a
-        # tree) does at its first search and the one-node graph at none
-        assert calls["visit_order"] == 5 * 4 * 30
-        assert 0 < calls["cover"] < 4 * (8 * 4 + 5 * 3)
+        bindings = [
+            module for name, module in sys.modules.items()
+            if name.startswith("walksearch")
+            and getattr(module, "_search", None) is samplers._search
+        ]
+        assert {m.__name__ for m in bindings} >= {
+            "walksearch.samplers", "walksearch.invariance"}
+        for module in bindings:
+            monkeypatch.setattr(module, "_search", reference)
+        assert run_all(calls) == (kernels, searches)
+        assert all(code == 0 for code, _, _ in kernels)
+        # per graph: 3 sampled searches, 2 reconstruction searches, and four
+        # sampled-invariance batches of 30; a bound or curve trial stops
+        # once its searches cover every edge, which a tree (the path) does
+        # at its first search and the one-node graph at its first bound
+        # search, with no curve search at all
+        per_graph = [searches[i:i + len(argvs)]
+                     for i in range(0, len(searches), len(argvs))]
+        assert all(row[0] == 3 and row[1] == 2 and row[4] == 4 * 30
+                   for row in per_graph)
+        assert per_graph[0][2:4] == [6, 8]
+        assert per_graph[-1][2:4] == [6, 0]
+        for row in per_graph[1:4]:
+            assert 6 < row[2] and 8 < row[3] < 8 * 4
 
     @staticmethod
     def sample_out(g, m, seed, tmp_dir) -> str:
@@ -749,6 +779,14 @@ class TestErrorsAndDeterminism:
              EDGE_PLUS_NODE, "searches require a connected graph"),
             (["sample", "--kind", "searches", "--m", "0", "--seed", "0"],
              TWO_EDGES, "m must be >= 1"),
+            (["reconstruct", "--m", "1", "--window", "3", "--seed", "0"],
+             EMPTY, "empty graph"),
+            (["reconstruct", "--m", "1", "--window", "3", "--seed", "0"],
+             TWO_EDGES, "searches require a connected graph"),
+            (["reconstruct", "--m", "2", "--window", "3", "--seed", "0"],
+             EDGE_PLUS_NODE, "searches require a connected graph"),
+            (["invariance", "--mode", "sampled", "--perm-seed", "1",
+              "--trials", "5", "--seed", "0"], EMPTY, "empty graph"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
@@ -762,7 +800,9 @@ class TestErrorsAndDeterminism:
              "wwl-rounds-2", "coverage-kinds-empty",
              "coverage-kinds-repeat", "sample-searches-one-node",
              "sample-searches-empty", "sample-searches-disconnected",
-             "sample-searches-edge-plus-node", "sample-searches-m0"],
+             "sample-searches-edge-plus-node", "sample-searches-m0",
+             "reconstruct-empty", "reconstruct-disconnected",
+             "reconstruct-edge-plus-node", "invariance-sampled-empty"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)
@@ -802,12 +842,17 @@ class TestErrorsAndDeterminism:
               "--policy", "local_rule"], "--policy"),
             (["coverage", "--kinds", "searches", "--m-list", "1",
               "--trials", "5", "--seed", "0", "--length", "0"], "--length"),
+            # refused before either graph is read: the second is missing
+            (["distinguish", "--graph2", "missing.el", "--test", "wl",
+              "--length", "3"], "--length"),
         ],
-        ids=["sample-length", "sample-policy", "coverage-length"],
+        ids=["sample-length", "sample-policy", "coverage-length",
+             "distinguish-wl-length"],
     )
     def test_walk_only_flags_refused_without_walks(self, tmp_path, capsys,
                                                    argv, flag):
         graph = write(tmp_path, "p.el", PATH3)
+        argv = [str(tmp_path / a) if a.endswith(".el") else a for a in argv]
         code = main(argv + ["--graph", graph])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from walksearch import samplers
+from walksearch import invariance, samplers
 from walksearch.graphs import (
+    Graph,
+    complete_graph,
     cycle_graph,
     hex_chain,
     path_graph,
@@ -32,6 +34,7 @@ from walksearch.invariance import (
 from walksearch.samplers import derive_rng, enumerate_dfs, sample_dfs
 
 from .corpus import all_labeled_connected_graphs_upto
+from .test_samplers import DFS_ORACLE_GRAPHS, DrawCounter, stdlib_dfs
 
 
 class TestDistributions:
@@ -388,6 +391,47 @@ class TestSampleVisitOrders:
                 rng = derive_rng(3, tag)
                 expected = [sample_dfs(g, rng).visit_order for _ in range(25)]
                 assert sample_visit_orders(g, 25, 3, tag) == expected
+
+    def test_matches_stdlib_dfs(self, monkeypatch):
+        # draw for draw: the orders and the generator's end state are the
+        # reference's
+        rngs = []
+        monkeypatch.setattr(invariance, "derive_rng", lambda *key: rngs.pop())
+        for g in DFS_ORACLE_GRAPHS:
+            for seed in range(5):
+                expected_rng, rng = random.Random(seed), random.Random(seed)
+                expected = [stdlib_dfs(g, expected_rng).visit_order for _ in range(2)]
+                rngs.append(rng)
+                assert sample_visit_orders(g, 2, seed) == expected, (g.adjacency, seed)
+                assert rng.getstate() == expected_rng.getstate()
+
+    def test_draws_without_stdlib_wrappers(self, monkeypatch):
+        rngs = []
+        monkeypatch.setattr(invariance, "derive_rng", lambda *key: rngs.pop())
+        for g in (hex_chain(3), complete_graph(12), star_graph(30)):
+            rng = DrawCounter(4)
+            rngs.append(rng)
+            sample_visit_orders(g, 3, 0)
+            # one root per search
+            assert rng.draws["randrange"] == 3
+            assert rng.draws["getrandbits"] > 0
+            for name in ("shuffle", "choices", "random"):
+                assert rng.draws[name] == 0
+
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            (Graph.from_edges(0, []), "empty graph"),
+            (Graph.from_edges(4, [(0, 1), (2, 3)]), "searches require a connected graph"),
+            (Graph.from_edges(3, [(0, 1)]), "searches require a connected graph"),
+        ],
+        ids=["empty", "two_edges", "edge_plus_node"],
+    )
+    def test_checks_the_graph_only_when_searching(self, g, message):
+        # no trial draws no search, so no graph is refused
+        assert sample_visit_orders(g, 0, 5) == []
+        with pytest.raises(ValueError, match=message):
+            sample_visit_orders(g, 1, 5)
 
 
 class TestSampledInvariance:

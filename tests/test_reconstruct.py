@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -147,6 +149,21 @@ class TestReportAndErrors:
         assert verify_reconstruction(g, ss, s) == verify_reconstruction(
             g, ss, g.n + 1
         )
+
+    def test_peak_memory_holds_one_encoding(self):
+        # each encoding (n * n cells at s = n + 1) is decoded before the
+        # next is built, so the peak does not grow with m
+        g = hex_chain(100)
+        peaks = {}
+        for m in (1, 8):
+            sset = sample_set(g, "searches", m, seed=4)
+            tracemalloc.start()
+            try:
+                verify_reconstruction(g, sset, g.n + 1)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 2 * peaks[1]
 
     def test_walk_sets_rejected(self):
         g = cycle_graph(5)

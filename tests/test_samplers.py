@@ -399,15 +399,6 @@ def preseen(g: Graph, seed: int) -> bytearray:
 
 
 class TestSearchGraph:
-    def test_visit_order_matches_stdlib_dfs(self):
-        for g in DFS_ORACLE_GRAPHS:
-            search_graph = SearchGraph(g)
-            for seed in range(5):
-                expected_rng, rng = random.Random(seed), random.Random(seed)
-                expected = stdlib_dfs(g, expected_rng).visit_order
-                assert search_graph.visit_order(rng) == expected, (g.adjacency, seed)
-                assert rng.getstate() == expected_rng.getstate()
-
     def test_cover_matches_stdlib_dfs(self):
         outcomes = Counter()
         for g in DFS_ORACLE_GRAPHS:
@@ -448,19 +439,12 @@ class TestSearchGraph:
 
     def test_draws_without_stdlib_wrappers(self):
         for g in (hex_chain(3), complete_graph(12), star_graph(30)):
-            search_graph = SearchGraph(g)
-            for run in (
-                search_graph.visit_order,
-                lambda rng: search_graph.cover(
-                    rng, bytearray(g.edge_count), g.edge_count
-                ),
-            ):
-                rng = DrawCounter(4)
-                run(rng)
-                assert rng.draws["randrange"] == 1
-                assert rng.draws["getrandbits"] > 0
-                for name in ("shuffle", "choices", "random"):
-                    assert rng.draws[name] == 0
+            rng = DrawCounter(4)
+            SearchGraph(g).cover(rng, bytearray(g.edge_count), g.edge_count)
+            assert rng.draws["randrange"] == 1
+            assert rng.draws["getrandbits"] > 0
+            for name in ("shuffle", "choices", "random"):
+                assert rng.draws[name] == 0
 
     @pytest.mark.parametrize(
         "g, message",
