@@ -283,6 +283,8 @@ def _cmd_refine(args, test: str) -> None:
 def _cmd_distinguish(args) -> None:
     if args.test == "wl":
         _refuse_walk_flags(args, ("length",))
+    elif args.length is None:
+        raise _UsageError("--length is required for the wwl test")
     g = read_edge_list(args.graph)
     h = read_edge_list(args.graph2)
     verdict = wlmod.distinguish(g, h, test=args.test, length=args.length)
@@ -290,6 +292,8 @@ def _cmd_distinguish(args) -> None:
 
 
 def _cmd_invariance(args) -> None:
+    if args.mode == "sampled" and args.seed is None:
+        raise _UsageError("--seed is required for sampled mode")
     g = read_edge_list(args.graph)
     perm = random_permutation(g.n, derive_rng(args.perm_seed, "perm"))
     if args.mode == "exact":
@@ -305,8 +309,6 @@ def _cmd_invariance(args) -> None:
             args.out,
         )
         return
-    if args.seed is None:
-        raise _UsageError("--seed is required for sampled mode")
     report = inv.invariance_sampled(g, perm, args.trials, args.seed)
     _emit_json(
         {

@@ -6,7 +6,9 @@ searches recovers edges; with window s >= n+1 a single search already
 sees every earlier position, so all edges among visited nodes appear.
 Recovery can only ever miss edges, never invent them, as long as the
 encodings were computed from the actual graph. Decoding steps from set
-cell to set cell with `bytes.find` over an encoding's row-major bytes.
+cell to set cell with `find` over an encoding's row-major bytes, read in
+place when the encoding views a whole `bytes` or `bytearray` (as the
+encoders' matrices do) and copied otherwise.
 """
 
 from __future__ import annotations
@@ -59,7 +61,15 @@ def reconstruct_from_searches(
             )
         if any(not 0 <= w < n for w in seq):
             raise ValueError("node id out of range")
-        cells = enc.tobytes()
+        # scan the encoder's own buffer when the view is all of it, in
+        # order; copy any other view
+        cells = enc.obj
+        if not (
+            isinstance(cells, (bytes, bytearray))
+            and len(cells) == enc.nbytes
+            and enc.c_contiguous
+        ):
+            cells = enc.tobytes()
         k = -1
         while (k := cells.find(1, k + 1)) >= 0:
             i, col = divmod(k, s - 1)

@@ -17,8 +17,8 @@ it, each under the next fresh index (one largest piece keeps the old
 index). Class indices share the payloads' equalities within a round, so
 they serve as the colors the update hashes. A round without a split is
 the stable round: a stable partition is a fixed point of both
-refinements, so the driver stops updating there and any further
-requested rounds are empty (see `_run_refinement`).
+refinements, so `_refine` stops running rounds there and any further
+requested rounds are empty.
 
 `RefinementRun.history`, the color ids of a single run-wide dictionary
 (each round's payloads numbered in order of first appearance, graph by
@@ -32,15 +32,16 @@ on N nodes) and trims and re-joins each class they left in C, in O(its
 size). Stable color multisets are read from the last round's classes, so
 neither builds `history`.
 
-1-WL is walk refinement at length 1, and both run one update
-(`_split_update`). It lists no walk. A round names each colored walk by
-an id interned from (id of the walk without its last node, class of that
-node), and pushes, level by level, the ids of the walks through nodes
-that moved in the round before (the only walks whose colors can have
-changed) from those nodes out to their neighbors; round 1 counts every
-node as moved. A round holds the ids it pushed and one length's walks
-near the moved nodes, and the walk guard counts walks without listing
-them. Color ids are run-relative and never compared across runs.
+1-WL is walk refinement at length 1: `wl_refine` and `wwl_refine` are
+each one call of `_refine`, which runs every round as one `_round`. A
+round lists no walk. It names each colored walk by an id interned from
+(id of the walk without its last node, class of that node), and pushes,
+level by level, the ids of the walks through nodes that moved in the
+round before (the only walks whose colors can have changed) from those
+nodes out to their neighbors; round 1 counts every node as moved. A
+round holds the ids it pushed and one length's walks near the moved
+nodes, and the walk guard counts walks without listing them. Color ids
+are run-relative and never compared across runs.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class RefinementRun:
         `_FEW_MOVED` left; its blocks are then re-joined. Those two steps
         run in C in O(size of the kept class). A node moves only in a
         piece no larger than the one that keeps its class (see
-        `_split_update`), so over a run on N joint nodes the pieces hold
+        `_round`), so over a run on N joint nodes the pieces hold
         O(N log N) nodes.
 
         Each graph keeps a block's text at its least local node ("" at
@@ -350,75 +351,6 @@ def _apply_splits(cls, members, splits) -> None:
             cls[y] = k
 
 
-def _checked_inputs(graphs, length, rounds, init):
-    """Reject a refinement's inputs before any walk is counted, in this
-    order: no graph, a walk length below 1, a negative round budget, then
-    `init` not giving one label per node per graph. Returns `graphs` and
-    `init` as tuples."""
-    graphs = tuple(graphs)
-    if not graphs:
-        raise ValueError("need at least one graph")
-    if length < 1:
-        raise ValueError("walk length must be >= 1")
-    if rounds is not None and rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    if init is not None:
-        init = tuple(tuple(labels) for labels in init)
-        if len(init) != len(graphs) or any(
-            len(labels) != g.n for labels, g in zip(init, graphs)
-        ):
-            raise ValueError("init must give one label per node per graph")
-    return graphs, init
-
-
-def _run_refinement(graphs, update, rounds, init):
-    """Shared driver: number the initial classes, apply `update` per round
-    and log its splits. Its inputs come from `_checked_inputs`.
-
-    The driver keeps `cls` (class index per joint node) and `members`
-    (joint node set per class index). `update(cls, members)` returns the
-    round's splits as (class, node tuple) pairs, read against the classes
-    of the round before: nodes leave their class for a fresh index, the
-    i-th pair taking index len(members) + i. Runs for `rounds` updates
-    when given, else until the joint partition repeats.
-
-    Initial labels are numbered in order of first appearance over the
-    joint node set, i.e. by least joint node. Because each payload carries
-    the node's current color, round r+1's joint partition refines round
-    r's; the two are equal exactly when round r+1 split nothing, and then
-    r is the stable round. The partition is then a fixed point, so every
-    further round would split nothing too: the driver stops calling
-    `update` and leaves the rest of a requested round budget empty.
-    """
-    if init is None:
-        labels = [0] * sum(g.n for g in graphs)
-    else:
-        labels = chain.from_iterable(init)
-    table: dict = {}
-    cls = [table.setdefault(label, len(table)) for label in labels]
-    initial = tuple(cls)
-    members = _member_sets(cls)
-
-    max_rounds = rounds if rounds is not None else len(cls) + 1
-    log = []
-    stable_round = None
-    while len(log) < max_rounds:
-        splits = update(cls, members)
-        if not splits:
-            stable_round = len(log)
-            break
-        _apply_splits(cls, members, splits)
-        log.append(tuple(splits))
-    return RefinementRun(
-        graphs=graphs,
-        initial=initial,
-        splits=tuple(log),
-        final=tuple(cls),
-        rounds=rounds if rounds is not None else stable_round + 1,
-        stable_round=stable_round,
-    )
-
-
 # ---------------------------------------------------------------------------
 # terminating walks and the two refinements
 
@@ -518,31 +450,32 @@ def _push(adjacency, changed):
     return received
 
 
-def _split_update(graphs, length, guard):
-    """The round update of walk refinement at `length` (1-WL at length 1)
-    for `_run_refinement`.
+def _round(adjacency, length, cls, members, moved):
+    """One round of walk refinement at `length` (1-WL at length 1) on the
+    joint `adjacency`. `cls` (class index per joint node) and `members`
+    (joint node set per class index) are the classes of the round before,
+    and `moved` the nodes that moved in it. Returns the round's splits, as
+    (class, node tuple) pairs whose i-th takes index len(members) + i, and
+    the nodes they moved.
 
-    Walks are not listed. Before any round, `_check_walk_guard` raises at
-    the node `terminating_walks` with `guard` would trip at (a guard of
-    math.inf is not checked). A round names each colored walk by an id,
+    Walks are not listed. A round names each colored walk by an id,
     interned in a table made fresh for the round: a one-node walk's id is
     its node's class, and a longer walk's id is a negative int interned
     from (the id of the walk without its last node, its last node's
     class). By induction on the length, two ids are equal exactly when the
     colored walks are, and walks of different lengths never share an id.
 
-    A round starts from the nodes that moved to a fresh index in the round
-    before; round 1 counts every node as moved. `changed[y]` holds the ids
-    of the walks of the current length that end at y and pass a moved
-    node: for a moved y, all of its walks, built level by level over the
-    nodes within length - 1 steps of a moved node (`_ball`); for another
-    y, the extensions of what it received. Each level pushes every
-    `changed[y]` to y's neighbors (`_push`): the ids u receives name its
-    walks one step longer that pass a moved node before u, and they join
-    u's signature. The level loop stops at `length` or at the first level
-    with no such walk. In a class, the nodes that received ids are grouped
-    by their sorted signatures and the others form one more group; the
-    largest group keeps the class index and every other group moves.
+    `changed[y]` holds the ids of the walks of the current length that end
+    at y and pass a moved node: for a moved y, all of its walks, built
+    level by level over the nodes within length - 1 steps of a moved node
+    (`_ball`); for another y, the extensions of what it received. Each
+    level pushes every `changed[y]` to y's neighbors (`_push`): the ids u
+    receives name its walks one step longer that pass a moved node before
+    u, and they join u's signature. The level loop stops at `length` or at
+    the first level with no such walk. In a class, the nodes that received
+    ids are grouped by their sorted signatures and the others form one
+    more group; the largest group keeps the class index and every other
+    group moves.
 
     This is exact. Class-mates had equal payloads in the round before and
     share their own class, so the ids in a signature determine the colored
@@ -557,6 +490,93 @@ def _split_update(graphs, length, guard):
     round 1 and then at most once per move of one of its first `length`
     nodes.
     """
+    k = len(members)  # the key p * k + c names the pair (p, c)
+    ids = defaultdict(count(-1, -1).__next__)
+    layers = _ball(adjacency, moved, length - 1)
+    # full[x]: the ids of all walks of the current length ending at x,
+    # for the nodes close enough to a moved node to need them
+    full = {x: [cls[x]] for layer in layers for x in layer}
+    # one dict when the ball is the moved nodes alone, as at length 1
+    changed = full if len(layers) == 1 else {y: full[y] for y in moved}
+    signature: dict = {}
+    level = 1
+    while changed:
+        received = _push(adjacency, changed)
+        if level == 1:
+            signature = received
+        else:
+            for u, walk_ids in received.items():
+                signature.setdefault(u, []).extend(walk_ids)
+        if level == length:
+            break
+        # the ids of the walks of `level` steps, kept where the walks
+        # of later levels need them
+        shorter, full = full, {}
+        for x in chain.from_iterable(layers[: length - level]):
+            c = cls[x]
+            full[x] = [ids[p * k + c] for y in adjacency[x] for p in shorter[y]]
+        # a moved node's walks all changed; another node's changed
+        # walks extend what it received (a moved node without walks
+        # has no neighbor, so it received nothing)
+        changed = {x: full[x] for x in moved if full[x]}
+        for u, walk_ids in received.items():
+            if u not in changed:
+                c = cls[u]
+                changed[u] = [ids[p * k + c] for p in walk_ids]
+        level += 1
+
+    groups = defaultdict(dict)
+    for y, sig in signature.items():
+        sig.sort()
+        groups[cls[y]].setdefault(tuple(sig), []).append(y)
+
+    splits, moved = [], []
+    for c, by_sig in groups.items():
+        pieces = sorted(by_sig.values(), key=len)
+        untouched = len(members[c]) - sum(map(len, pieces))
+        if untouched < len(pieces[-1]):
+            largest = pieces.pop()
+            if untouched:
+                pieces.append(members[c].difference(largest, *pieces))
+        for nodes in pieces:
+            splits.append((c, tuple(nodes)))
+            moved += nodes
+    return splits, moved
+
+
+def _refine(graphs, length, guard, rounds, init) -> RefinementRun:
+    """Joint walk refinement at `length` (1-WL at length 1), kept as a
+    split log; runs for `rounds` rounds when given, else until the joint
+    partition repeats.
+
+    Inputs are rejected before any walk is counted, in this order: no
+    graph, a walk length below 1, a negative round budget, then `init` not
+    giving one label per node per graph. Then `_check_walk_guard` raises
+    at the node `terminating_walks` with `guard` would trip at (a guard of
+    math.inf is not checked).
+
+    Initial labels are numbered in order of first appearance over the
+    joint node set, i.e. by least joint node, and each round is one
+    `_round`. Because each payload carries the node's current color, round
+    r+1's joint partition refines round r's; the two are equal exactly
+    when round r+1 split nothing, and then r is the stable round. The
+    partition is then a fixed point, so every further round would split
+    nothing too: the loop stops there and leaves the rest of a requested
+    round budget empty.
+    """
+    graphs = tuple(graphs)
+    if not graphs:
+        raise ValueError("need at least one graph")
+    if length < 1:
+        raise ValueError("walk length must be >= 1")
+    if rounds is not None and rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if init is not None:
+        init = tuple(tuple(labels) for labels in init)
+        if len(init) != len(graphs) or any(
+            len(labels) != g.n for labels, g in zip(init, graphs)
+        ):
+            raise ValueError("init must give one label per node per graph")
     if guard < math.inf:
         _check_walk_guard(graphs, length, guard)
     adjacency, start = [], 0
@@ -566,77 +586,42 @@ def _split_update(graphs, length, guard):
         else:
             adjacency += g.adjacency
         start += g.n
+
+    labels = [0] * start if init is None else chain.from_iterable(init)
+    table: dict = {}
+    cls = [table.setdefault(label, len(table)) for label in labels]
+    initial = tuple(cls)
+    members = _member_sets(cls)
     moved = range(start)  # round 1 counts every node as moved
-
-    def update(cls, members):
-        nonlocal moved
-        k = len(members)  # the key p * k + c names the pair (p, c)
-        ids = defaultdict(count(-1, -1).__next__)
-        layers = _ball(adjacency, moved, length - 1)
-        # full[x]: the ids of all walks of the current length ending at x,
-        # for the nodes close enough to a moved node to need them
-        full = {x: [cls[x]] for layer in layers for x in layer}
-        # one dict when the ball is the moved nodes alone, as at length 1
-        changed = full if len(layers) == 1 else {y: full[y] for y in moved}
-        signature: dict = {}
-        level = 1
-        while changed:
-            received = _push(adjacency, changed)
-            if level == 1:
-                signature = received
-            else:
-                for u, walk_ids in received.items():
-                    signature.setdefault(u, []).extend(walk_ids)
-            if level == length:
-                break
-            # the ids of the walks of `level` steps, kept where the walks
-            # of later levels need them
-            shorter, full = full, {}
-            for x in chain.from_iterable(layers[: length - level]):
-                c = cls[x]
-                full[x] = [ids[p * k + c] for y in adjacency[x] for p in shorter[y]]
-            # a moved node's walks all changed; another node's changed
-            # walks extend what it received (a moved node without walks
-            # has no neighbor, so it received nothing)
-            changed = {x: full[x] for x in moved if full[x]}
-            for u, walk_ids in received.items():
-                if u not in changed:
-                    c = cls[u]
-                    changed[u] = [ids[p * k + c] for p in walk_ids]
-            level += 1
-
-        groups = defaultdict(dict)
-        for y, sig in signature.items():
-            sig.sort()
-            groups[cls[y]].setdefault(tuple(sig), []).append(y)
-
-        splits, moved = [], []
-        for c, by_sig in groups.items():
-            pieces = sorted(by_sig.values(), key=len)
-            untouched = len(members[c]) - sum(map(len, pieces))
-            if untouched < len(pieces[-1]):
-                largest = pieces.pop()
-                if untouched:
-                    pieces.append(members[c].difference(largest, *pieces))
-            for nodes in pieces:
-                splits.append((c, tuple(nodes)))
-                moved += nodes
-        return splits
-
-    return update
+    max_rounds = rounds if rounds is not None else start + 1
+    log = []
+    stable_round = None
+    while len(log) < max_rounds:
+        splits, moved = _round(adjacency, length, cls, members, moved)
+        if not splits:
+            stable_round = len(log)
+            break
+        _apply_splits(cls, members, splits)
+        log.append(tuple(splits))
+    return RefinementRun(
+        graphs=graphs,
+        initial=initial,
+        splits=tuple(log),
+        final=tuple(cls),
+        rounds=rounds if rounds is not None else stable_round + 1,
+        stable_round=stable_round,
+    )
 
 
 def wl_refine(graphs, rounds: int | None = None, init=None) -> RefinementRun:
     """Joint 1-WL refinement: hash (color, multiset of neighbor colors).
 
     This is walk refinement at length 1, whose walks are the edges into a
-    node, run without a walk guard (see `_split_update`): after round 1 a
-    node's class is pushed along its edges only when it moved, so a run
-    over N nodes and m edges pushes O(m log N) ids.
+    node, run by `_refine` without a walk guard: after round 1 a node's
+    class is pushed along its edges only when it moved (see `_round`), so
+    a run over N nodes and m edges pushes O(m log N) ids.
     """
-    graphs, init = _checked_inputs(graphs, 1, rounds, init)
-    update = _split_update(graphs, 1, math.inf)
-    return _run_refinement(graphs, update, rounds, init)
+    return _refine(graphs, 1, math.inf, rounds, init)
 
 
 def wwl_refine(
@@ -646,15 +631,12 @@ def wwl_refine(
 
     Each round hashes (current color, multiset of colored terminating
     walks of length 1..length), pushing only the ids of the walks through
-    nodes that moved (see `_split_update`); more than DEFAULT_WALK_GUARD
-    walks at one node raise RefinementGuardError before any round, for
-    any `length`. Supports a non-uniform initial
-    coloring, which is what the fixed-point comparison against classic WL
-    uses.
+    nodes that moved (see `_round`); more than DEFAULT_WALK_GUARD walks at
+    one node raise RefinementGuardError before any round, for any
+    `length` (see `_refine`). Supports a non-uniform initial coloring,
+    which is what the fixed-point comparison against classic WL uses.
     """
-    graphs, init = _checked_inputs(graphs, length, rounds, init)
-    update = _split_update(graphs, length, DEFAULT_WALK_GUARD)
-    return _run_refinement(graphs, update, rounds, init)
+    return _refine(graphs, length, DEFAULT_WALK_GUARD, rounds, init)
 
 
 # ---------------------------------------------------------------------------

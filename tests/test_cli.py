@@ -860,6 +860,30 @@ class TestErrorsAndDeterminism:
             "error": "usage", "message": f"{flag} applies only to walks"
         }
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["distinguish", "--graph2", "missing2.el", "--test", "wwl"],
+             "--length is required for the wwl test"),
+            (["invariance", "--mode", "sampled", "--perm-seed", "1"],
+             "--seed is required for sampled mode"),
+            (["bound", "--delta", "0.1"],
+             "--seed is required when verifying against a graph"),
+        ],
+        ids=["distinguish-wwl-length", "invariance-sampled-seed",
+             "bound-graph-seed"],
+    )
+    def test_mode_required_flags_refused_before_reading(self, tmp_path,
+                                                         capsys, argv,
+                                                         message):
+        # every graph file is missing, so a refusal after reading one
+        # would exit 1
+        argv = [str(tmp_path / a) if a.endswith(".el") else a for a in argv]
+        code = main(argv + ["--graph", str(tmp_path / "missing.el")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": "usage", "message": message}
+
     def test_walks_default_to_the_uniform_policy(self, tmp_path, capsys):
         graph = write(tmp_path, "c.el", CYCLE6)
         argv = ["sample", "--graph", graph, "--kind", "walks", "--m", "3",

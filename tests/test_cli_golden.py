@@ -9,6 +9,11 @@ says so in CHANGES.md. To print fresh digests:
 
     PYTHONPATH=src python -m tests.test_cli_golden
 
+With `--calls` it prints instead one line per call of the sweep: the
+verb, the call's index among that verb's calls and the sha256 of the
+call's record (the bytes its verb's digest takes from it). A `diff` of
+that printout from two checkouts names the calls whose bytes moved.
+
 The same printout, under each other CPython that pyenv holds in its
 default place, must give the same digests.
 """
@@ -58,7 +63,7 @@ GOLDEN = {
     "covertime": "ff000e9c9583ccbe62677bb98aa34d08548a31ae07e990a6ebe26d18d431099c",
     "wl": "b489aaa3b44d937af211aa1c2afcdb3f2c0ef3d267ec0761bf784a179b5590af",
     "wwl": "9305e3d6e223e60f19632b6e8e4503494e936bb4f59c174298873de6f3e20f6a",
-    "distinguish": "381ecb6edfd00ad512e44673df96f6a7a8356b4d563e4a528b5429e556958099",
+    "distinguish": "2bda17380b40c1391bd4fda2b40352d26e8614b6e900272200c62e247b55e9b9",
     "invariance": "309fb84dadce30ca7710d4220e12f175bc2abd77033e653892af27ced7b6a5f8",
     "reconstruct": "5bf86834342897f7bb4e264fba50405685c40e1df887cc7c01b32a1659ba6b8b",
 }
@@ -152,24 +157,39 @@ def write_graphs(directory) -> None:
         write_edge_list(make(), directory / f"{key}.el")
 
 
-def verb_digest(calls, directory) -> str:
-    """sha256 over (argv, exit code, stdout, stderr) of each call in turn,
-    with the directory replaced by "<tmp>" in all three texts."""
+def call_record(call, directory) -> bytes:
+    """The bytes a verb's digest takes from one call: its argv, exit code,
+    stdout and stderr as one JSON line, with the directory replaced by
+    "<tmp>" in all three texts."""
     tmp = str(directory)
+    argv = [f"{tmp}/{a[1:]}.el" if a.startswith("@") else a for a in call]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    record = [
+        [a.replace(tmp, "<tmp>") for a in argv],
+        code,
+        out.getvalue().replace(tmp, "<tmp>"),
+        err.getvalue().replace(tmp, "<tmp>"),
+    ]
+    return json.dumps(record).encode() + b"\n"
+
+
+def verb_digest(calls, directory) -> str:
+    """sha256 over the `call_record` of each call in turn."""
     digest = hashlib.sha256()
     for call in calls:
-        argv = [f"{tmp}/{a[1:]}.el" if a.startswith("@") else a for a in call]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        record = [
-            [a.replace(tmp, "<tmp>") for a in argv],
-            code,
-            out.getvalue().replace(tmp, "<tmp>"),
-            err.getvalue().replace(tmp, "<tmp>"),
-        ]
-        digest.update(json.dumps(record).encode() + b"\n")
+        digest.update(call_record(call, directory))
     return digest.hexdigest()
+
+
+def call_lines(sweep_calls, directory):
+    """One line per call: verb, index within the verb's calls, and the
+    sha256 of its `call_record`."""
+    for verb, calls in sweep_calls.items():
+        for i, call in enumerate(calls):
+            record = call_record(call, directory)
+            yield f"{verb} {i} {hashlib.sha256(record).hexdigest()}"
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +202,24 @@ def graph_dir(tmp_path_factory):
 @pytest.mark.parametrize("verb", list(GOLDEN))
 def test_verb_bytes_match_golden(verb, graph_dir):
     assert verb_digest(sweep()[verb], graph_dir) == GOLDEN[verb]
+
+
+def test_call_lines_hash_the_records_of_the_digest(graph_dir):
+    calls = {verb: sweep()[verb][-2:] for verb in ("bound", "distinguish")}
+    lines = [line.split() for line in call_lines(calls, graph_dir)]
+    assert [line[:2] for line in lines] == [
+        ["bound", "0"], ["bound", "1"], ["distinguish", "0"], ["distinguish", "1"]
+    ]
+    records = [call_record(call, graph_dir) for verb in calls for call in calls[verb]]
+    assert [line[2] for line in lines] == [
+        hashlib.sha256(record).hexdigest() for record in records
+    ]
+    # the verb's digest hashes the same records, in call order
+    for verb, verb_records in (("bound", records[:2]), ("distinguish", records[2:])):
+        digest = hashlib.sha256(b"".join(verb_records)).hexdigest()
+        assert verb_digest(calls[verb], graph_dir) == digest
+    # a call that fails prints a line too, with its refusal in the record
+    assert json.loads(records[3])[1:3] == [2, ""]
 
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -214,10 +252,15 @@ def test_other_interpreters_print_golden(version, tmp_path):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as name:
         directory = pathlib.Path(name)
         write_graphs(directory)
-        for verb, calls in sweep().items():
-            print(f'    "{verb}": "{verb_digest(calls, directory)}",')
+        if sys.argv[1:] == ["--calls"]:
+            for line in call_lines(sweep(), directory):
+                print(line)
+        else:
+            for verb, calls in sweep().items():
+                print(f'    "{verb}": "{verb_digest(calls, directory)}",')

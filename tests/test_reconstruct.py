@@ -104,6 +104,28 @@ class TestDecodeOracle:
             [seq], [enc], s
         )
 
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_matches_per_cell_decode_on_views_of_other_buffers(self, data):
+        # a view of a whole `bytes` is scanned in place; a view cut from a
+        # larger buffer must be copied, or its cells would be misplaced
+        rows = data.draw(st.integers(1, 6))
+        s = data.draw(st.integers(2, 8))
+        seq = data.draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows))
+        size = rows * (s - 1)
+        cells = data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size))
+        before = data.draw(st.lists(st.integers(0, 1), max_size=5))
+        after = data.draw(st.lists(st.integers(0, 1), max_size=5))
+        whole = bytes(cells)
+        cut = bytearray(before + cells + after)
+        for enc in (
+            memoryview(whole).cast("b", (rows, s - 1)),
+            memoryview(cut)[len(before):len(before) + size].cast("b", (rows, s - 1)),
+        ):
+            assert reconstruct_from_searches([seq], [enc], s, 6) == per_cell_decode(
+                [seq], [enc], s
+            )
+
     def test_cells_before_the_sequence_start_are_ignored(self):
         # cell [i, col] names seq[i - col - 1]; with col >= i that lies
         # before position 0, so the cell names no pair
@@ -164,6 +186,19 @@ class TestReportAndErrors:
             finally:
                 tracemalloc.stop()
         assert peaks[8] < 2 * peaks[1]
+
+    def test_decode_reads_the_encoding_in_place(self):
+        # at s = n + 1 one encoding is n * n bytes; a decode that copied it
+        # would hold it twice
+        g = hex_chain(300)
+        sset = sample_set(g, "searches", 1, seed=4)
+        tracemalloc.start()
+        try:
+            verify_reconstruction(g, sset, g.n + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.n * g.n
 
     def test_walk_sets_rejected(self):
         g = cycle_graph(5)

@@ -264,16 +264,13 @@ class TestSplitLog:
 
     def test_wwl_stops_updating_at_stable(self, monkeypatch):
         calls = []
-        real = wlmod._run_refinement
+        real = wlmod._round
 
-        def counting(graphs, update, rounds, init):
-            def counted(*args):
-                calls.append(1)
-                return update(*args)
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
 
-            return real(graphs, counted, rounds, init)
-
-        monkeypatch.setattr(wlmod, "_run_refinement", counting)
+        monkeypatch.setattr(wlmod, "_round", counting)
         g = path_graph(12)
         stable = wwl_refine([g], 2).stable_round
         for rounds in (stable + 1, stable + 1000):
@@ -352,7 +349,7 @@ class TestSplitLog:
 
 
 class TestSharedUpdate:
-    """`wl_refine` and `wwl_refine` run one split-driven update. At length
+    """`wl_refine` and `wwl_refine` run one split-driven round. At length
     3 walks visit a node twice before their end and pass through several
     nodes that moved in one round; each such walk is recolored once."""
 
@@ -450,15 +447,12 @@ class TestSharedUpdate:
                 reads[0] += len(self)
                 return list.__iter__(self)
 
-        real = wlmod._run_refinement
+        real = wlmod._round
 
-        def counting(graphs, update, rounds, init):
-            def counted(cls, members):
-                return update(CountingList(cls), members)
+        def counting(adjacency, length, cls, members, moved):
+            return real(adjacency, length, CountingList(cls), members, moved)
 
-            return real(graphs, counted, rounds, init)
-
-        monkeypatch.setattr(wlmod, "_run_refinement", counting)
+        monkeypatch.setattr(wlmod, "_round", counting)
         moves = int(math.log2(graph.n))
         # ends[u]: walks of the current length that end at u
         ends, bound = [1] * graph.n, 0
@@ -520,8 +514,8 @@ class TestSharedUpdate:
 
 
 class TestWalkGuard:
-    """The update counts walks instead of listing them, and trips its guard
-    before any round at the node where listing them would."""
+    """A refinement counts walks instead of listing them, and trips its
+    guard before any round at the node where listing them would."""
 
     @staticmethod
     def listing_trip(graphs, length, guard):
