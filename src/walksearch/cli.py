@@ -74,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="generate a graph family as an edge list")
+    sp.set_defaults(run=_cmd_gen)
     sp.add_argument("--family", required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--k", type=int)
@@ -82,16 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
 
     sp = sub.add_parser("sample", help="sample walks or searches as JSON")
+    sp.set_defaults(run=_cmd_sample)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--kind", required=True, choices=["walks", "searches"])
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--length", type=int)
-    # no default, so that a --policy given with --kind searches is seen
+    # mode-specific flags have no argparse default, so that one given
+    # outside its mode is seen; the handlers fill in the defaults
     sp.add_argument("--policy", choices=POLICIES)
     sp.add_argument("--out")
 
     sp = sub.add_parser("coverage", help="mean coverage vs sample count (CSV)")
+    sp.set_defaults(run=_cmd_coverage)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--kinds", default="walks,searches")
     sp.add_argument("--m-list", required=True)
@@ -101,16 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
 
     sp = sub.add_parser("bound", help="full-edge-coverage sample-size bound")
+    sp.set_defaults(run=_cmd_bound)
     sp.add_argument("--n", type=int)
-    sp.add_argument("--C", type=float, dest="c")
+    sp.add_argument("--C", type=float)
     sp.add_argument("--d-max", type=int)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--graph", help="take n, C, d_max from a graph and verify")
-    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
 
     sp = sub.add_parser("covertime", help="walk cover-time estimate (JSON)")
+    sp.set_defaults(run=_cmd_covertime)
     sp.add_argument("--graph", required=True)
     sp.add_argument(
         "--policy",
@@ -127,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(
             name, help=f"print per-round {name} partitions as sorted blocks"
         )
+        sp.set_defaults(run=_cmd_refine)
         sp.add_argument("--graph", required=True)
         sp.add_argument("--graph2")
         sp.add_argument("--rounds", type=int)
@@ -135,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out")
 
     sp = sub.add_parser("distinguish", help="refinement verdict for two graphs")
+    sp.set_defaults(run=_cmd_distinguish)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--graph2", required=True)
     sp.add_argument("--test", default="wl", choices=["wl", "wwl"])
@@ -142,14 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
 
     sp = sub.add_parser("invariance", help="DFS isomorphism-invariance check")
+    sp.set_defaults(run=_cmd_invariance)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--mode", default="exact", choices=["exact", "sampled"])
     sp.add_argument("--perm-seed", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=2000)
+    sp.add_argument("--trials", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out")
 
     sp = sub.add_parser("reconstruct", help="edge recovery from sampled searches")
+    sp.set_defaults(run=_cmd_reconstruct)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--window", type=int, required=True)
@@ -167,29 +177,37 @@ def _parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # verb implementations
+#
+# Each handler checks its flags (`_refuse`, `_require`) before it reads a
+# graph. Both helpers name a flag by its dest, `_` read as `-`.
+
+
+def _refuse(args, names, scope: str) -> None:
+    """Usage error for the first flag of `names` that was given."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} applies only to {scope}")
+
+
+def _require(args, names, context: str) -> None:
+    """Usage error for the first flag of `names` that was not given."""
+    for name in names:
+        if getattr(args, name) is None:
+            raise _UsageError(f"--{name.replace('_', '-')} is required {context}")
 
 
 def _cmd_gen(args) -> None:
     names = FAMILIES[args.family][1] if args.family in FAMILIES else ()
-    params = {name: getattr(args, name) for name in names}
-    for name in ("seed", "n", "avg_deg", "k"):  # order of the usage errors
-        if name in params and params[name] is None:
-            flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"{flag} is required for family {args.family}")
-    g = gen_family(args.family, **params)
+    # in the order of the usage errors
+    order = [name for name in ("seed", "n", "avg_deg", "k") if name in names]
+    _require(args, order, f"for family {args.family}")
+    g = gen_family(args.family, **{name: getattr(args, name) for name in names})
     _emit([save_edge_list(g)], args.out)
-
-
-def _refuse_walk_flags(args, names) -> None:
-    """Usage error for a walk-only flag given to a call that draws no walks."""
-    for name in names:
-        if getattr(args, name) is not None:
-            raise _UsageError(f"--{name} applies only to walks")
 
 
 def _cmd_sample(args) -> None:
     if args.kind == "searches":
-        _refuse_walk_flags(args, ("length", "policy"))
+        _refuse(args, ("length", "policy"), "walks")
     g = read_edge_list(args.graph)
     if args.kind == "searches":
         payload = search_set_dict(g, args.m, args.seed)
@@ -209,7 +227,7 @@ def _cmd_sample(args) -> None:
 def _cmd_coverage(args) -> None:
     kinds = [k for k in args.kinds.split(",") if k]
     if kinds and "walks" not in kinds:
-        _refuse_walk_flags(args, ("length",))
+        _refuse(args, ("length",), "walks")
     g = read_edge_list(args.graph)
     rows = cov.coverage_curve(
         g,
@@ -223,27 +241,21 @@ def _cmd_coverage(args) -> None:
 
 
 def _cmd_bound(args) -> None:
-    if args.graph is not None:
-        if args.seed is None:
-            raise _UsageError("--seed is required when verifying against a graph")
+    if args.graph is None:
+        _refuse(args, ("seed", "trials"), "--graph")
+        if args.n is None or args.C is None or args.d_max is None:
+            raise _UsageError("bound needs either --graph or all of --n/--C/--d-max")
+        report = dataclasses.asdict(
+            cov.bound_query(args.C, args.n, args.d_max, args.delta)
+        )
+        report["C"] = report.pop("c")
+    else:
+        _refuse(args, ("n", "C", "d_max"), "a bound without --graph")
+        _require(args, ("seed",), "when verifying against a graph")
         g = read_edge_list(args.graph)
-        report = cov.bound_check_report(g, args.delta, args.trials, args.seed)
-        _emit_json(report, args.out)
-        return
-    if args.n is None or args.c is None or args.d_max is None:
-        raise _UsageError("bound needs either --graph or all of --n/--C/--d-max")
-    q = cov.bound_query(args.c, args.n, args.d_max, args.delta)
-    _emit_json(
-        {
-            "C": q.c,
-            "n": q.n,
-            "d_max": q.d_max,
-            "delta": q.delta,
-            "m_required": q.m_required,
-            "degenerate": q.degenerate,
-        },
-        args.out,
-    )
+        trials = 1000 if args.trials is None else args.trials
+        report = cov.bound_check_report(g, args.delta, trials, args.seed)
+    _emit_json(report, args.out)
 
 
 def _cmd_covertime(args) -> None:
@@ -259,11 +271,11 @@ def _cmd_covertime(args) -> None:
     _emit_json(dataclasses.asdict(report), args.out)
 
 
-def _cmd_refine(args, test: str) -> None:
+def _cmd_refine(args) -> None:
     graphs = [read_edge_list(args.graph)]
     if args.graph2:
         graphs.append(read_edge_list(args.graph2))
-    if test == "wl":
+    if args.command == "wl":
         run = wlmod.wl_refine(graphs, rounds=args.rounds)
     else:
         run = wlmod.wwl_refine(graphs, args.length, rounds=args.rounds)
@@ -282,9 +294,9 @@ def _cmd_refine(args, test: str) -> None:
 
 def _cmd_distinguish(args) -> None:
     if args.test == "wl":
-        _refuse_walk_flags(args, ("length",))
-    elif args.length is None:
-        raise _UsageError("--length is required for the wwl test")
+        _refuse(args, ("length",), "walks")
+    else:
+        _require(args, ("length",), "for the wwl test")
     g = read_edge_list(args.graph)
     h = read_edge_list(args.graph2)
     verdict = wlmod.distinguish(g, h, test=args.test, length=args.length)
@@ -292,37 +304,23 @@ def _cmd_distinguish(args) -> None:
 
 
 def _cmd_invariance(args) -> None:
-    if args.mode == "sampled" and args.seed is None:
-        raise _UsageError("--seed is required for sampled mode")
+    if args.mode == "exact":
+        _refuse(args, ("seed", "trials"), "sampled mode")
+    else:
+        _require(args, ("seed",), "for sampled mode")
     g = read_edge_list(args.graph)
     perm = random_permutation(g.n, derive_rng(args.perm_seed, "perm"))
     if args.mode == "exact":
         d = inv.invariance_exact(g, perm)
-        _emit_json(
-            {
-                "graph": args.graph,
-                "perm_seed": args.perm_seed,
-                "mode": "exact",
-                "discrepancy": str(d),
-                "pass": d == 0,
-            },
-            args.out,
+        fields = {"discrepancy": str(d), "passed": d == 0}
+    else:
+        trials = 2000 if args.trials is None else args.trials
+        fields = dataclasses.asdict(
+            inv.invariance_sampled(g, perm, trials, args.seed)
         )
-        return
-    report = inv.invariance_sampled(g, perm, args.trials, args.seed)
-    _emit_json(
-        {
-            "graph": args.graph,
-            "perm_seed": args.perm_seed,
-            "mode": "sampled",
-            "tv": report.tv,
-            "baseline_tv": report.baseline_tv,
-            "pvalue": report.pvalue,
-            "trials": report.trials,
-            "pass": report.passed,
-        },
-        args.out,
-    )
+    fields["pass"] = fields.pop("passed")
+    report = {"graph": args.graph, "perm_seed": args.perm_seed, "mode": args.mode}
+    _emit_json(report | fields, args.out)
 
 
 def _cmd_reconstruct(args) -> None:
@@ -332,24 +330,10 @@ def _cmd_reconstruct(args) -> None:
     _emit_json(report.to_dict(g.n, args.m, args.window), args.out)
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "sample": _cmd_sample,
-    "coverage": _cmd_coverage,
-    "bound": _cmd_bound,
-    "covertime": _cmd_covertime,
-    "wl": lambda a: _cmd_refine(a, "wl"),
-    "wwl": lambda a: _cmd_refine(a, "wwl"),
-    "distinguish": _cmd_distinguish,
-    "invariance": _cmd_invariance,
-    "reconstruct": _cmd_reconstruct,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        _COMMANDS[args.command](args)
+        args.run(args)
         return 0
     except _UsageError as exc:
         json.dump({"error": "usage", "message": str(exc)}, sys.stderr)

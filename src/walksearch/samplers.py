@@ -230,9 +230,10 @@ class WalkPolicy:
         ``getrandbits(d.bit_length())``, redrawn while it is at least d),
         ``randrange(d - 1)`` over the neighbors other than the previous
         node for a non-backtracking step (``randrange(1)`` at a leaf, which
-        steps back), and the one ``random()`` of ``choices(nbrs,
-        cum_weights=...)`` for a local-rule step. The start and the first
-        non-backtracking step call ``rng.randrange`` itself.
+        steps back; the first step has no previous node and draws
+        ``randrange(d)``), and the one ``random()`` of ``choices(nbrs,
+        cum_weights=...)`` for a local-rule step. The start calls
+        ``rng.randrange`` itself.
         """
         table = self._table
         cur = rng.randrange(self.g.n)
@@ -247,19 +248,20 @@ class WalkPolicy:
                 cur = nbrs[r]
                 yield cur
         elif self.policy == "non_backtracking":
-            nbrs, skips, m, k = table[cur]
-            r = rng.randrange(len(nbrs))
+            # draw over the row minus the previous node, then step over
+            # its index; the start's whole row skips no index
+            nbrs, skips, _, _ = table[cur]
+            m = skip = len(nbrs)
+            k = m.bit_length()
             while True:
-                cur, skip = nbrs[r], skips[r]
-                yield cur
-                # draw over the row minus the previous node, then step
-                # over its index
-                nbrs, skips, m, k = table[cur]
                 r = getrandbits(k)
                 while r >= m:
                     r = getrandbits(k)
                 if r >= skip:
                     r += 1
+                cur, skip = nbrs[r], skips[r]
+                yield cur
+                nbrs, skips, m, k = table[cur]
         else:
             rand = rng.random
             while True:
@@ -277,9 +279,8 @@ class WalkPolicy:
         through (the neighbor, or the id of that edge), and stops at the
         step that marks the last unseen key, so a trial makes exactly the
         draws of the walk up to its covering step (or its first `cap`
-        steps). The start is seen before the first step, and the first
-        step always marks a new key, since a graph has no self-loop. An
-        unknown target or a cap below 1 raises ValueError before any draw.
+        steps). The start is seen before the first step. An unknown target
+        or a cap below 1 raises ValueError before any draw.
         """
         rows = self._cover_rows.get(target)
         if rows is None:
@@ -307,15 +308,10 @@ class WalkPolicy:
                     if not remaining:
                         return step
         elif self.policy == "non_backtracking":
-            nbrs, keys, skips, m, k = rows[cur]
-            r = rng.randrange(len(nbrs))
-            cur, skip = nbrs[r], skips[r]
-            seen[keys[r]] = 1
-            remaining -= 1
-            if not remaining:
-                return 1
-            for step in range(2, cap + 1):
-                nbrs, keys, skips, m, k = rows[cur]
+            nbrs, keys, skips, _, _ = rows[cur]
+            m = skip = len(nbrs)
+            k = m.bit_length()
+            for step in range(1, cap + 1):
                 r = getrandbits(k)
                 while r >= m:
                     r = getrandbits(k)
@@ -327,6 +323,7 @@ class WalkPolicy:
                     remaining -= 1
                     if not remaining:
                         return step
+                nbrs, keys, skips, m, k = rows[cur]
         else:
             rand = rng.random
             for step in range(1, cap + 1):

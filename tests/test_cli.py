@@ -884,6 +884,43 @@ class TestErrorsAndDeterminism:
         assert code == 2 and captured.out == ""
         assert json.loads(captured.err) == {"error": "usage", "message": message}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["invariance", "--graph", "missing.el", "--mode", "exact",
+              "--perm-seed", "1", "--seed", "5"],
+             "--seed applies only to sampled mode"),
+            # exact is the default mode
+            (["invariance", "--graph", "missing.el", "--perm-seed", "1",
+              "--trials", "3"], "--trials applies only to sampled mode"),
+            (["bound", "--n", "10", "--C", "1", "--d-max", "3", "--delta",
+              "0.1", "--seed", "4"], "--seed applies only to --graph"),
+            (["bound", "--n", "10", "--C", "1", "--d-max", "3", "--delta",
+              "0.1", "--trials", "7"], "--trials applies only to --graph"),
+            (["bound", "--graph", "missing.el", "--n", "999", "--delta",
+              "0.1", "--seed", "4"],
+             "--n applies only to a bound without --graph"),
+            (["bound", "--graph", "missing.el", "--C", "7", "--delta", "0.1",
+              "--seed", "4"], "--C applies only to a bound without --graph"),
+            (["bound", "--graph", "missing.el", "--d-max", "9", "--delta",
+              "0.1", "--seed", "4"],
+             "--d-max applies only to a bound without --graph"),
+        ],
+        ids=["invariance-exact-seed", "invariance-exact-trials",
+             "bound-query-seed", "bound-query-trials", "bound-graph-n",
+             "bound-graph-C", "bound-graph-d-max"],
+    )
+    def test_flags_outside_their_mode_refused_before_reading(
+        self, tmp_path, capsys, argv, message
+    ):
+        # every graph file is missing, so a refusal after reading one
+        # would exit 1
+        argv = [str(tmp_path / a) if a.endswith(".el") else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {"error": "usage", "message": message}
+
     def test_walks_default_to_the_uniform_policy(self, tmp_path, capsys):
         graph = write(tmp_path, "c.el", CYCLE6)
         argv = ["sample", "--graph", graph, "--kind", "walks", "--m", "3",

@@ -52,7 +52,10 @@ JSON_VERBS = ("sample", "bound", "covertime", "distinguish", "invariance",
 
 
 # verb -> ((flag, values, always given), ...); "G" and "H" stand for the
-# two drawn graphs' files
+# two drawn graphs' files. A verb refuses a flag that its mode does not
+# read, so `bound`'s two forms, which read disjoint flags, each have an
+# entry ("bound:graph" runs `bound --graph`), and `invariance` draws its
+# mode's flags.
 VERBS = {
     "gen": (("--family", (tuple(FAMILIES), ("petersen",)), True),
             ("--n", INTS, False), ("--k", INTS, False),
@@ -65,9 +68,9 @@ VERBS = {
                  ("--m-list", M_LISTS, True), ("--trials", INTS, True),
                  ("--seed", SEEDS, True), ("--length", INTS, False)),
     "bound": (("--n", BIG_INTS, True), ("--C", FLOATS, True),
-              ("--d-max", BIG_INTS, True), ("--delta", DELTAS, True),
-              ("--graph", GRAPH, False), ("--trials", INTS, True),
-              ("--seed", SEEDS, True)),
+              ("--d-max", BIG_INTS, True), ("--delta", DELTAS, True)),
+    "bound:graph": (("--graph", GRAPH, True), ("--delta", DELTAS, True),
+                    ("--trials", INTS, True), ("--seed", SEEDS, True)),
     "covertime": (("--graph", GRAPH, True),
                   ("--policy", choice(*POLICIES), False),
                   ("--target", choice("node", "edge"), False),
@@ -82,7 +85,7 @@ VERBS = {
                     ("--length", BIG_INTS, False)),
     "invariance": (("--graph", GRAPH, True),
                    ("--mode", choice("exact", "sampled"), False),
-                   ("--perm-seed", SEEDS, True), ("--trials", INTS, True),
+                   ("--perm-seed", SEEDS, True), ("--trials", INTS, False),
                    ("--seed", SEEDS, False)),
     "reconstruct": (("--graph", GRAPH, True), ("--m", INTS, True),
                     ("--window", BIG_INTS, True), ("--seed", SEEDS, True)),
@@ -111,7 +114,7 @@ def verb_argv(draw, verb):
         refusable = [flag for flag, (_, bad), _ in flags if bad]
         spoiled = draw(st.sets(st.sampled_from(refusable), min_size=1,
                                max_size=2))
-    argv = [verb]
+    argv = [verb.partition(":")[0]]
     for flag, (good, bad), always in flags:
         if always or draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(bad if flag in spoiled else good))]

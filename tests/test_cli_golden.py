@@ -236,8 +236,13 @@ class mark:
 """
 
 
-@pytest.mark.parametrize("version", ["3.10.13", "3.12.1", "3.13.0"])
-def test_other_interpreters_print_golden(version, tmp_path):
+OTHER_INTERPRETERS = ["3.10.13", "3.12.1", "3.13.0"]
+
+
+def printed_digests(version, module, tmp_path) -> dict:
+    """The digests that `python -m module` prints, one `"name": "digest",`
+    line each, under pyenv's CPython `version`, with the pytest stub on
+    its path; the calling test is skipped if that CPython is missing."""
     python = pathlib.Path.home() / ".pyenv" / "versions" / version / "bin" / "python"
     if not python.exists():
         pytest.skip(f"no CPython {version} at {python}")
@@ -245,10 +250,15 @@ def test_other_interpreters_print_golden(version, tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO / "src")]))
     out = subprocess.run(
-        [str(python), "-m", "tests.test_cli_golden"], cwd=REPO, env=env,
+        [str(python), "-m", module], cwd=REPO, env=env,
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
-    assert json.loads("{" + out.strip().rstrip(",") + "}") == GOLDEN
+    return json.loads("{" + out.strip().rstrip(",") + "}")
+
+
+@pytest.mark.parametrize("version", OTHER_INTERPRETERS)
+def test_other_interpreters_print_golden(version, tmp_path):
+    assert printed_digests(version, "tests.test_cli_golden", tmp_path) == GOLDEN
 
 
 if __name__ == "__main__":

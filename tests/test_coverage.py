@@ -391,15 +391,14 @@ class TestCoverTimeOracle:
         rng = DrawCounter(5)
         steps = WalkPolicy(hex_chain(3), policy).cover_time(rng, target, 10**4)
         assert steps is not None
-        # the start, plus the first non-backtracking step
-        first_steps = 1 if policy == "non_backtracking" else 0
-        assert rng.draws["randrange"] == 1 + first_steps
+        # only the start
+        assert rng.draws["randrange"] == 1
         assert rng.draws["choices"] == 0
         if policy == "local_rule":
             assert rng.draws["random"] == steps
         else:
             assert rng.draws["random"] == 0
-            assert rng.draws["getrandbits"] >= steps - first_steps
+            assert rng.draws["getrandbits"] >= steps
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_bad_target_or_cap_rejected_before_any_draw(self, policy):

@@ -5,6 +5,9 @@ A change that alters what a demo prints on purpose regenerates that
 demo's digest and says so in CHANGES.md. To print fresh digests:
 
     PYTHONPATH=src python -m tests.test_demos
+
+The same printout, under each other CPython that pyenv holds in its
+default place, must give the same digests.
 """
 
 import hashlib
@@ -14,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from .test_cli_golden import OTHER_INTERPRETERS, printed_digests
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -52,6 +57,11 @@ def test_demo_runs(demo):
     assert done.stdout.strip()
     assert b"Traceback" not in done.stdout + done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == DIGESTS[demo.name]
+
+
+@pytest.mark.parametrize("version", OTHER_INTERPRETERS)
+def test_other_interpreters_print_the_digests(version, tmp_path):
+    assert printed_digests(version, "tests.test_demos", tmp_path) == DIGESTS
 
 
 if __name__ == "__main__":

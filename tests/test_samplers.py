@@ -332,9 +332,8 @@ class TestWalks:
         rng = DrawCounter(5)
         walk = WalkPolicy(hex_chain(3), policy).walk(rng)
         assert len(list(islice(walk, 501))) == 501
-        # the start, plus the first non-backtracking step
-        first_steps = 1 if policy == "non_backtracking" else 0
-        assert rng.draws["randrange"] == 1 + first_steps
+        # only the start
+        assert rng.draws["randrange"] == 1
         assert rng.draws["choices"] == 0
         if policy == "local_rule":
             assert rng.draws["random"] == 500
@@ -350,11 +349,14 @@ class TestWalkOracle:
             nodes = 4 * g.n + 1
             pol = WalkPolicy(g, policy)
             for seed in range(6):
-                expected = stdlib_walk(g, policy, random.Random(seed))
-                got = pol.walk(random.Random(seed))
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                expected = stdlib_walk(g, policy, ref_rng)
+                got = pol.walk(rng)
                 assert list(islice(got, nodes)) == list(islice(expected, nodes)), (
                     g.adjacency, seed,
                 )
+                # no draw for a step that is not taken
+                assert rng.getstate() == ref_rng.getstate(), (g.adjacency, seed)
 
 
 DFS_ORACLE_GRAPHS = list(all_labeled_connected_graphs_upto(5)) + [
