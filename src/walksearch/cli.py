@@ -273,7 +273,7 @@ def _cmd_covertime(args) -> None:
 
 def _cmd_refine(args) -> None:
     graphs = [read_edge_list(args.graph)]
-    if args.graph2:
+    if args.graph2 is not None:
         graphs.append(read_edge_list(args.graph2))
     if args.command == "wl":
         run = wlmod.wl_refine(graphs, rounds=args.rounds)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .graphs import Graph, degree_stats
 from .samplers import (
@@ -142,13 +141,12 @@ def edge_inclusion_prob(g: Graph, e: tuple[int, int]) -> EdgeInclusionReport:
 
     Sums 1/den, in integers, over the outcomes of the enumeration behind
     `enumerate_dfs` whose parent array holds `e`, building no record.
+    `escape_set` refuses an edge that is not in `g`.
     """
     u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"edge {e} not in graph")
+    tau_u = escape_set(g, e, u).tau
+    tau_v = escape_set(g, e, v).tau
     key = (u, v) if u < v else (v, u)
-    tau_u = escape_set(g, key, key[0]).tau
-    tau_v = escape_set(g, key, key[1]).tau
     tau_bound = min(Fraction(1, tau_u + 1), Fraction(1, tau_v + 1))
     dmax_bound = Fraction(1, degree_stats(g).d_max)
     a, b = key
@@ -299,16 +297,13 @@ def cover_time_estimate(
     The trials run `WalkPolicy.cover_time` in turn on one
     ``derive_rng(seed)``; each makes exactly the draws of
     ``WalkPolicy.walk`` up to its covering step (or its first `cap`
-    steps), and the next trial starts there.
+    steps), and the next trial starts there. The first trial refuses an
+    unknown `target` or a `cap` below 1 before it draws.
     """
-    if target not in ("node", "edge"):
-        raise ValueError("target must be 'node' or 'edge'")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if cap is None:
         cap = 50 * g.n * g.n
-    elif cap < 1:
-        raise ValueError("cap must be >= 1")
     pol = WalkPolicy(g, policy)
     rng = derive_rng(seed)
     results = [pol.cover_time(rng, target, cap) for _ in range(trials)]
@@ -394,6 +389,7 @@ def coverage_curve(
         if kind not in ("walks", "searches"):
             raise ValueError(f"unknown kind {kind!r}")
     if "walks" in kinds:
+        # `walk` checks it too, but only after any search trials have run
         if length is not None and length < 1:
             raise ValueError("walk length must be >= 1")
         walk_length = g.n if length is None else length
@@ -408,7 +404,7 @@ def coverage_curve(
         covered_nodes: set[int] = set()
         covered_edges: set[tuple[int, int]] = set()
         for j in range(1, max_m + 1):
-            nodes = list(islice(walk_pol.walk(rng), walk_length + 1))
+            nodes = walk_pol.walk(rng, walk_length)
             covered_nodes.update(nodes)
             covered_edges.update(
                 (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])

@@ -132,15 +132,14 @@ def invariance_exact(g: Graph, perm) -> Fraction:
     of the relabeled graph. Exactly 0 whenever perm is applied as a true
     relabeling, which is the probabilistic-invariance statement.
 
-    `perm` is checked before anything is enumerated; both laws are held
-    and checked in integers (see `_check_law`), and the gap is the one
-    ``Fraction`` built."""
+    `relabel` checks `perm` before anything is enumerated; both laws are
+    held and checked in integers (see `_check_law`), and the gap is the
+    one ``Fraction`` built."""
     perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm is not a permutation of 0..n-1")
+    h = relabel(g, perm)
     new_id = perm.__getitem__
     pushed = {tuple(map(new_id, seq)): den for seq, den in _dfs_law(g).items()}
-    return _sup_gap(pushed, _dfs_law(relabel(g, perm)))
+    return _sup_gap(pushed, _dfs_law(h))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ stdlib calls would. A uniform index below c is ``randrange(c)``'s
 rejection loop on ``k = c.bit_length()`` bits: ``r = getrandbits(k)``,
 redrawn while ``r >= c``. Walk steps draw this way (a local-rule step
 makes the one ``random()`` of ``choices`` and bisects), both in
-``WalkPolicy.walk`` and in its cover-time kernel ``WalkPolicy.cover_time``,
-which steps and tallies coverage in one loop per policy, with no
-generator. DFS steps draw this way too, and so does the Fisher-Yates loop
-of ``random.shuffle`` behind the permutation test in ``invariance``.
+``WalkPolicy.walk``, which returns a walk of a given length as a list, and
+in its cover-time kernel ``WalkPolicy.cover_time``, which steps and
+tallies coverage. Each runs one loop per policy, with no generator, and
+checks its own arguments before any draw. DFS steps draw this way too,
+and so does the Fisher-Yates loop of ``random.shuffle`` behind the
+permutation test in ``invariance``.
 Every randomized DFS is one call of ``_search(g, rng)``: it rejects an
 empty graph, draws the root, steps, rejects a disconnected graph, and
 returns the visit order and each visited node's discoverer, stopping at
@@ -221,9 +223,10 @@ class WalkPolicy:
                 total = cum_weights[-1]
                 self._table.append((nbrs, cum_weights, total, len(nbrs) - 1))
 
-    def walk(self, rng: random.Random):
-        """Yield the start node, uniform over V, then one node per step,
-        without end; callers take an ``islice``.
+    def walk(self, rng: random.Random, length: int) -> list[int]:
+        """The start node, uniform over V, then the node after each of
+        `length` steps, as a list; a length below 1 raises ValueError
+        before any draw.
 
         A step from a node of degree d makes exactly the draws of a
         stdlib call: ``randrange(d)`` for a uniform step (that is,
@@ -233,44 +236,48 @@ class WalkPolicy:
         steps back; the first step has no previous node and draws
         ``randrange(d)``), and the one ``random()`` of ``choices(nbrs,
         cum_weights=...)`` for a local-rule step. The start calls
-        ``rng.randrange`` itself.
+        ``rng.randrange`` itself, and no draw follows the last step.
         """
+        if length < 1:
+            raise ValueError("walk length must be >= 1")
         table = self._table
         cur = rng.randrange(self.g.n)
-        yield cur
+        nodes = [cur]
+        append = nodes.append
         getrandbits = rng.getrandbits
         if self.policy == "uniform":
-            while True:
+            for _ in range(length):
                 nbrs, d, k = table[cur]
                 r = getrandbits(k)
                 while r >= d:
                     r = getrandbits(k)
                 cur = nbrs[r]
-                yield cur
+                append(cur)
         elif self.policy == "non_backtracking":
             # draw over the row minus the previous node, then step over
             # its index; the start's whole row skips no index
             nbrs, skips, _, _ = table[cur]
             m = skip = len(nbrs)
             k = m.bit_length()
-            while True:
+            for _ in range(length):
                 r = getrandbits(k)
                 while r >= m:
                     r = getrandbits(k)
                 if r >= skip:
                     r += 1
                 cur, skip = nbrs[r], skips[r]
-                yield cur
+                append(cur)
                 nbrs, skips, m, k = table[cur]
         else:
             rand = rng.random
-            while True:
+            for _ in range(length):
                 nbrs, cum_weights, total, hi = table[cur]
                 cur = nbrs[bisect(cum_weights, rand() * total, 0, hi)]
-                yield cur
+                append(cur)
+        return nodes
 
     def cover_time(self, rng: random.Random, target: str, cap: int) -> int | None:
-        """Steps until ``walk(rng)`` has visited every node (`target`
+        """Steps until ``walk(rng, cap)`` has visited every node (`target`
         "node") or traversed every edge ("edge"); None if that takes more
         than `cap` steps.
 
@@ -365,12 +372,9 @@ def sample_walk(
 ) -> WalkRecord:
     """Sample a walk of `length` steps (so the record holds length+1 nodes)
     from a uniform start. Requires a connected graph on at least 2 nodes
-    (see `WalkPolicy`).
+    (see `WalkPolicy`) and a length of at least 1 (see `WalkPolicy.walk`).
     """
-    if length < 1:
-        raise ValueError("walk length must be >= 1")
-    walk = WalkPolicy(g, policy).walk(rng)
-    nodes = tuple(islice(walk, length + 1))
+    nodes = tuple(WalkPolicy(g, policy).walk(rng, length))
     return WalkRecord(nodes=nodes, policy=policy, start=nodes[0])
 
 
@@ -657,12 +661,10 @@ def sample_set(
     items = []
     rng = derive_rng(seed)
     if kind == "walks":
-        if length is not None and length < 1:
-            raise ValueError("walk length must be >= 1")
         walk_pol = WalkPolicy(g, policy)
         ell = g.n if length is None else length
         for _ in range(m):
-            nodes = tuple(islice(walk_pol.walk(rng), ell + 1))
+            nodes = tuple(walk_pol.walk(rng, ell))
             items.append(WalkRecord(nodes=nodes, policy=policy, start=nodes[0]))
     else:
         items.extend(_search_record(*_search(g, rng)) for _ in range(m))

@@ -2,12 +2,14 @@ import contextlib
 import io
 import json
 import random
+import shlex
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,7 @@ HEX2 = "# n=10\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n2 9\n3 6\n6 7\n7 8\n8 9\n"
 # nodes 0 and 4 isolated
 SCATTERED = "# n=7\n1 2\n2 3\n5 6\n"
 EMPTY = "# n=0\n"
+ISOLATED = "# n=2\n"
 
 
 def write(tmp_path, name, text):
@@ -61,6 +64,30 @@ def run_ok(argv) -> int:
     code = main(argv)
     assert code == 0
     return code
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the ``walksearch`` lines of README's command
+    block, in order, with backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```sh\nwalksearch ")
+    block = text[start + len("```sh\n"):text.index("```", start + 5)]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("walksearch ")]
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # in an empty directory, so every graph a line reads is one an
+    # earlier line wrote
+    monkeypatch.chdir(tmp_path)
+    argvs = readme_commands()
+    assert len(argvs) == 13
+    for argv in argvs:
+        code = main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
 
 
 class TestGen:
@@ -167,9 +194,9 @@ class TestWalkVerbBytes:
         table_driven = run_all()
         calls = Counter()
 
-        def walk(self, rng):
+        def walk(self, rng, length):
             calls["walk"] += 1
-            return stdlib_walk(self.g, self.policy, rng)
+            return list(islice(stdlib_walk(self.g, self.policy, rng), length + 1))
 
         def cover_time(self, rng, target, cap):
             calls["cover_time"] += 1
@@ -595,6 +622,17 @@ class TestRefinementVerbs:
         assert main(argv + ["3"]) == 1
         assert "exceeds the output cap of 24" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["wl", "--rounds", "0"], ["wwl", "--length", "2"],
+                 ["distinguish"]], ids=["wl", "wwl", "distinguish"]
+    )
+    def test_empty_graph2_is_a_path_to_read(self, tmp_path, capsys, argv):
+        graph = write(tmp_path, "p.el", PATH3)
+        code = main(argv + ["--graph", graph, "--graph2", ""])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "FileNotFoundError"
+
     def test_distinguish_verdict(self, tmp_path, capsys):
         g1 = write(tmp_path, "p.el", PATH3)
         g2 = write(tmp_path, "t.el", TRIANGLE)
@@ -787,6 +825,20 @@ class TestErrorsAndDeterminism:
              EDGE_PLUS_NODE, "searches require a connected graph"),
             (["invariance", "--mode", "sampled", "--perm-seed", "1",
               "--trials", "5", "--seed", "0"], EMPTY, "empty graph"),
+            # a search trial runs no search once nothing is left to cover,
+            # so only `SearchGraph`'s own checks refuse these
+            (["coverage", "--kinds", "searches", "--m-list", "1",
+              "--trials", "5", "--seed", "0"], EMPTY, "empty graph"),
+            (["coverage", "--kinds", "searches", "--m-list", "1",
+              "--trials", "5", "--seed", "0"],
+             ISOLATED, "searches require a connected graph"),
+            (["sample", "--kind", "walks", "--m", "1", "--seed", "0",
+              "--length", "0"], CYCLE6, "walk length must be >= 1"),
+            # two bad inputs: the walk kernel checks its graph first
+            (["sample", "--kind", "walks", "--m", "1", "--seed", "0",
+              "--length", "0"], ONE_NODE, "walks require at least 2 nodes"),
+            (["covertime", "--trials", "5", "--seed", "0", "--cap", "0"],
+             TWO_EDGES, "walks require a connected graph"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
@@ -802,7 +854,10 @@ class TestErrorsAndDeterminism:
              "sample-searches-empty", "sample-searches-disconnected",
              "sample-searches-edge-plus-node", "sample-searches-m0",
              "reconstruct-empty", "reconstruct-disconnected",
-             "reconstruct-edge-plus-node", "invariance-sampled-empty"],
+             "reconstruct-edge-plus-node", "invariance-sampled-empty",
+             "coverage-searches-empty", "coverage-searches-isolated",
+             "sample-walks-length0", "sample-walks-length0-one-node",
+             "covertime-cap0-disconnected"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)

@@ -28,24 +28,86 @@ from walksearch.graphs import (
     star_graph,
 )
 from walksearch.samplers import (
+    DEFAULT_ENUM_BUDGET,
     POLICIES,
     SampleSet,
     SearchRecord,
     WalkPolicy,
     WalkRecord,
+    _enumerate,
     derive_rng,
     sample_dfs,
     sample_set,
     sample_walk,
 )
 
-from .corpus import all_labeled_connected_graphs_upto
+from .corpus import all_connected_graphs_upto, all_labeled_connected_graphs_upto
 from .test_samplers import BULL, ORACLE_GRAPHS, PAW, DrawCounter, stdlib_cover_time
 
 DISCONNECTED_TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
 # one search of the tree part covers every edge before the isolated node
 # shows the graph is disconnected
 EDGE_PLUS_NODE = Graph.from_edges(3, [(0, 1)])
+
+
+def full_coverage_law(g: Graph):
+    """The exact chance that m independent searches cover every edge, as
+    a function of m.
+
+    One `_enumerate` pass groups the DFS law by tree, each tree a bitmask
+    T over the sorted edges, with p(T) = w[T] / L in integers. One
+    subset-sum pass over the 2^|E| masks turns w into f(U) = the sum of
+    p(T) over trees T inside U. By inclusion-exclusion over the set S of
+    edges that no search covers, P(m searches cover E) = sum over S of
+    (-1)^|S| f(E minus S)^m, exact in a `Fraction`.
+    """
+    edges = sorted(g.edges())
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    tree_dens: dict[int, list[int]] = {}
+    for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET):
+        mask = 0
+        for v in order[1:]:
+            u = parent[v]
+            mask |= bit[(u, v) if u < v else (v, u)]
+        tree_dens.setdefault(mask, []).append(den)
+    lcm = math.lcm(*(den for dens in tree_dens.values() for den in dens))
+    f = [0] * (1 << len(edges))
+    for mask, dens in tree_dens.items():
+        f[mask] = sum(lcm // den for den in dens)
+    for b in bit.values():
+        for mask in range(len(f)):
+            if mask & b:
+                f[mask] += f[mask ^ b]
+    full = len(f) - 1
+
+    def probability(m: int) -> Fraction:
+        total = 0
+        for missed in range(len(f)):
+            term = f[full ^ missed] ** m
+            total += -term if missed.bit_count() % 2 else term
+        return Fraction(total, lcm**m)
+
+    return probability
+
+
+# at most 12 edges each; the hexagon with its pendant (`hex_chain(1)`)
+# jumps from 0 at m = 1 to 0.83 at m = 2, so it has no m with a law in
+# [0.2, 0.8] for the Monte-Carlo half
+LAW_GRAPHS = {
+    "paw": PAW,
+    "bull": BULL,
+    "k4": complete_graph(4),
+    "c5": cycle_graph(5),
+    "c6_chord": Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)]
+    ),
+    "k5": complete_graph(5),
+    "seven_ten": Graph.from_edges(
+        7,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (0, 3),
+         (1, 5), (2, 6)],
+    ),
+}
 
 
 class TestCoverageReport:
@@ -307,6 +369,42 @@ class TestFullCoverage:
         failure = 1.0 - full_coverage_probability(g, m, trials, seed=17)
         slack = 2.0 * math.sqrt(delta * (1 - delta) / trials)
         assert failure <= delta + slack
+
+
+class TestFullCoverageLaw:
+    def test_law_on_known_graphs(self):
+        # one search covers a tree; a hexagon's search misses one edge,
+        # uniform over the six, so two searches cover it w.p. 5/6
+        for m in (1, 3):
+            assert full_coverage_law(random_tree(7, 2))(m) == 1
+        law = full_coverage_law(cycle_graph(6))
+        assert law(1) == 0 and law(2) == Fraction(5, 6)
+        assert law(3) == 1 - 6 * Fraction(1, 6) ** 3
+
+    @pytest.mark.parametrize("name", sorted(LAW_GRAPHS))
+    def test_monte_carlo_matches_the_law(self, name):
+        # at the least m whose exact law lies in [0.2, 0.8], the success
+        # fraction of 2000 trials lies within 5 sd of it; a trial that
+        # runs fewer searches than asked falls far outside
+        g = LAW_GRAPHS[name]
+        law = full_coverage_law(g)
+        m = 1
+        while law(m) < 0.2:
+            m += 1
+        p = law(m)
+        assert p <= 0.8
+        trials = 2000
+        sd = math.sqrt(p * (1 - p) / trials)
+        assert abs(full_coverage_probability(g, m, trials, seed=11) - p) <= 5 * sd
+
+    def test_exact_failure_at_the_bound_is_within_delta(self):
+        graphs = list(LAW_GRAPHS.values()) + [hex_chain(1)]
+        graphs += all_connected_graphs_upto(5)
+        delta = 0.1
+        for g in graphs:
+            stats = degree_stats(g)
+            q = bound_query(stats.sparsity_c, g.n, stats.d_max, delta)
+            assert 1 - full_coverage_law(g)(q.m_required) <= delta, g.adjacency
 
 
 class TestCoverTime:

@@ -206,7 +206,8 @@ def stdlib_walk(g, policy, rng):
     """Reference walk that calls the stdlib per step: `randrange` over the
     row (a non-backtracking step filters the previous node out of it,
     unless it is the only neighbor) and `choices` over cumulative weights.
-    `WalkPolicy.walk` must yield the same nodes from the same generator."""
+    `WalkPolicy.walk(rng, length)` must return its first length + 1
+    nodes from the same generator."""
     adjacency = g.adjacency
     if policy == "local_rule":
         cum_weights = [
@@ -330,8 +331,8 @@ class TestWalks:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_steps_draw_without_stdlib_wrappers(self, policy):
         rng = DrawCounter(5)
-        walk = WalkPolicy(hex_chain(3), policy).walk(rng)
-        assert len(list(islice(walk, 501))) == 501
+        walk = WalkPolicy(hex_chain(3), policy).walk(rng, 500)
+        assert len(walk) == 501
         # only the start
         assert rng.draws["randrange"] == 1
         assert rng.draws["choices"] == 0
@@ -340,6 +341,17 @@ class TestWalks:
         else:
             assert rng.draws["random"] == 0
             assert rng.draws["getrandbits"] >= 500
+
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bad_length_rejected_before_any_draw(self, policy):
+        pol = WalkPolicy(path_graph(3), policy)
+        rng = random.Random(3)
+        state = rng.getstate()
+        for length in (0, -1):
+            with pytest.raises(ValueError, match="^walk length must be >= 1$"):
+                pol.walk(rng, length)
+        assert rng.getstate() == state
 
 
 class TestWalkOracle:
@@ -351,8 +363,8 @@ class TestWalkOracle:
             for seed in range(6):
                 rng, ref_rng = random.Random(seed), random.Random(seed)
                 expected = stdlib_walk(g, policy, ref_rng)
-                got = pol.walk(rng)
-                assert list(islice(got, nodes)) == list(islice(expected, nodes)), (
+                got = pol.walk(rng, nodes - 1)
+                assert got == list(islice(expected, nodes)), (
                     g.adjacency, seed,
                 )
                 # no draw for a step that is not taken
