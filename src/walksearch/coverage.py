@@ -248,7 +248,10 @@ def full_coverage_probability(g: Graph, m: int, trials: int, seed: int) -> float
 
 def bound_check_report(g: Graph, delta: float, trials: int, seed: int) -> dict:
     """Eq-style bound versus Monte Carlo: JSON-ready dict with the bound
-    inputs, m_required, and the empirical full-coverage success rate."""
+    inputs, m_required, and the empirical full-coverage success rate. A
+    graph with no node is refused first, as every search refuses it."""
+    if g.n < 1:
+        raise ValueError("empty graph")
     stats = degree_stats(g)
     q = bound_query(stats.sparsity_c, g.n, stats.d_max, delta)
     success = full_coverage_probability(g, q.m_required, trials, seed)
@@ -363,8 +366,10 @@ def coverage_curve(
     coverage is a prefix of the (m+1)-record coverage), so the mean curve
     is nondecreasing in m by construction and each row's marginal law is
     that of m independent records. Walks (of `length` steps, default n)
-    need a connected graph on at least 2 nodes; searches need a connected
-    graph, and on one node they cover it with no edge to miss. A search
+    need a connected graph on at least 2 nodes, and each walk marks its
+    nodes and edge ids as it steps, with `WalkPolicy.cover`, building no
+    list of its nodes. Searches need a connected graph, and on one node
+    they cover it with no edge to miss. A search
     visits every node, so its node fraction is 1 by construction; its
     edge fraction comes from `SearchGraph.cover`, and a search trial runs
     no further search once every edge is covered. Each kind draws its
@@ -389,7 +394,7 @@ def coverage_curve(
         if kind not in ("walks", "searches"):
             raise ValueError(f"unknown kind {kind!r}")
     if "walks" in kinds:
-        # `walk` checks it too, but only after any search trials have run
+        # `cover` checks it too, but only after any search trials have run
         if length is not None and length < 1:
             raise ValueError("walk length must be >= 1")
         walk_length = g.n if length is None else length
@@ -398,19 +403,17 @@ def coverage_curve(
         search_graph = SearchGraph(g)
     max_m = m_list[-1]
     targets = set(m_list)
-    edge_count = g.edge_count
+    n, edge_count = g.n, g.edge_count
 
     def walk_trial(rng):
-        covered_nodes: set[int] = set()
-        covered_edges: set[tuple[int, int]] = set()
+        node_seen, edge_seen = bytearray(n), bytearray(edge_count)
+        nodes_left, edges_left = n, edge_count
         for j in range(1, max_m + 1):
-            nodes = walk_pol.walk(rng, walk_length)
-            covered_nodes.update(nodes)
-            covered_edges.update(
-                (a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])
+            nodes_left, edges_left = walk_pol.cover(
+                rng, walk_length, node_seen, edge_seen, nodes_left, edges_left
             )
             if j in targets:
-                yield len(covered_nodes) / g.n, len(covered_edges) / edge_count
+                yield (n - nodes_left) / n, (edge_count - edges_left) / edge_count
 
     def search_trial(rng):
         seen, remaining = bytearray(edge_count), edge_count

@@ -22,12 +22,14 @@ stdlib calls would. A uniform index below c is ``randrange(c)``'s
 rejection loop on ``k = c.bit_length()`` bits: ``r = getrandbits(k)``,
 redrawn while ``r >= c``. Walk steps draw this way (a local-rule step
 makes the one ``random()`` of ``choices`` and bisects), both in
-``WalkPolicy.walk``, which returns a walk of a given length as a list, and
+``WalkPolicy.walk``, which returns a walk of a given length as a list,
 in its cover-time kernel ``WalkPolicy.cover_time``, which steps and
-tallies coverage. Each runs one loop per policy, with no generator, and
-checks its own arguments before any draw. DFS steps draw this way too,
-and so does the Fisher-Yates loop of ``random.shuffle`` behind the
-permutation test in ``invariance``.
+tallies coverage, and in ``WalkPolicy.cover``, which makes a uniform
+walk's draws and marks its node and edge ids for coverage curves. Each
+runs one loop per policy it walks, with no generator, and checks its own
+arguments before any draw. DFS steps draw this way too, and so does the
+Fisher-Yates loop of ``random.shuffle`` behind the permutation test in
+``invariance``.
 Every randomized DFS is one call of ``_search(g, rng)``: it rejects an
 empty graph, draws the root, steps, rejects a disconnected graph, and
 returns the visit order and each visited node's discoverer, stopping at
@@ -39,8 +41,8 @@ writes the JSON of ``sample_set(...).to_dict()`` with no record. A
 trial loop that only needs coverage marks each search's tree-edge ids
 with ``SearchGraph.cover``. The DFS law is checked exactly on a
 reference search that calls ``randrange`` per step; the tests tie that
-reference to ``_search``, and per-step reference walks to ``walk`` and
-``cover_time``, draw for draw.
+reference to ``_search``, per-step reference walks to ``walk`` and
+``cover_time``, and ``cover`` to ``walk``, draw for draw.
 """
 
 from __future__ import annotations
@@ -343,6 +345,53 @@ class WalkPolicy:
                     if not remaining:
                         return step
         return None
+
+    def cover(
+        self,
+        rng: random.Random,
+        length: int,
+        node_seen: bytearray,
+        edge_seen: bytearray,
+        nodes_left: int,
+        edges_left: int,
+    ) -> tuple[int, int]:
+        """Mark the nodes and the edge ids of ``walk(rng, length)`` in
+        `node_seen` and `edge_seen` and return how many of each are left
+        unmarked.
+
+        `nodes_left` and `edges_left` must count the unmarked entries on
+        entry, and both ends of every marked edge must be marked: then a
+        step's head needs marking only when its edge is new. The loop is
+        the uniform loop of `walk`, reading the edge-keyed rows of
+        `cover_time`; it makes all `length` steps' draws, so the generator
+        ends as `walk` leaves it. A policy other than uniform or a length
+        below 1 raises ValueError before any draw.
+        """
+        if self.policy != "uniform":
+            raise ValueError("cover walks the uniform policy only")
+        if length < 1:
+            raise ValueError("walk length must be >= 1")
+        rows = self._cover_rows.get("edge")
+        if rows is None:
+            rows = self._cover_rows["edge"] = self._keyed_rows("edge")
+        cur = rng.randrange(self.g.n)
+        if not node_seen[cur]:
+            node_seen[cur] = 1
+            nodes_left -= 1
+        getrandbits = rng.getrandbits
+        for _ in range(length):
+            nbrs, keys, d, k = rows[cur]
+            r = getrandbits(k)
+            while r >= d:
+                r = getrandbits(k)
+            cur, key = nbrs[r], keys[r]
+            if not edge_seen[key]:
+                edge_seen[key] = 1
+                edges_left -= 1
+                if not node_seen[cur]:
+                    node_seen[cur] = 1
+                    nodes_left -= 1
+        return nodes_left, edges_left
 
     def _keyed_rows(self, target: str) -> list[tuple]:
         """The policy's rows with each slot's cover key inserted second:

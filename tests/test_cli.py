@@ -202,14 +202,29 @@ class TestWalkVerbBytes:
             calls["cover_time"] += 1
             return stdlib_cover_time(self.g, self.policy, rng, target, cap)
 
+        def cover(self, rng, length, node_seen, edge_seen, nodes_left, edges_left):
+            calls["cover"] += 1
+            nodes = list(islice(stdlib_walk(self.g, self.policy, rng), length + 1))
+            ids = {e: i for i, e in enumerate(sorted(self.g.edges()))}
+            for v in set(nodes):
+                if not node_seen[v]:
+                    node_seen[v] = 1
+                    nodes_left -= 1
+            for e in {(a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:])}:
+                if not edge_seen[ids[e]]:
+                    edge_seen[ids[e]] = 1
+                    edges_left -= 1
+            return nodes_left, edges_left
+
         monkeypatch.setattr(WalkPolicy, "walk", walk)
         monkeypatch.setattr(WalkPolicy, "cover_time", cover_time)
+        monkeypatch.setattr(WalkPolicy, "cover", cover)
         assert run_all() == table_driven
         assert all(code == 0 for code, _, _ in table_driven)
         # every reference ran: one cover trial per covertime trial (7
-        # argvs x 20), one walk per sampled walk (3 x 3) and per curve
-        # record (8 trials x 4)
-        assert calls == {"cover_time": 140, "walk": 41}
+        # argvs x 20), one walk per sampled walk (3 x 3), and one marked
+        # walk per curve record (8 trials x 4)
+        assert calls == {"cover_time": 140, "walk": 9, "cover": 32}
 
 
 class TestSearchVerbBytes:
@@ -839,6 +854,10 @@ class TestErrorsAndDeterminism:
               "--length", "0"], ONE_NODE, "walks require at least 2 nodes"),
             (["covertime", "--trials", "5", "--seed", "0", "--cap", "0"],
              TWO_EDGES, "walks require a connected graph"),
+            (["bound", "--delta", "0.1", "--trials", "5", "--seed", "0"],
+             EMPTY, "empty graph"),
+            (["bound", "--delta", "0.1", "--trials", "5", "--seed", "0"],
+             TWO_EDGES, "searches require a connected graph"),
         ],
         ids=["coverage-trials0", "covertime-trials0",
              "coverage-disconnected", "covertime-disconnected",
@@ -857,7 +876,8 @@ class TestErrorsAndDeterminism:
              "reconstruct-edge-plus-node", "invariance-sampled-empty",
              "coverage-searches-empty", "coverage-searches-isolated",
              "sample-walks-length0", "sample-walks-length0-one-node",
-             "covertime-cap0-disconnected"],
+             "covertime-cap0-disconnected", "bound-empty",
+             "bound-disconnected"],
     )
     def test_degenerate_inputs(self, tmp_path, capsys, argv, text, message):
         graph = write(tmp_path, "g.el", text)

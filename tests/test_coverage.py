@@ -110,6 +110,55 @@ LAW_GRAPHS = {
 }
 
 
+def walk_avoidance(g: Graph, length: int, nodes: set, edges: set) -> Fraction:
+    """The exact chance that a uniform walk of `length` steps from a
+    uniform start visits no node in `nodes` and crosses no edge in
+    `edges` (pairs u < v): the mass of the start law left after `length`
+    steps of the walk's transition matrix with those nodes and edges
+    removed, each removed step absorbing its mass."""
+    mass = [Fraction(0) if v in nodes else Fraction(1, g.n) for v in range(g.n)]
+    for _ in range(length):
+        step = [Fraction(0)] * g.n
+        for u, p in enumerate(mass):
+            if p:
+                share = p / len(g.adjacency[u])
+                for w in g.adjacency[u]:
+                    if w not in nodes and ((u, w) if u < w else (w, u)) not in edges:
+                        step[w] += share
+        mass = step
+    return sum(mass)
+
+
+def walk_fraction_law(g: Graph, length: int, items):
+    """The exact mean and variance, as floats, of the fraction of `items`
+    that m independent uniform walks of `length` steps cover, as a
+    function of m. An item is a (nodes, edges) pair that a walk covers by
+    visiting one of the nodes or crossing one of the edges.
+
+    With a_ij the chance that one walk covers neither item i nor item j
+    (a_ii for item i alone), both stay uncovered after m walks with chance
+    a_ij^m, so the mean is the average of 1 - a_ii^m and the variance is
+    the sum over all i, j of a_ij^m - a_ii^m a_jj^m, over k^2.
+    """
+    k = len(items)
+    avoid = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            avoid[i][j] = avoid[j][i] = walk_avoidance(
+                g, length, items[i][0] | items[j][0], items[i][1] | items[j][1]
+            )
+
+    def law(m: int) -> tuple[float, float]:
+        alone = [avoid[i][i] ** m for i in range(k)]
+        mean = sum(1 - a for a in alone) / k
+        var = sum(
+            avoid[i][j] ** m - alone[i] * alone[j] for i in range(k) for j in range(k)
+        ) / (k * k)
+        return float(mean), float(var)
+
+    return law
+
+
 class TestCoverageReport:
     def test_tree_single_search_full(self):
         g = star_graph(4)
@@ -555,6 +604,28 @@ class TestCoverageCurve:
             law = sum(1 - (1 - pe) ** row.m for pe in p) / g.edge_count
             assert row.node_frac_mean == 1.0
             assert abs(row.edge_frac_mean - float(law)) <= 4 * 0.5 / math.sqrt(trials)
+
+    @pytest.mark.parametrize(
+        "g",
+        [PAW, BULL, cycle_graph(6), hex_chain(1), random_tree(8, 3)],
+        ids=["paw", "bull", "cycle6", "hex1", "tree8"],
+    )
+    def test_walk_rows_follow_exact_avoidance(self, g):
+        # a row's mean node (edge) fraction estimates the exact mean of one
+        # trial's fraction after m walks, and must lie within 5 sd of it
+        trials = 2000
+        for length in range(3, 7):
+            rows = coverage_curve(g, ["walks"], [1, 2, 4], trials, 11, length=length)
+            nodes = [({v}, set()) for v in range(g.n)]
+            edges = [(set(), {e}) for e in sorted(g.edges())]
+            for items, frac in ((nodes, "node_frac_mean"), (edges, "edge_frac_mean")):
+                law = walk_fraction_law(g, length, items)
+                for row in rows:
+                    mean, var = law(row.m)
+                    sd = math.sqrt(var / trials)
+                    assert abs(getattr(row, frac) - mean) <= 5 * sd + 1e-12, (
+                        length, row.m, frac,
+                    )
 
     @pytest.mark.parametrize(
         "g", [cycle_graph(6), hex_chain(2), BULL], ids=["cycle6", "hex2", "bull"]

@@ -371,6 +371,71 @@ class TestWalkOracle:
                 assert rng.getstate() == ref_rng.getstate(), (g.adjacency, seed)
 
 
+def mark_walk(nodes, edge_ids, node_seen: bytearray, edge_seen: bytearray) -> None:
+    """Mark every node of a walk and the id of every edge it crosses."""
+    for v in nodes:
+        node_seen[v] = 1
+    for a, b in zip(nodes, nodes[1:]):
+        edge_seen[edge_ids[a][b]] = 1
+
+
+class TestWalkCoverOracle:
+    def test_marks_the_walk_of_a_twin_generator(self):
+        outcomes = Counter()
+        for g in ORACLE_GRAPHS:
+            pol = WalkPolicy(g, "uniform")
+            edge_ids = SearchGraph(g).edge_ids
+            for length in sorted({1, 2, 4 * g.n + 1}):
+                for seed in range(3):
+                    for fresh in (True, False):
+                        node_seen, edge_seen = bytearray(g.n), bytearray(g.edge_count)
+                        if not fresh:
+                            # an earlier walk's marks, so both ends of each
+                            # marked edge are marked
+                            prior = pol.walk(random.Random(f"prior:{seed}"), 2)
+                            mark_walk(prior, edge_ids, node_seen, edge_seen)
+                        expected_nodes = bytearray(node_seen)
+                        expected_edges = bytearray(edge_seen)
+                        rng, twin = random.Random(seed), random.Random(seed)
+                        walk = pol.walk(twin, length)
+                        mark_walk(walk, edge_ids, expected_nodes, expected_edges)
+                        left = pol.cover(
+                            rng, length, node_seen, edge_seen,
+                            node_seen.count(0), edge_seen.count(0),
+                        )
+                        case = (g.adjacency, length, seed, fresh)
+                        assert node_seen == expected_nodes, case
+                        assert edge_seen == expected_edges, case
+                        assert left == (
+                            expected_nodes.count(0), expected_edges.count(0)
+                        ), case
+                        # every step draws, even past the last new mark
+                        assert rng.getstate() == twin.getstate(), case
+                        outcomes[left == (0, 0)] += 1
+        # walks that cover the whole graph and walks that do not both occur
+        assert set(outcomes) == {True, False}
+
+    @pytest.mark.parametrize(
+        "policy, length, message",
+        [
+            ("non_backtracking", 3, "cover walks the uniform policy only"),
+            ("local_rule", 3, "cover walks the uniform policy only"),
+            ("uniform", 0, "walk length must be >= 1"),
+        ],
+        ids=["non_backtracking", "local_rule", "length0"],
+    )
+    def test_refuses_before_any_draw(self, policy, length, message):
+        g = cycle_graph(5)
+        rng = DrawCounter(0)
+        node_seen, edge_seen = bytearray(g.n), bytearray(g.edge_count)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WalkPolicy(g, policy).cover(
+                rng, length, node_seen, edge_seen, g.n, g.edge_count
+            )
+        assert sum(rng.draws.values()) == 0
+        assert not any(node_seen) and not any(edge_seen)
+
+
 DFS_ORACLE_GRAPHS = list(all_labeled_connected_graphs_upto(5)) + [
     hex_chain(6),
     star_graph(400),
