@@ -330,21 +330,26 @@ def _cmd_reconstruct(args) -> None:
     _emit_json(report.to_dict(g.n, args.m, args.window), args.out)
 
 
+def _error(code: int, error: str, message: str) -> int:
+    json.dump({"error": error, "message": message}, sys.stderr)
+    sys.stderr.write("\n")
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         args.run(args)
         return 0
     except _UsageError as exc:
-        json.dump({"error": "usage", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _error(2, "usage", str(exc))
     except (ValueError, RuntimeError, OSError) as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)}, sys.stderr
-        )
-        sys.stderr.write("\n")
-        return 1
+        return _error(1, type(exc).__name__, str(exc))
+    except MemoryError as exc:
+        # the interpreter raises it with no message; dropping the traceback
+        # frees the frames that filled memory before the error is written
+        exc.__traceback__ = None
+        return _error(1, "MemoryError", str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

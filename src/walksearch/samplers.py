@@ -586,7 +586,9 @@ def validate_search_record(g: Graph, rec: SearchRecord) -> None:
 #
 # Branches on the uniform choice among the currently-unvisited neighbors of
 # the stack top, candidates in ascending order; `sample_dfs` takes one
-# branch of this enumeration with that branch's probability.
+# branch of this enumeration with that branch's probability. A step with
+# one candidate is forced: it has probability 1, so it is taken in place
+# and opens no frame.
 
 
 def _enumerate(g: Graph, budget: int):
@@ -596,6 +598,12 @@ def _enumerate(g: Graph, budget: int):
     discovered v, for every v but ``order[0]`` (the root's entry is
     stale). `order` and `parent` are reused: copy what must outlive the
     next step.
+
+    A frame is opened only where the stack top has two or more unvisited
+    neighbors; a forced move appends to `order` and sets `parent` in
+    place. Each frame records the length of `order` at its branch, so a
+    backtrack cuts `order` back to it, and unmarks the nodes it cuts, in
+    one step. Every visit, forced or not, is one prefix for the budget.
 
     The graph is checked, and refused at the prefix floor of
     `enumerate_dfs`, on the first step.
@@ -608,14 +616,16 @@ def _enumerate(g: Graph, budget: int):
     if n + 2 * g.edge_count * (n - 1) > budget:
         raise _budget_error(budget)
     adjacency = g.adjacency
-    visited = bytearray(n)
     order: list[int] = []
     parent = [0] * n
-    # one frame per open branch: [stack top, its unvisited neighbors, next
-    # index, child denominator]
-    frames: list[list] = []
+    # one frame per branch with a candidate left: (stack top, its untaken
+    # candidates in descending order, child denominator, length of order
+    # at the branch); a frame is dropped when its last candidate is taken
+    frames: list[tuple[int, list[int], int, int]] = []
     states = 0
     for root in range(n):
+        visited = bytearray(n)
+        order.clear()
         w, den = root, n
         while True:
             states += 1
@@ -636,20 +646,24 @@ def _enumerate(g: Graph, budget: int):
                     if cands:
                         break
                     u = parent[u]
-                frames.append([u, cands, 0, den * len(cands)])
+                if len(cands) == 1:
+                    w = cands[0]
+                    parent[w] = u
+                    continue
+                cands.reverse()
+                den *= len(cands)
+                frames.append((u, cands, den, len(order)))
             else:
                 yield order, parent, den
-                # undo w, then every choice whose frame has no candidate left
-                visited[order.pop()] = 0
-                while frames and frames[-1][2] == len(frames[-1][1]):
-                    frames.pop()
-                    visited[order.pop()] = 0
                 if not frames:
                     break
-            frame = frames[-1]
-            u, cands, i, den = frame
-            frame[2] = i + 1
-            w = cands[i]
+                u, cands, den, cut = frames[-1]
+                for v in order[cut:]:
+                    visited[v] = 0
+                del order[cut:]
+            w = cands.pop()
+            if not cands:
+                frames.pop()
             parent[w] = u
 
 
@@ -666,10 +680,11 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
 
     Each visit order (which determines the tree) comes from exactly one
     sequence of choices, so it is one outcome with probability
-    1 / (n * k_1 * k_2 * ...), where k_i is the number of candidates of
-    its i-th branch. Outcomes are sorted by visit order and their
-    probabilities sum to exactly 1. The enumeration is a loop
-    (`_enumerate`), so no recursion limit bounds it; it raises
+    1 / (n * k_1 * k_2 * ...), where k_i is the number of candidates at
+    its i-th step; a forced step (one candidate) adds a factor of 1.
+    Outcomes are sorted by visit order and their probabilities sum to
+    exactly 1. The enumeration is a loop (`_enumerate`) that opens a
+    frame only at a branch, so no recursion limit bounds it; it raises
     EnumerationBudgetError once more than `budget` distinct nonempty
     visit-order prefixes have been reached: the graph is too large to
     enumerate. Every root reaches its one-node prefix and, through each

@@ -734,6 +734,24 @@ class TestErrorsAndDeterminism:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "GraphParseError"
 
+    def test_memory_error_is_a_json_error(self, tmp_path, capsys, monkeypatch):
+        # a walk too long for memory takes the JSON-error path, not a
+        # traceback; the kernel is patched to fail as its append would
+        def out_of_memory(self, rng, length):
+            raise MemoryError
+
+        monkeypatch.setattr(WalkPolicy, "walk", out_of_memory)
+        graph = write(tmp_path, "tri.el", TRIANGLE)
+        code = main(["sample", "--graph", graph, "--kind", "walks", "--m", "1",
+                     "--seed", "0", "--length", "100000000000"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "MemoryError", "message": "out of memory"
+        }
+
     @pytest.mark.parametrize(
         "text",
         [f"# n={MAX_FILE_NODES + 1}\n0 1\n", f"0 {MAX_FILE_NODES}\n"],

@@ -21,6 +21,7 @@ from walksearch.graphs import (
     star_graph,
 )
 from walksearch.samplers import (
+    DEFAULT_ENUM_BUDGET,
     POLICIES,
     EnumerationBudgetError,
     SampleSet,
@@ -28,6 +29,8 @@ from walksearch.samplers import (
     SearchRecord,
     WalkPolicy,
     WalkRecord,
+    _budget_error,
+    _enumerate,
     derive_rng,
     derive_seed,
     enumerate_dfs,
@@ -137,6 +140,90 @@ def search_records(draw, max_n: int = 7):
         visit_order=order, tree_edges=frozenset(tree), root=order[0]
     )
     return Graph.from_edges(n, edges), record
+
+
+def frame_per_state_enumerate(g: Graph, budget: int):
+    """Reference exact loop that opens a frame at every visited node,
+    forced or not, and unwinds `order` one entry per frame. `_enumerate`,
+    which opens a frame only at a branch, must yield the same
+    ``(order, parent, den)`` sequence and refuse at the same prefix
+    (`TestExactEnumeration`)."""
+    if g.n < 1:
+        raise ValueError("empty graph")
+    if not g.is_connected():
+        raise ValueError("exact enumeration requires a connected graph")
+    n = g.n
+    if n + 2 * g.edge_count * (n - 1) > budget:
+        raise _budget_error(budget)
+    adjacency = g.adjacency
+    visited = bytearray(n)
+    order: list[int] = []
+    parent = [0] * n
+    # [stack top, its unvisited neighbors, next index, child denominator]
+    frames: list[list] = []
+    states = 0
+    for root in range(n):
+        w, den = root, n
+        while True:
+            states += 1
+            if states > budget:
+                raise _budget_error(budget)
+            visited[w] = 1
+            order.append(w)
+            if len(order) < n:
+                u = w
+                while True:
+                    cands = [v for v in adjacency[u] if not visited[v]]
+                    if cands:
+                        break
+                    u = parent[u]
+                frames.append([u, cands, 0, den * len(cands)])
+            else:
+                yield order, parent, den
+                visited[order.pop()] = 0
+                while frames and frames[-1][2] == len(frames[-1][1]):
+                    frames.pop()
+                    visited[order.pop()] = 0
+                if not frames:
+                    break
+            frame = frames[-1]
+            u, cands, i, den = frame
+            frame[2] = i + 1
+            w = cands[i]
+            parent[w] = u
+
+
+def row_limited(g: Graph, limit: int) -> Graph:
+    """A copy of `g` that fails once more than `limit` of its neighbor
+    lists have been read, so a loop that never ends fails instead."""
+    reads = 0
+
+    class Row(tuple):
+        def __iter__(self):
+            nonlocal reads
+            reads += 1
+            assert reads <= limit, f"more than {limit} neighbor lists read"
+            return tuple.__iter__(self)
+
+    return Graph(
+        n=g.n, adjacency=tuple(map(Row, g.adjacency)), edge_count=g.edge_count
+    )
+
+
+def enumeration_yields(enumerate_, g: Graph, budget: int, limit: int | None = None):
+    """The ``(order, parents of order[1:], den)`` snapshots an exact loop
+    yields before it ends, and the error that ended it, if any. Past
+    `limit` yields it stops, with the error ``"limit"``, so a loop that
+    yields too much fails without filling memory."""
+    out = []
+    try:
+        for order, parent, den in enumerate_(g, budget):
+            if len(out) == limit:
+                return out, "limit"
+            out.append((tuple(order), tuple(parent[v] for v in order[1:]), den))
+    except EnumerationBudgetError as exc:
+        return out, str(exc)
+    return out, None
 
 
 class ScriptedRng:
@@ -700,6 +787,46 @@ class TestExactEnumeration:
                 )
                 assert edge_inclusion_prob(g, e).probability == p
                 assert edge_inclusion_prob(g, e[::-1]).probability == p
+
+    @staticmethod
+    def assert_same_yields(g: Graph):
+        # the yield sequence, parents included, is the frame-per-state
+        # reference's; at one prefix short of the count both refuse
+        # after the same yields, with the same message
+        ref, error = enumeration_yields(
+            frame_per_state_enumerate, g, DEFAULT_ENUM_BUDGET
+        )
+        assert error is None
+        prefixes = len({order[:k] for order, _, _ in ref for k in range(1, g.n + 1)})
+        short = enumeration_yields(frame_per_state_enumerate, g, prefixes - 1)
+        assert short[1] == (
+            f"too large for exact enumeration (budget {prefixes - 1} exceeded)"
+        )
+
+        def run(budget):
+            # the connectivity check reads n lists and each prefix at most
+            # n, up the tree path; past that, or past the reference's
+            # yields, the loop under test fails instead of running on
+            bounded = row_limited(g, g.n * (prefixes + 1))
+            return enumeration_yields(_enumerate, bounded, budget, len(ref))
+
+        assert run(DEFAULT_ENUM_BUDGET) == (ref, None)
+        assert run(prefixes) == (ref, None)
+        assert run(prefixes - 1) == short
+
+    def test_yields_match_frame_per_state_reference(self):
+        for g in all_labeled_connected_graphs_upto(5):
+            self.assert_same_yields(g)
+        for g in random_connected_corpus(20, seed=3) + [
+            hex_chain(2), cycle_graph(12), path_graph(8), complete_graph(5),
+            *(random_tree(8, 2000 + i) for i in range(3)),
+        ]:
+            self.assert_same_yields(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(min_n=1, max_n=8))
+    def test_yields_match_frame_per_state_reference_on_random_graphs(self, g):
+        self.assert_same_yields(g)
 
     def test_budget_error(self):
         with pytest.raises(EnumerationBudgetError, match="too large"):
