@@ -22,13 +22,14 @@ from walksearch.invariance import sample_visit_orders, two_sample_tv
 g = path_graph(3)
 d = dfs_distribution(g)
 print("DFS law of the 3-path:")
-for seq, p in sorted(d.support.items()):
-    print(f"  {seq}  {p}")
+for seq in sorted(d.dens):
+    print(f"  {seq}  {d.probability(seq)}")
 
 perm = [2, 0, 1]
 print(f"\npushforward by {perm}:")
-for seq, p in sorted(pushforward(d, perm).support.items()):
-    print(f"  {seq}  {p}")
+pushed = pushforward(d, perm)
+for seq in sorted(pushed.dens):
+    print(f"  {seq}  {pushed.probability(seq)}")
 print("exact discrepancy vs the relabeled graph:",
       invariance_exact(g, perm))
 

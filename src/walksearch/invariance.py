@@ -3,12 +3,13 @@
 Relabeling a graph by a permutation and pushing DFS visit orders forward
 through the same permutation must give identical distributions. On small
 graphs this is checked exactly over the full enumerated distribution
-(expected discrepancy exactly 0), with each law held in integers as
-``{visit order: den}``, the probability being exactly ``1 / den``: sums
-to one are checked and gaps compared by cross-multiplication, and only
-the returned gap is a ``Fraction``. On larger graphs a two-sample
-comparison of sampled visit orders is calibrated against a self-vs-self
-baseline instead of a hand-picked threshold. The
+(expected discrepancy exactly 0). Each law is one `SequenceDistribution`
+held in integers as ``{visit order: den}``, the probability being
+exactly ``1 / den``: its sum to one is checked when it is built, gaps
+are compared by cross-multiplication, and a ``Fraction`` is made only by
+`SequenceDistribution.probability` and for the returned gap. On larger
+graphs a two-sample comparison of sampled visit orders is calibrated
+against a self-vs-self baseline instead of a hand-picked threshold. The
 permutation test behind that comparison counts in exact integers: each
 distinct visit order is coded once as a small int and every reshuffle's
 statistic is 2*na*nb*TV, so no float tolerance decides a tie. Each
@@ -31,7 +32,6 @@ from .samplers import (
     _reciprocal_sum,
     _search,
     derive_rng,
-    enumerate_dfs,
 )
 
 # label reshuffles of the permutation test behind `invariance_sampled`
@@ -40,26 +40,33 @@ PERMUTATION_REPS = 200
 
 @dataclass(frozen=True)
 class SequenceDistribution:
-    """Exact distribution over DFS visit orders."""
+    """Exact distribution over DFS visit orders, held in integers as
+    ``dens: {visit order: den}``, the probability of each being exactly
+    ``1 / den``. A law is refused unless every den is an int >= 1 and
+    the probabilities sum to exactly 1: with L the lcm of the dens, the
+    sum of L // den must be L."""
 
-    support: dict
+    dens: dict
 
     def __post_init__(self):
-        for seq, p in self.support.items():
-            if p < 0:
-                raise ValueError(f"probability of {seq} is {p}, expected >= 0")
-        total = sum(self.support.values(), start=Fraction(0))
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
+        for seq, den in self.dens.items():
+            if not isinstance(den, int) or den < 1:
+                raise ValueError(f"den of {seq} is {den!r}, expected an int >= 1")
+        total, lcm = _reciprocal_sum(self.dens.values())
+        if total != lcm:
+            raise ValueError(
+                f"probabilities sum to {Fraction(total, lcm)}, expected 1"
+            )
 
     def probability(self, seq) -> Fraction:
-        return self.support.get(tuple(seq), Fraction(0))
+        den = self.dens.get(tuple(seq))
+        return Fraction(0) if den is None else Fraction(1, den)
 
 
 def dfs_distribution(g: Graph) -> SequenceDistribution:
-    """Exact visit-order distribution from full DFS enumeration."""
+    """Exact visit-order law of g from full DFS enumeration."""
     return SequenceDistribution(
-        support={o.record.visit_order: o.probability for o in enumerate_dfs(g)}
+        {tuple(order): den for order, _, den in _enumerate(g, DEFAULT_ENUM_BUDGET)}
     )
 
 
@@ -68,48 +75,24 @@ def pushforward(d: SequenceDistribution, perm) -> SequenceDistribution:
     perm = list(perm)
     if sorted(perm) != list(range(len(perm))):
         raise ValueError("perm is not a permutation of 0..n-1")
-    for seq in d.support:
+    for seq in d.dens:
         if len(seq) != len(perm):
             raise ValueError(
                 f"perm has length {len(perm)}, a sequence has length {len(seq)}"
             )
     # a bijection maps distinct sequences to distinct sequences
+    new_id = perm.__getitem__
     return SequenceDistribution(
-        support={tuple(perm[v] for v in seq): p for seq, p in d.support.items()}
+        {tuple(map(new_id, seq)): den for seq, den in d.dens.items()}
     )
 
 
 def sup_discrepancy(a: SequenceDistribution, b: SequenceDistribution) -> Fraction:
-    keys = set(a.support) | set(b.support)
-    return max(
-        (abs(a.probability(k) - b.probability(k)) for k in keys),
-        default=Fraction(0),
-    )
-
-
-def _check_law(law: dict) -> None:
-    """Raise ValueError unless the probabilities 1/den of an integer law
-    ``{sequence: den}`` sum to exactly 1: with L the lcm of the
-    denominators, the sum of L // den must be L."""
-    total, lcm = _reciprocal_sum(law.values())
-    if total != lcm:
-        raise ValueError(
-            f"probabilities sum to {Fraction(total, lcm)}, expected 1"
-        )
-
-
-def _dfs_law(g: Graph) -> dict:
-    """The DFS law of g in integers, ``{visit order: den}``, checked to
-    sum to one."""
-    law = {tuple(order): den for order, _, den in _enumerate(g, DEFAULT_ENUM_BUDGET)}
-    _check_law(law)
-    return law
-
-
-def _sup_gap(a: dict, b: dict) -> Fraction:
-    """`sup_discrepancy` of two integer laws: the largest |1/a[s] - 1/b[s]|
-    over all sequences s, a missing one having probability 0. Each gap is
-    a pair (num, den) and pairs are compared by cross-multiplication."""
+    """The largest |1/a[s] - 1/b[s]| over all sequences s, a sequence
+    outside a law having probability 0. Each gap is a pair (num, den),
+    |b - a| / (ab) on a shared sequence, and pairs are compared by
+    cross-multiplication; the result is the one ``Fraction`` built."""
+    a, b = a.dens, b.dens
     num, den = 0, 1
     for seq, x in a.items():
         y = b.get(seq)
@@ -132,14 +115,13 @@ def invariance_exact(g: Graph, perm) -> Fraction:
     of the relabeled graph. Exactly 0 whenever perm is applied as a true
     relabeling, which is the probabilistic-invariance statement.
 
-    `relabel` checks `perm` before anything is enumerated; both laws are
-    held and checked in integers (see `_check_law`), and the gap is the
-    one ``Fraction`` built."""
+    `relabel` checks `perm` before anything is enumerated; `perm` is
+    listed first because `relabel` and `pushforward` both read it."""
     perm = list(perm)
     h = relabel(g, perm)
-    new_id = perm.__getitem__
-    pushed = {tuple(map(new_id, seq)): den for seq, den in _dfs_law(g).items()}
-    return _sup_gap(pushed, _dfs_law(h))
+    return sup_discrepancy(
+        pushforward(dfs_distribution(g), perm), dfs_distribution(h)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,7 @@ from walksearch.graphs import (
 from walksearch.invariance import (
     PERMUTATION_REPS,
     SequenceDistribution,
-    _check_law,
-    _dfs_law,
     _scaled_tv,
-    _sup_gap,
     dfs_distribution,
     invariance_exact,
     invariance_sampled,
@@ -37,35 +34,69 @@ from .corpus import all_labeled_connected_graphs_upto
 from .test_samplers import DFS_ORACLE_GRAPHS, DrawCounter, stdlib_dfs
 
 
+def reference_law(g: Graph) -> dict:
+    """The DFS law of g in ``Fraction``s, ``{visit order: probability}``,
+    straight from the `DfsOutcome` records: the independent reference the
+    integer `SequenceDistribution` is held to."""
+    return {o.record.visit_order: o.probability for o in enumerate_dfs(g)}
+
+
+def reference_pushforward(law: dict, perm) -> dict:
+    return {tuple(perm[v] for v in seq): p for seq, p in law.items()}
+
+
+def reference_gap(a: dict, b: dict) -> Fraction:
+    """The largest |a[s] - b[s]| over the union of the keys of two
+    ``Fraction`` laws, a missing key having probability 0."""
+    zero = Fraction(0)
+    return max(
+        (abs(a.get(k, zero) - b.get(k, zero)) for k in a.keys() | b.keys()),
+        default=zero,
+    )
+
+
+def assert_law_is(d: SequenceDistribution, reference: dict) -> None:
+    assert d.dens.keys() == reference.keys()
+    for seq, p in reference.items():
+        assert d.probability(seq) == p
+
+
+def sylvester(k: int) -> list[int]:
+    """The first k terms of Sylvester's sequence 2, 3, 7, 43, 1807, ...:
+    the reciprocals of the first k - 1 terms and of the k-th less one sum
+    to exactly 1."""
+    terms = [2]
+    while len(terms) < k:
+        terms.append(terms[-1] * (terms[-1] - 1) + 1)
+    return terms
+
+
 class TestDistributions:
     def test_path3(self):
         d = dfs_distribution(path_graph(3))
-        assert d.support == {
-            (0, 1, 2): Fraction(1, 3),
-            (2, 1, 0): Fraction(1, 3),
-            (1, 0, 2): Fraction(1, 6),
-            (1, 2, 0): Fraction(1, 6),
-        }
+        assert d.dens == {(0, 1, 2): 3, (2, 1, 0): 3, (1, 0, 2): 6, (1, 2, 0): 6}
+        assert d.probability([1, 0, 2]) == Fraction(1, 6)
+        assert d.probability((0, 2, 1)) == 0
 
     def test_single_edge_root_choice_only(self):
         d = dfs_distribution(path_graph(2))
-        assert d.support == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
+        assert d.dens == {(0, 1): 2, (1, 0): 2}
 
     def test_triangle_uniform_over_six(self):
         d = dfs_distribution(cycle_graph(3))
-        assert len(d.support) == 6
-        assert set(d.support.values()) == {Fraction(1, 6)}
+        assert len(d.dens) == 6
+        assert set(d.dens.values()) == {6}
 
     def test_distribution_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            SequenceDistribution(support={(0, 1): Fraction(1, 3)})
+        with pytest.raises(ValueError, match="sum to 1/3, expected 1"):
+            SequenceDistribution({(0, 1): 3})
 
-    def test_negative_probability_rejected(self):
-        # the sum is exactly 1, so only the sign check can refuse it
-        with pytest.raises(ValueError, match="expected >= 0"):
-            SequenceDistribution(
-                support={(0, 1): Fraction(3, 2), (1, 0): Fraction(-1, 2)}
-            )
+    def test_den_must_be_a_positive_int(self):
+        # -1 + 1/2 + 1/2 + 1 is exactly 1, so only the den check refuses
+        # it; the sum check would fail on 0 and 2.0 with another error
+        for den in (0, -1, 2.0):
+            with pytest.raises(ValueError, match="expected an int >= 1"):
+                SequenceDistribution({"a": den, "b": 2, "c": 2, "d": 1})
 
 
 class TestPushforward:
@@ -82,7 +113,8 @@ class TestPushforward:
     def test_elementwise_mapping(self):
         d = dfs_distribution(path_graph(3))
         pushed = pushforward(d, [2, 1, 0])
-        assert pushed.support[(2, 1, 0)] == Fraction(1, 3)
+        assert pushed.dens[(2, 1, 0)] == 3
+        assert pushed.probability((2, 1, 0)) == Fraction(1, 3)
 
     def test_non_bijective_rejected(self):
         d = dfs_distribution(path_graph(2))
@@ -113,6 +145,12 @@ class TestExactInvariance:
                 perm = random_permutation(g.n, rng)
                 assert invariance_exact(g, perm) == 0
 
+    def test_one_shot_perm(self):
+        # the perm is read twice, by `relabel` and by `pushforward`
+        g = hex_chain(1)
+        perm = random_permutation(g.n, random.Random(9))
+        assert invariance_exact(g, iter(perm)) == 0
+
     def test_discrepancy_is_exact_rational(self):
         d = invariance_exact(path_graph(3), [1, 0, 2])
         assert isinstance(d, Fraction) and d == 0
@@ -134,14 +172,13 @@ class TestExactInvariance:
             invariance_exact(path_graph(3), perm)
 
     def test_matches_fraction_reference(self):
-        # the integer path against the Fraction one it replaced: pushforward
-        # and sup_discrepancy over the DfsOutcome probabilities
+        # the test-side Fraction laws pushed forward and compared key by key
         rng = random.Random(18)
         for g in all_labeled_connected_graphs_upto(5):
             perm = random_permutation(g.n, rng)
-            reference = sup_discrepancy(
-                pushforward(dfs_distribution(g), perm),
-                dfs_distribution(relabel(g, perm)),
+            reference = reference_gap(
+                reference_pushforward(reference_law(g), perm),
+                reference_law(relabel(g, perm)),
             )
             assert invariance_exact(g, perm) == reference == 0
 
@@ -149,27 +186,28 @@ class TestExactInvariance:
 class TestIntegerLaw:
     def test_law_is_enumeration_inverted(self):
         for g in all_labeled_connected_graphs_upto(5) + (hex_chain(2),):
-            assert _dfs_law(g) == {
-                o.record.visit_order: 1 / o.probability for o in enumerate_dfs(g)
-            }
+            reference = reference_law(g)
+            d = dfs_distribution(g)
+            assert d.dens == {seq: 1 / p for seq, p in reference.items()}
+            assert_law_is(d, reference)
 
     def test_sum_check_catches_a_dropped_outcome(self):
         for g in (path_graph(2), cycle_graph(4), star_graph(5), hex_chain(1)):
-            law = _dfs_law(g)
+            law = dfs_distribution(g).dens
             for seq in law:
                 short = dict(law)
                 del short[seq]
                 with pytest.raises(ValueError, match="sum"):
-                    _check_law(short)
+                    SequenceDistribution(short)
 
     def test_sum_check_catches_a_denominator_off_by_one(self):
         for g in (path_graph(2), cycle_graph(4), star_graph(5), hex_chain(1)):
-            law = _dfs_law(g)
+            law = dfs_distribution(g).dens
             for seq, den in law.items():
                 for off in (den - 1, den + 1):
                     if off:
                         with pytest.raises(ValueError, match="sum"):
-                            _check_law({**law, seq: off})
+                            SequenceDistribution({**law, seq: off})
 
     @pytest.mark.parametrize("tampered_call", [0, 1], ids=["g", "relabeled"])
     @pytest.mark.parametrize("tamper", ["drop", "off_by_one"])
@@ -200,19 +238,21 @@ class TestIntegerLaw:
         assert len(calls) == tampered_call + 1
 
     def test_sum_check_is_exact(self):
-        _check_law({(0,): 1})
-        _check_law({"a": 2, "b": 3, "c": 6})
+        SequenceDistribution({(0,): 1})
+        SequenceDistribution({"a": 2, "b": 3, "c": 6})
         with pytest.raises(ValueError, match="sum to 0, expected 1"):
-            _check_law({})
+            SequenceDistribution({})
         # a float sum reads 1.0 here
         assert 0.5 + 0.5 + 1 / 10**40 == 1.0
         with pytest.raises(ValueError, match="sum"):
-            _check_law({"a": 2, "b": 2, "c": 10**40})
+            SequenceDistribution({"a": 2, "b": 2, "c": 10**40})
 
     def test_gap_matches_sup_discrepancy(self):
         # non-isomorphic pairs of one size, and laws pushed forward by a
-        # permutation that need not be an automorphism, give nonzero gaps
+        # permutation that need not be an automorphism, against the
+        # test-side Fraction reference; some of these gaps are nonzero
         rng = random.Random(1)
+        nonzero = 0
         for n in (3, 4, 5):
             graphs = [
                 g for g in all_labeled_connected_graphs_upto(n) if g.n == n
@@ -221,28 +261,51 @@ class TestIntegerLaw:
                 g, h = rng.choice(graphs), rng.choice(graphs)
                 perm = random_permutation(n, rng)
                 d_g, d_h = dfs_distribution(g), dfs_distribution(h)
-                law_g, law_h = _dfs_law(g), _dfs_law(h)
-                pushed = {tuple(perm[v] for v in s): den for s, den in law_g.items()}
-                assert _sup_gap(law_g, law_h) == sup_discrepancy(d_g, d_h)
-                assert _sup_gap(pushed, law_g) == sup_discrepancy(
-                    pushforward(d_g, perm), d_g
+                ref_g, ref_h = reference_law(g), reference_law(h)
+                pushed = pushforward(d_g, perm)
+                ref_pushed = reference_pushforward(ref_g, perm)
+                assert_law_is(pushed, ref_pushed)
+                gaps = (
+                    (sup_discrepancy(d_g, d_h), reference_gap(ref_g, ref_h)),
+                    (sup_discrepancy(pushed, d_g), reference_gap(ref_pushed, ref_g)),
+                    (sup_discrepancy(d_g, pushed), reference_gap(ref_g, ref_pushed)),
                 )
+                for gap, reference in gaps:
+                    assert gap == reference
+                    nonzero += gap != 0
+        assert nonzero > 0
 
     def test_gap_compares_exactly(self):
-        # every branch, with a known answer: shared keys, keys on one side
-        assert _sup_gap({"a": 2, "b": 2}, {"a": 2, "b": 2}) == 0
-        assert _sup_gap({"a": 3, "b": 6}, {"a": 6, "b": 3}) == Fraction(1, 6)
-        assert _sup_gap({"a": 2, "b": 2}, {"a": 2, "c": 2}) == Fraction(1, 2)
-        assert _sup_gap({"a": 4, "b": 4}, {"a": 2, "c": 4}) == Fraction(1, 4)
-        assert _sup_gap({"a": 3}, {"a": 3, "c": 2}) == Fraction(1, 2)
-        # gaps a float cannot tell apart: 1/(10**20 + 1) < 1/10**20
-        big = 10**20
+        def law(**dens):
+            return SequenceDistribution(dens)
+
+        # every branch, with a known answer: shared keys equal or not,
+        # keys in one law only
+        assert sup_discrepancy(law(a=2, b=2), law(a=2, b=2)) == 0
+        assert sup_discrepancy(law(a=2, b=3, c=6), law(a=3, b=2, c=6)) == Fraction(1, 6)
+        assert sup_discrepancy(law(a=2, b=2), law(b=2, c=4, d=4)) == Fraction(1, 2)
+        assert sup_discrepancy(law(b=2, c=4, d=4), law(a=2, b=2)) == Fraction(1, 2)
+        # gaps a float cannot tell apart: a Sylvester truncation ending in
+        # 1/big, and the same law with 1/big split as 1/(big + 1) +
+        # 1/(big (big + 1)); 1/(big + 1) < 1/big, but not as floats
+        *head, last = sylvester(8)
+        big = last - 1
         assert 1 / big == 1 / (big + 1)
-        assert _sup_gap({"b": big + 1, "a": big}, {}) == Fraction(1, big)
-        assert _sup_gap({}, {"b": big + 1, "a": big}) == Fraction(1, big)
-        assert _sup_gap(
-            {"a": big, "b": 7 * big}, {"a": 2 * big, "b": 7 * big + 1}
-        ) == Fraction(1, 2 * big)
+        prefix = {f"p{i}": den for i, den in enumerate(head)}
+        whole = law(**prefix, a=big)
+        split = law(**prefix, b=big + 1, c=big * (big + 1))
+        assert sup_discrepancy(whole, split) == Fraction(1, big)
+        assert sup_discrepancy(split, whole) == Fraction(1, big)
+        # the same split with "b" renamed "a": a shared gap 1/(big (big + 1))
+        shared = law(**prefix, a=big + 1, c=big * (big + 1))
+        assert sup_discrepancy(whole, shared) == Fraction(1, big * (big + 1))
+        # the loop over the keys of `a` meets 1/(2 big + 1), then the larger
+        # 1/(2 big), equal as floats; the keys of `b` only, each 1/(3 big),
+        # are smaller than both and cannot raise the result afterwards
+        assert 1 / (2 * big) == 1 / (2 * big + 1)
+        rising = law(**prefix, x=2 * big + 1, y=2 * big, z=2 * big * (2 * big + 1))
+        thirds = law(**prefix, u=3 * big, v=3 * big, w=3 * big)
+        assert sup_discrepancy(rising, thirds) == Fraction(1, 2 * big)
 
 
 def float_tv_pvalue(samples_a, samples_b, reps, rng):
