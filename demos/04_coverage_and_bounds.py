@@ -12,7 +12,7 @@ from walksearch import (
     coverage_report,
     cycle_graph,
     degree_stats,
-    edge_inclusion_prob,
+    edge_inclusion_probs,
     escape_set,
     full_coverage_probability,
     hex_chain,
@@ -31,7 +31,7 @@ print(f"one search: node coverage {rep.node_fraction:.2f}, "
 
 # How likely is a single random DFS tree to contain a given edge?
 e = sorted(cycle_graph(6).edges())[0]
-inc = edge_inclusion_prob(cycle_graph(6), e)
+inc = edge_inclusion_probs(cycle_graph(6))[e]
 print(f"\ncycle(6) edge {e}: exact inclusion {inc.probability}, "
       f"escape bound {inc.tau_bound}, degree bound {inc.dmax_bound}")
 print("escape set at", e[0], "->", escape_set(cycle_graph(6), e, e[0]).members)

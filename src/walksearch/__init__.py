@@ -18,7 +18,7 @@ from .coverage import (
     cover_time_estimate,
     coverage_curve,
     coverage_report,
-    edge_inclusion_prob,
+    edge_inclusion_probs,
     escape_set,
     full_coverage_probability,
     sample_bound_m,

@@ -66,7 +66,10 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=_cmd_coverage)
     sp.add_argument("--graph", required=True)
     sp.add_argument("--kinds", default="walks,searches")
-    sp.add_argument("--m-list", required=True)
+    sp.add_argument("--m-list", type=_int_list, required=True)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--length", type=int)
@@ -232,7 +235,7 @@ def _cmd_coverage(args) -> None:
     rows = cov.coverage_curve(
         g,
         kinds=kinds,
-        m_list=_int_list(args.m_list),
+        m_list=args.m_list,
         trials=args.trials,
         seed=args.seed,
         length=args.length,

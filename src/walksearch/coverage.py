@@ -2,7 +2,7 @@
 
 Covers four related questions about sampled walks and searches:
 how much of the graph a sample set touches, how likely a single random
-DFS tree is to contain a given edge (exactly, with the escape-set lower
+DFS tree is to contain each edge (exactly, with the escape-set lower
 bounds), how many searches guarantee full edge coverage with failure
 probability delta, and how long walks take to cover all nodes or edges.
 """
@@ -136,31 +136,27 @@ class EdgeInclusionReport:
     dmax_bound: Fraction
 
 
-def edge_inclusion_prob(g: Graph, e: tuple[int, int]) -> EdgeInclusionReport:
-    """Exact probability that edge `e` lies in the tree of one random DFS.
+def edge_inclusion_probs(g: Graph) -> dict[tuple[int, int], EdgeInclusionReport]:
+    """Exact probability that each edge lies in the tree of one random DFS,
+    keyed (u, v) with u < v as in `Graph.edges`; a one-node graph gives {}.
 
-    Sums 1/den, in integers, over the outcomes of the enumeration behind
-    `enumerate_dfs` whose parent array holds `e`, building no record.
-    `escape_set` refuses an edge that is not in `g`.
+    One pass of the enumeration behind `enumerate_dfs` adds each outcome's
+    den to its n - 1 tree edges, and each edge sums 1/den in integers.
     """
-    u, v = e
-    tau_u = escape_set(g, e, u).tau
-    tau_v = escape_set(g, e, v).tau
-    key = (u, v) if u < v else (v, u)
-    tau_bound = min(Fraction(1, tau_u + 1), Fraction(1, tau_v + 1))
-    dmax_bound = Fraction(1, degree_stats(g).d_max)
-    a, b = key
-    # e is in the tree when one end discovered the other
-    dens = [
-        den
-        for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET)
-        if (parent[b] == a and b != order[0]) or (parent[a] == b and a != order[0])
-    ]
-    prob = Fraction(*_reciprocal_sum(dens))
-    assert prob >= tau_bound >= dmax_bound
-    return EdgeInclusionReport(
-        edge=key, probability=prob, tau_bound=tau_bound, dmax_bound=dmax_bound
-    )
+    dens = {e: [] for e in sorted(g.edges())}
+    for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET):
+        for v in order[1:]:  # the root's parent entry is stale
+            u = parent[v]
+            dens[(u, v) if u < v else (v, u)].append(den)
+    d_max = degree_stats(g).d_max
+    reports = {}
+    for e, edge_dens in dens.items():
+        tau_bound = Fraction(1, max(escape_set(g, e, w).tau for w in e) + 1)
+        dmax_bound = Fraction(1, d_max)
+        prob = Fraction(*_reciprocal_sum(edge_dens))
+        assert prob >= tau_bound >= dmax_bound
+        reports[e] = EdgeInclusionReport(e, prob, tau_bound, dmax_bound)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +227,8 @@ def full_coverage_probability(g: Graph, m: int, trials: int, seed: int) -> float
     The trials draw their searches in turn from one ``derive_rng(seed)``;
     a trial runs no further search once its trees cover E.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     all_edges = g.edges()

@@ -657,33 +657,49 @@ class UnfoldingTree:
 
     @property
     def node_count(self) -> int:
-        return 1 + sum(c.node_count for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
 
 def unfolding_tree(
     g: Graph, u: int, depth: int, guard: int = DEFAULT_TREE_GUARD
 ) -> UnfoldingTree:
+    """The depth-`depth` unfolding tree of `u`, built with an explicit
+    stack, so no recursion limit bounds the depth. Raises
+    RefinementGuardError once it opens more than `guard` nodes, counted
+    in pre-order."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not 0 <= u < g.n:
         raise ValueError(f"node {u} out of range")
-    budget = [guard]
-
-    def build(v: int, d: int) -> UnfoldingTree:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise RefinementGuardError(
-                f"unfolding tree exceeds {guard} nodes"
-            )
-        if d == 0:
-            return UnfoldingTree(label=v, children=(), depth=0)
-        return UnfoldingTree(
-            label=v,
-            children=tuple(build(w, d - 1) for w in g.adjacency[v]),
-            depth=d,
-        )
-
-    return build(u, depth)
+    adjacency = g.adjacency
+    # one entry per open node: (label, depth, its finished children)
+    stack: list[tuple[int, int, list[UnfoldingTree]]] = []
+    opened = 0
+    v, d = u, depth
+    while True:
+        opened += 1
+        if opened > guard:
+            raise RefinementGuardError(f"unfolding tree exceeds {guard} nodes")
+        if d and adjacency[v]:
+            stack.append((v, d, []))
+            v, d = adjacency[v][0], d - 1
+            continue
+        node = UnfoldingTree(label=v, children=(), depth=d)
+        # close every open node whose last child this finishes
+        while stack:
+            label, d, children = stack[-1]
+            children.append(node)
+            if len(children) < len(adjacency[label]):
+                v, d = adjacency[label][len(children)], d - 1
+                break
+            stack.pop()
+            node = UnfoldingTree(label=label, children=tuple(children), depth=d)
+        else:
+            return node
 
 
 def leaf_paths(tree: UnfoldingTree):
@@ -692,12 +708,14 @@ def leaf_paths(tree: UnfoldingTree):
     For the depth-d tree of u these are exactly the length-d walks of the
     graph terminating at u, with multiplicity.
     """
-    if tree.depth == 0:
-        return [(tree.label,)]
     paths = []
-    for child in tree.children:
-        for p in leaf_paths(child):
-            paths.append(p + (tree.label,))
+    stack = [(tree, (tree.label,))]
+    while stack:
+        t, up = stack.pop()
+        if t.depth == 0:
+            paths.append(up)
+        else:
+            stack.extend((c, (c.label,) + up) for c in reversed(t.children))
     return paths
 
 

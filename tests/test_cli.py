@@ -1014,6 +1014,25 @@ class TestErrorsAndDeterminism:
         assert code == 2 and captured.out == ""
         assert json.loads(captured.err) == {"error": "usage", "message": message}
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--m-list", "1,x", "invalid int list value: '1,x'"),
+         ("--trials", "x", "invalid int value: 'x'")],
+        ids=["m-list", "trials"],
+    )
+    def test_malformed_numbers_are_usage_errors(self, tmp_path, capsys, flag,
+                                                value, message):
+        # `--m-list 0` and `--m-list ,` parse, and `coverage_curve` refuses them
+        argv = ["coverage", "--graph", str(tmp_path / "missing.el"),
+                "--m-list", "1", "--trials", "1", "--seed", "0"]
+        argv[argv.index(flag) + 1] = value
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "usage", "message": f"argument {flag}: {message}"
+        }
+
     def test_walks_default_to_the_uniform_policy(self, tmp_path, capsys):
         graph = write(tmp_path, "c.el", CYCLE6)
         argv = ["sample", "--graph", graph, "--kind", "walks", "--m", "3",

@@ -12,7 +12,7 @@ from walksearch.coverage import (
     coverage_curve,
     coverage_report,
     curve_rows_to_csv,
-    edge_inclusion_prob,
+    edge_inclusion_probs,
     escape_set,
     full_coverage_probability,
     sample_bound_m,
@@ -30,6 +30,7 @@ from walksearch.graphs import (
 from walksearch.samplers import (
     DEFAULT_ENUM_BUDGET,
     POLICIES,
+    EnumerationBudgetError,
     SampleSet,
     SearchRecord,
     WalkPolicy,
@@ -267,22 +268,21 @@ class TestEscapeSets:
 
 class TestEdgeInclusion:
     def test_triangle_exact(self):
-        rep = edge_inclusion_prob(cycle_graph(3), (0, 1))
+        rep = edge_inclusion_probs(cycle_graph(3))[(0, 1)]
         assert rep.probability == Fraction(2, 3)
         assert rep.tau_bound == Fraction(1, 2)
         # triangle degrees are all 2, so the degree bound is 1/2 as well
         assert rep.dmax_bound == Fraction(1, 2)
 
     def test_path_edges_always_included(self):
-        rep = edge_inclusion_prob(path_graph(3), (0, 1))
+        rep = edge_inclusion_probs(path_graph(3))[(0, 1)]
         assert rep.probability == 1
         assert rep.tau_bound == 1
         assert rep.dmax_bound == Fraction(1, 2)
 
     def test_cycle6_every_edge_five_sixths(self):
-        g = cycle_graph(6)
-        exact = {e: edge_inclusion_prob(g, e).probability for e in g.edges()}
-        assert set(exact.values()) == {Fraction(5, 6)}
+        reports = edge_inclusion_probs(cycle_graph(6))
+        assert {rep.probability for rep in reports.values()} == {Fraction(5, 6)}
 
     @pytest.mark.parametrize(
         "g", [DISCONNECTED_TWO_EDGES, EDGE_PLUS_NODE], ids=["two_edges", "edge_plus_node"]
@@ -291,26 +291,32 @@ class TestEdgeInclusion:
         with pytest.raises(
             ValueError, match="^exact enumeration requires a connected graph$"
         ):
-            edge_inclusion_prob(g, (0, 1))
+            edge_inclusion_probs(g)
+
+    def test_refuses_empty_graph(self):
+        with pytest.raises(ValueError, match="^empty graph$"):
+            edge_inclusion_probs(Graph.from_edges(0, ()))
+
+    def test_refuses_a_graph_past_the_budget(self):
+        # n + 2m(n - 1) is past DEFAULT_ENUM_BUDGET: refused before any outcome
+        with pytest.raises(EnumerationBudgetError):
+            edge_inclusion_probs(path_graph(1000))
+
+    def test_one_node_has_no_edge(self):
+        assert edge_inclusion_probs(Graph.from_edges(1, ())) == {}
 
     @pytest.mark.parametrize("e", [(-1, 1), (1, -1), (-3, 1), (0, 3), (3, 2), (1, 9)])
     def test_ids_outside_the_graph_are_no_edge(self, e):
         # a negative id must not read a row from the end of the adjacency
         g = path_graph(3)
-        with pytest.raises(ValueError, match=r"^edge \(.*\) not in graph$"):
-            edge_inclusion_prob(g, e)
         for side in e:
             with pytest.raises(ValueError, match=r"^edge \(.*\) not in graph$"):
                 escape_set(g, e, side)
 
     def test_bound_chain_exhaustive_small(self):
         for g in all_labeled_connected_graphs_upto(5):
-            if g.n < 2:
-                continue
             d_max = degree_stats(g).d_max
-            for e in g.edges():
-                rep = edge_inclusion_prob(g, e)
-                u, v = e
+            for (u, v), rep in edge_inclusion_probs(g).items():
                 deg_bound = Fraction(1, max(g.degree(u), g.degree(v)))
                 assert (
                     rep.probability
@@ -318,6 +324,28 @@ class TestEdgeInclusion:
                     >= deg_bound
                     >= Fraction(1, d_max)
                 )
+
+    def test_keys_are_the_edges_and_the_sum_is_n_minus_1(self):
+        # every DFS tree has n - 1 edges, so the p_e sum to n - 1 exactly
+        for g in all_labeled_connected_graphs_upto(5) + (hex_chain(2),):
+            reports = edge_inclusion_probs(g)
+            assert list(reports) == sorted(g.edges())
+            assert all(rep.edge == e for e, rep in reports.items())
+            total = sum((rep.probability for rep in reports.values()), Fraction(0))
+            assert total == g.n - 1
+
+    def test_one_enumeration_pass(self, monkeypatch):
+        calls = []
+
+        def counted(g, budget):
+            calls.append(budget)
+            return _enumerate(g, budget)
+
+        monkeypatch.setattr("walksearch.coverage._enumerate", counted)
+        for g in (hex_chain(2), BULL, cycle_graph(6)):
+            calls.clear()
+            edge_inclusion_probs(g)
+            assert calls == [DEFAULT_ENUM_BUDGET]
 
 
 class TestSampleBound:
@@ -365,6 +393,17 @@ class TestFullCoverage:
 
     def test_cycle_single_search_never_covers(self):
         assert full_coverage_probability(cycle_graph(6), 1, 50, seed=0) == 0.0
+
+    @pytest.mark.parametrize(
+        "g, m", [(Graph.from_edges(1, ()), 0), (cycle_graph(6), 0), (PAW, -2)],
+        ids=["one-node", "cycle6", "paw"],
+    )
+    def test_refuses_m_below_1_before_any_draw(self, g, m, monkeypatch):
+        # zero searches do cover a one-node graph's empty edge set, but m
+        # is refused as `sample_set` and `coverage_curve` refuse it
+        monkeypatch.setattr("walksearch.coverage.derive_rng", None)
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            full_coverage_probability(g, m, 3, 0)
 
     def test_union_monotone_in_m(self):
         g = hex_chain(2)
@@ -598,7 +637,7 @@ class TestCoverageCurve:
         # fraction lies in [0, 1], so its sd is at most 1/2 and the mean
         # stays within 4 sd of the law
         trials = 1000
-        p = [edge_inclusion_prob(g, e).probability for e in sorted(g.edges())]
+        p = [rep.probability for rep in edge_inclusion_probs(g).values()]
         rows = coverage_curve(g, ["searches"], [1, 2, 4], trials=trials, seed=3)
         for row in rows:
             law = sum(1 - (1 - pe) ** row.m for pe in p) / g.edge_count

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walksearch.coverage import edge_inclusion_prob
+from walksearch.coverage import edge_inclusion_probs
 from walksearch.graphs import (
     Graph,
     complete_graph,
@@ -776,17 +776,18 @@ class TestExactEnumeration:
             assert p == Fraction(2, 3)
 
     def test_exact_edge_inclusion_sums_the_records(self):
-        # exact `edge_inclusion_prob` reads the enumeration's parent array
+        # exact `edge_inclusion_probs` reads the enumeration's parent array
         # (whose root entry is stale), not the records: same Fraction
         for g in all_labeled_connected_graphs_upto(4) + (hex_chain(2), BULL):
             outs = enumerate_dfs(g)
-            for e in g.edges():
+            reports = edge_inclusion_probs(g)
+            assert set(reports) == g.edges()
+            for e, rep in reports.items():
                 p = sum(
                     (o.probability for o in outs if e in o.record.tree_edges),
                     start=Fraction(0),
                 )
-                assert edge_inclusion_prob(g, e).probability == p
-                assert edge_inclusion_prob(g, e[::-1]).probability == p
+                assert rep.probability == p
 
     @staticmethod
     def assert_same_yields(g: Graph):

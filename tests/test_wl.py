@@ -760,6 +760,19 @@ class TestUnfoldingTrees:
         with pytest.raises(RefinementGuardError, match="unfolding tree"):
             unfolding_tree(complete_graph(8), 0, 5, guard=50)
 
+    def test_deep_tree_without_recursion(self):
+        # 3001 nodes, far under the default guard, but deeper than a
+        # recursive build can go; no `==` or `repr` on the tree, whose
+        # dataclass methods recurse
+        t = unfolding_tree(path_graph(2), 0, 3000)
+        assert t.node_count == 3001
+        assert leaf_paths(t) == [tuple(i % 2 for i in range(3001))]
+        with pytest.raises(RefinementGuardError, match="exceeds 3000 nodes$"):
+            unfolding_tree(path_graph(2), 0, 3000, guard=3000)
+        # an isolated root has no child to expand at any depth
+        t = unfolding_tree(Graph.from_edges(1, ()), 0, 10**18)
+        assert (t.depth, t.children, t.node_count, leaf_paths(t)) == (10**18, (), 1, [])
+
 
 class TestLeafPaths:
     def test_depth_two_matches_terminating_walks(self):
