@@ -42,6 +42,12 @@ nodes out to their neighbors; round 1 counts every node as moved. A
 round holds the ids it pushed and one length's walks near the moved
 nodes, and the walk guard counts walks without listing them. Color ids
 are run-relative and never compared across runs.
+
+An unfolding tree is two flat tuples, its nodes' labels and subtree
+depths in pre-order, built by one loop over a stack of neighbor-row
+iterators and read back by `leaf_paths` in one pass. No node holds
+another, so nothing recurses: a tree as deep as the guard allows can be
+built, compared, hashed and printed.
 """
 
 from __future__ import annotations
@@ -185,15 +191,13 @@ class RefinementRun:
             yield r, cls, members, splits
 
     def _build_history(self):
-        """Replay the log: round r's ids are its offset (the class counts
-        of rounds 0..r-1) plus the rank of each class by least joint node,
-        which is the order in which interning meets the classes."""
+        """Replay the log: round r's ids are `_color_ids` of its classes at
+        its offset, the class counts of rounds 0..r-1."""
         spans = self._spans()
         offset = 0
         history = []
         for _, cls, members, _ in self._replay():
-            rank: dict = {}
-            ids = [rank.setdefault(c, offset + len(rank)) for c in cls]
+            ids = _color_ids(cls, offset)
             history.append(tuple(tuple(ids[a:b]) for a, b in spans))
             offset += len(members)
         return tuple(history)
@@ -323,12 +327,16 @@ class RefinementRun:
         for splits in self.splits:
             offset += count
             count += len(splits)
-        rank: dict = {}
-        for c in self.final:
-            rank.setdefault(c, offset + len(rank))
         start, end = self._spans()[graph_idx]
-        sizes = Counter(self.final[start:end])
-        return Counter({rank[c]: size for c, size in sizes.items()})
+        return Counter(_color_ids(self.final, offset)[start:end])
+
+
+def _color_ids(cls, offset: int) -> list[int]:
+    """Each joint node's color id in a round whose class indices are
+    `cls`: `offset` plus the rank of its class by least joint node, which
+    is the order in which interning meets the classes."""
+    rank: dict = {}
+    return [rank.setdefault(c, offset + len(rank)) for c in cls]
 
 
 def _member_sets(cls) -> list[set[int]]:
@@ -362,26 +370,24 @@ def terminating_walks(
 
     Each walk is a node tuple (w_0, ..., w_L) with w_L = u. Walk counts
     grow with the path counts of the graph, so enumeration aborts with
-    RefinementGuardError once more than `guard` walks appear.
+    RefinementGuardError before it builds the level that would bring the
+    walks past `guard`.
     """
     if length < 1:
         raise ValueError("walk length must be >= 1")
     if not 0 <= u < g.n:
         raise ValueError(f"node {u} out of range")
+    adjacency = g.adjacency
     out = []
     level = [(u,)]
     for _ in range(length):
-        nxt = []
-        for seq in level:
-            head = seq[0]
-            for x in g.adjacency[head]:
-                nxt.append((x,) + seq)
-        if len(out) + len(nxt) > guard:
+        # the next level has one walk per neighbor of each walk's head
+        if len(out) + sum(len(adjacency[seq[0]]) for seq in level) > guard:
             raise RefinementGuardError(
                 f"more than {guard} terminating walks at node {u}"
             )
-        out.extend(nxt)
-        level = nxt
+        level = [(x,) + seq for seq in level for x in adjacency[seq[0]]]
+        out.extend(level)
     return out
 
 
@@ -645,77 +651,67 @@ def wwl_refine(
 
 @dataclass(frozen=True)
 class UnfoldingTree:
-    """Depth-d recursive neighbor expansion rooted at a node.
+    """Depth-d recursive neighbor expansion rooted at a node, kept flat in
+    pre-order: `labels[i]` is the i-th node's graph label and `depths[i]`
+    the depth of the subtree it roots; node 0 is the root.
 
     The depth-0 tree is a bare root; at depth d every neighbor of the
-    root label contributes one fresh depth-(d-1) subtree.
+    root label contributes one fresh depth-(d-1) subtree. Nothing nests,
+    so `==`, `hash` and `repr` work at any depth.
     """
 
-    label: int
-    children: tuple["UnfoldingTree", ...]
-    depth: int
+    labels: tuple[int, ...]
+    depths: tuple[int, ...]
 
     @property
     def node_count(self) -> int:
-        count, stack = 0, [self]
-        while stack:
-            count += 1
-            stack.extend(stack.pop().children)
-        return count
+        return len(self.labels)
 
 
 def unfolding_tree(
     g: Graph, u: int, depth: int, guard: int = DEFAULT_TREE_GUARD
 ) -> UnfoldingTree:
-    """The depth-`depth` unfolding tree of `u`, built with an explicit
-    stack, so no recursion limit bounds the depth. Raises
-    RefinementGuardError once it opens more than `guard` nodes, counted
-    in pre-order."""
+    """The depth-`depth` unfolding tree of `u`, built in pre-order over a
+    stack of (row iterator, child depth) entries, one per level, so no
+    recursion limit bounds the depth. Raises RefinementGuardError once it
+    opens more than `guard` nodes, counted in pre-order."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if not 0 <= u < g.n:
         raise ValueError(f"node {u} out of range")
     adjacency = g.adjacency
-    # one entry per open node: (label, depth, its finished children)
-    stack: list[tuple[int, int, list[UnfoldingTree]]] = []
-    opened = 0
-    v, d = u, depth
-    while True:
-        opened += 1
-        if opened > guard:
-            raise RefinementGuardError(f"unfolding tree exceeds {guard} nodes")
-        if d and adjacency[v]:
-            stack.append((v, d, []))
-            v, d = adjacency[v][0], d - 1
-            continue
-        node = UnfoldingTree(label=v, children=(), depth=d)
-        # close every open node whose last child this finishes
-        while stack:
-            label, d, children = stack[-1]
-            children.append(node)
-            if len(children) < len(adjacency[label]):
-                v, d = adjacency[label][len(children)], d - 1
+    labels, depths = [], []
+    stack = [(iter((u,)), depth)]
+    while stack:
+        row, d = stack[-1]
+        for v in row:
+            if len(labels) >= guard:
+                raise RefinementGuardError(f"unfolding tree exceeds {guard} nodes")
+            labels.append(v)
+            depths.append(d)
+            if d:  # open v: its children come next
+                stack.append((iter(adjacency[v]), d - 1))
                 break
-            stack.pop()
-            node = UnfoldingTree(label=label, children=tuple(children), depth=d)
         else:
-            return node
+            stack.pop()
+    return UnfoldingTree(labels=tuple(labels), depths=tuple(depths))
 
 
 def leaf_paths(tree: UnfoldingTree):
-    """Node sequences read from each depth-`tree.depth` leaf up to the root.
+    """Node sequences read from each leaf at full depth (`depths` entry 0)
+    up to the root, in pre-order.
 
     For the depth-d tree of u these are exactly the length-d walks of the
     graph terminating at u, with multiplicity.
     """
     paths = []
-    stack = [(tree, (tree.label,))]
-    while stack:
-        t, up = stack.pop()
-        if t.depth == 0:
-            paths.append(up)
-        else:
-            stack.extend((c, (c.label,) + up) for c in reversed(t.children))
+    path: list[int] = []  # the labels from the root down to the node
+    top = tree.depths[0]
+    for v, d in zip(tree.labels, tree.depths):
+        del path[top - d :]
+        path.append(v)
+        if d == 0:
+            paths.append(tuple(reversed(path)))
     return paths
 
 

@@ -1,12 +1,15 @@
-"""No module of the package imports a name it never uses, and no private
-helper outlives its last caller.
+"""No module of the package imports a name it never uses, no private
+helper outlives its last caller, and no dataclass nests itself.
 
-Two stdlib `ast` scans. A name bound by an import must be read somewhere
+Three stdlib `ast` scans. A name bound by an import must be read somewhere
 else in the same module, be it a package module, a demo or a test file;
 the package's `__init__.py` only re-exports, so it is exempt, and so is
 an import statement marked ``# noqa: F401``. A module-level
 private name (``_x``: a function, class or assigned constant) must be
-read somewhere in the package outside its own definition.
+read somewhere in the package outside its own definition. A `@dataclass`
+of the package must not annotate a field with its own class name, bare or
+as a string: the generated `__eq__`, `__hash__` and `__repr__` would
+recurse through such a field and fail past the recursion limit.
 """
 
 import ast
@@ -98,6 +101,68 @@ def test_scan_finds_an_unread_private_name():
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def self_nesting_dataclasses(source: str) -> list[str]:
+    """``Class.field`` for each field of a `@dataclass` class in `source`
+    whose annotation names the class itself, bare or inside a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            continue
+        for field in node.body:
+            if not isinstance(field, ast.AnnAssign):
+                continue
+            names = set()
+            for part in ast.walk(field.annotation):
+                if isinstance(part, ast.Name):
+                    names.add(part.id)
+                elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names.update(
+                        n.id
+                        for n in ast.walk(ast.parse(part.value, mode="eval"))
+                        if isinstance(n, ast.Name)
+                    )
+            if node.name in names:
+                found.append(f"{node.name}.{ast.unparse(field.target)}")
+    return found
+
+
+def test_scan_finds_a_self_nesting_dataclass():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "@dataclass(frozen=True)\n"
+        "class Tree:\n"
+        "    label: int\n"
+        "    subtrees: tuple['Tree', ...]\n"
+        "@dataclasses.dataclass\n"
+        "class Node:\n"
+        "    value: int\n"
+        "    next: Node | None = None\n"
+        "    first: 'Node | None' = None\n"
+        "@dataclass\n"
+        "class Flat:\n"
+        "    labels: tuple[int, ...]\n"
+        "    parent: Tree | None = None\n"
+        "class Plain:\n"
+        "    other: 'Plain'\n"
+    )
+    # another dataclass's name, or a class that is not a dataclass, passes
+    assert self_nesting_dataclasses(source) == [
+        "Tree.subtrees", "Node.next", "Node.first"
+    ]
+
+
+def test_no_dataclass_nests_itself():
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in self_nesting_dataclasses(path.read_text())
+    ]
+    assert found == []
 
 
 def test_scan_finds_an_unused_import():

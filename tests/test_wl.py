@@ -640,6 +640,21 @@ class TestTerminatingWalks:
         with pytest.raises(RefinementGuardError, match="terminating walks"):
             terminating_walks(complete_graph(8), 0, 4, guard=100)
 
+    def test_guard_trips_before_building_the_level(self):
+        # on K_{100,100}, 100 walks of length 1 and 10**4 of length 2 end
+        # at node 0, and the 10**6 of length 3 would pass the default
+        # guard: it trips on their count, reading no row for length 3
+        g = Graph.from_edges(
+            200, [(a, b) for a in range(100) for b in range(100, 200)]
+        )
+        counted, reads = counting_graph(g)
+        with pytest.raises(
+            RefinementGuardError,
+            match="^more than 100000 terminating walks at node 0$",
+        ):
+            terminating_walks(counted, 0, 3)
+        assert sum(reads) == 100 + 100 * 100
+
     def test_all_walks_end_at_target(self):
         for u in range(4):
             for w in terminating_walks(complete_graph(4), u, 3):
@@ -732,21 +747,42 @@ class TestWalkRefinement:
             assert run.partition(1, 0) == partition_of(stable)
 
 
+def nested_preorder(g, u, depth):
+    """The unfolding tree by its recursive definition, a root and one
+    depth-(d-1) subtree per neighbor, as pre-order (label, depth) pairs."""
+    yield u, depth
+    if depth:
+        for v in g.adjacency[u]:
+            yield from nested_preorder(g, v, depth - 1)
+
+
+def nested_leaf_paths(g, u, depth):
+    """Leaf-to-root label paths of the recursive tree, leaves in pre-order."""
+    if depth == 0:
+        return [(u,)]
+    return [
+        path + (u,)
+        for v in g.adjacency[u]
+        for path in nested_leaf_paths(g, v, depth - 1)
+    ]
+
+
 class TestUnfoldingTrees:
     def test_depth_zero(self):
         t = unfolding_tree(cycle_graph(4), 2, 0)
-        assert t.label == 2 and t.children == () and t.node_count == 1
+        assert t.labels == (2,) and t.depths == (0,) and t.node_count == 1
 
     def test_path_middle_depth_one(self):
+        # the root, then its two children, which are depth-0 leaves
         t = unfolding_tree(path_graph(3), 1, 1)
-        assert sorted(c.label for c in t.children) == [0, 2]
-        assert all(c.children == () for c in t.children)
+        assert t.labels[0] == 1 and sorted(t.labels[1:]) == [0, 2]
+        assert t.depths == (1, 0, 0)
 
     def test_path_middle_depth_two(self):
+        # each child of the root has the single child 1, a leaf
         t = unfolding_tree(path_graph(3), 1, 2)
         assert t.node_count == 5
-        for child in t.children:
-            assert [c.label for c in child.children] == [1]
+        assert t.labels == (1, 0, 1, 2, 1) and t.depths == (2, 1, 0, 1, 0)
 
     def test_node_count_is_walk_count_plus_one(self):
         g = cycle_graph(5)
@@ -760,18 +796,59 @@ class TestUnfoldingTrees:
         with pytest.raises(RefinementGuardError, match="unfolding tree"):
             unfolding_tree(complete_graph(8), 0, 5, guard=50)
 
+    def test_matches_the_recursive_definition(self):
+        """Labels, depths, node count and leaf paths equal the recursive
+        tree's; a guard of exactly the node count holds, and a guard k
+        below it trips at pre-order node k, having read from each row only
+        the entries of nodes 1..k."""
+        graphs = all_labeled_connected_graphs_upto(5)
+        graphs += tuple(random_connected_corpus(20, seed=3))
+        cases = 0
+        for g in graphs:
+            counted, reads = counting_graph(g)
+            for u in range(g.n):
+                for depth in range(4):
+                    nodes = list(nested_preorder(g, u, depth))
+                    t = unfolding_tree(g, u, depth, guard=len(nodes))
+                    assert list(zip(t.labels, t.depths)) == nodes
+                    assert t.node_count == len(nodes)
+                    assert leaf_paths(t) == nested_leaf_paths(g, u, depth)
+                    k = len(nodes) // 2
+                    want = [0] * g.n
+                    # latest[d]: the label of the last node of depth d so
+                    # far, the parent of a next node of depth d - 1
+                    latest = [None] * (depth + 2)
+                    for label, d in nodes[: k + 1]:
+                        if latest[d + 1] is not None:
+                            want[latest[d + 1]] += 1
+                        latest[d] = label
+                    reads[:] = [0] * g.n
+                    with pytest.raises(
+                        RefinementGuardError,
+                        match=f"^unfolding tree exceeds {k} nodes$",
+                    ):
+                        unfolding_tree(counted, u, depth, guard=k)
+                    assert reads == want, (g, u, depth)
+                    cases += 1
+        assert cases == 15_592
+
     def test_deep_tree_without_recursion(self):
         # 3001 nodes, far under the default guard, but deeper than a
-        # recursive build can go; no `==` or `repr` on the tree, whose
-        # dataclass methods recurse
+        # recursive build, or a nested tree's `==`, `hash` or `repr`, can go
         t = unfolding_tree(path_graph(2), 0, 3000)
+        same = unfolding_tree(path_graph(2), 0, 3000)
+        assert t == same and hash(t) == hash(same) and repr(t) == repr(same)
+        assert t != unfolding_tree(path_graph(2), 1, 3000)
+        assert repr(t).startswith("UnfoldingTree(labels=(0, 1, 0, 1, ")
         assert t.node_count == 3001
         assert leaf_paths(t) == [tuple(i % 2 for i in range(3001))]
         with pytest.raises(RefinementGuardError, match="exceeds 3000 nodes$"):
             unfolding_tree(path_graph(2), 0, 3000, guard=3000)
         # an isolated root has no child to expand at any depth
         t = unfolding_tree(Graph.from_edges(1, ()), 0, 10**18)
-        assert (t.depth, t.children, t.node_count, leaf_paths(t)) == (10**18, (), 1, [])
+        assert (t.labels, t.depths, t.node_count, leaf_paths(t)) == (
+            (0,), (10**18,), 1, []
+        )
 
 
 class TestLeafPaths:
