@@ -6,6 +6,7 @@ every node exactly once and induces a spanning tree.
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 from walksearch import (
     enumerate_dfs,
@@ -32,8 +33,8 @@ print(f"spanning tree has {len(rec.tree_edges)} edges = n-1")
 # Exact DFS distribution on a path: the two end roots force their
 # sequences, the middle root flips a coin for its first direction.
 print("\nexact DFS law of the 3-path:")
-for outcome in enumerate_dfs(path_graph(3)):
-    print(f"  {outcome.record.visit_order}  p = {outcome.probability}")
+for order, den in enumerate_dfs(path_graph(3)).items():
+    print(f"  {order}  p = {Fraction(1, den)}")
 
 # The sampler follows the same law.
 counts = Counter(

@@ -64,7 +64,6 @@ from .reconstruct import (
     verify_reconstruction,
 )
 from .samplers import (
-    DfsOutcome,
     EnumerationBudgetError,
     SampleSet,
     SearchRecord,

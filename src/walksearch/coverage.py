@@ -140,8 +140,10 @@ def edge_inclusion_probs(g: Graph) -> dict[tuple[int, int], EdgeInclusionReport]
     """Exact probability that each edge lies in the tree of one random DFS,
     keyed (u, v) with u < v as in `Graph.edges`; a one-node graph gives {}.
 
-    One pass of the enumeration behind `enumerate_dfs` adds each outcome's
-    den to its n - 1 tree edges, and each edge sums 1/den in integers.
+    `enumerate_dfs` keeps only the visit orders, so this reads one pass
+    of its loop, `_enumerate`, whose parent array gives each outcome's
+    tree: the outcome's den is added to its n - 1 tree edges, and each
+    edge sums 1/den in integers.
     """
     dens = {e: [] for e in sorted(g.edges())}
     for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET):

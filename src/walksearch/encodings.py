@@ -116,17 +116,12 @@ class AnonSequence:
 
 
 def anonymous_encoding(seq) -> AnonSequence:
-    """Assign each node the next unused label at its first appearance."""
+    """Assign each node the next unused label at its first appearance:
+    the sequence tagged by its own `anonymous_tags`."""
     nodes = _nodes_of(seq)
     if not nodes:
         raise ValueError("empty sequence")
-    labels = []
-    first: dict[int, int] = {}
-    for w in nodes:
-        if w not in first:
-            first[w] = len(first) + 1
-        labels.append(first[w])
-    return AnonSequence(labels=tuple(labels))
+    return AnonSequence(labels=anonymous_tags(nodes).apply(nodes))
 
 
 @dataclass(frozen=True)
@@ -140,13 +135,17 @@ class TagMap:
         return tuple(self.tags[w] for w in nodes)
 
 
-def anonymous_tags(first_search: SearchRecord) -> TagMap:
-    """Tag nodes by their first-visit rank in `first_search` (1-based).
+def anonymous_tags(first_search) -> TagMap:
+    """Tag nodes by their first-visit rank (1-based) in `first_search`: a
+    record or any sequence of nodes, a node that repeats keeping the rank
+    of its first appearance.
 
     The same map is meant to be applied to every search in a sample set,
     so tagged sequences stay mutually comparable.
     """
-    return TagMap(
-        tags={v: i + 1 for i, v in enumerate(first_search.visit_order)}
-    )
+    tags: dict[int, int] = {}
+    for w in _nodes_of(first_search):
+        if w not in tags:
+            tags[w] = len(tags) + 1
+    return TagMap(tags=tags)
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, relabel
-from .samplers import (
-    DEFAULT_ENUM_BUDGET,
-    _enumerate,
-    _reciprocal_sum,
-    _search,
-    derive_rng,
-)
+from .samplers import _reciprocal_sum, _search, derive_rng, enumerate_dfs
 
 # label reshuffles of the permutation test behind `invariance_sampled`
 PERMUTATION_REPS = 200
@@ -65,9 +59,7 @@ class SequenceDistribution:
 
 def dfs_distribution(g: Graph) -> SequenceDistribution:
     """Exact visit-order law of g from full DFS enumeration."""
-    return SequenceDistribution(
-        {tuple(order): den for order, _, den in _enumerate(g, DEFAULT_ENUM_BUDGET)}
-    )
+    return SequenceDistribution(enumerate_dfs(g))
 
 
 def pushforward(d: SequenceDistribution, perm) -> SequenceDistribution:

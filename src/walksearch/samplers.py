@@ -2,11 +2,14 @@
 
 Three walk policies (uniform, non-backtracking, and the minimum-degree
 local rule), a randomized depth-first search whose visit sequence
-induces a spanning tree, and an exact enumerator of all DFS outcomes
-with rational probabilities. Both DFS routines step from the top of the
-stack to a uniform unvisited neighbor: the sampler draws one, the
-enumerator branches on all of them and is the ground-truth oracle used
-by the coverage and invariance labs.
+induces a spanning tree, and an exact enumerator of the DFS law. Both
+DFS routines step from the top of the stack to a uniform unvisited
+neighbor: the sampler draws one, the enumerator branches on all of them
+and is the ground-truth oracle used by the coverage and invariance labs.
+Its one loop, `_enumerate`, yields each visit order with its integer
+denominator (probability exactly 1/den) and the parent array of its
+tree; `enumerate_dfs` keeps the law, ``{visit order: den}``, and
+`coverage.edge_inclusion_probs` reads the trees.
 
 Randomness contract (stream revision 2): every sampler takes an explicit
 ``random.Random`` and draws its own start or root, uniform over the
@@ -52,7 +55,6 @@ import math
 import random
 from bisect import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice
 
 from .graphs import Graph
@@ -152,14 +154,6 @@ class SampleSet:
         return {"kind": self.kind, "seed": self.seed, "items": items}
 
 
-@dataclass(frozen=True)
-class DfsOutcome:
-    """One distinct DFS visit order with its exact probability."""
-
-    record: SearchRecord
-    probability: Fraction
-
-
 # ---------------------------------------------------------------------------
 # walks
 
@@ -191,7 +185,7 @@ class WalkPolicy:
             raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
         self.g = g
         self.policy = policy
-        # per cover target, `_table` keyed for `cover_time`, built on first use
+        # per cover target, `_table` keyed for the cover kernels (`_keyed_rows`)
         self._cover_rows: dict[str, list[tuple]] = {}
         adjacency = g.adjacency
         if policy == "uniform":
@@ -291,9 +285,7 @@ class WalkPolicy:
         steps). The start is seen before the first step. An unknown target
         or a cap below 1 raises ValueError before any draw.
         """
-        rows = self._cover_rows.get(target)
-        if rows is None:
-            rows = self._cover_rows[target] = self._keyed_rows(target)
+        rows = self._keyed_rows(target)
         if cap < 1:
             raise ValueError("cap must be >= 1")
         g = self.g
@@ -371,9 +363,7 @@ class WalkPolicy:
             raise ValueError("cover walks the uniform policy only")
         if length < 1:
             raise ValueError("walk length must be >= 1")
-        rows = self._cover_rows.get("edge")
-        if rows is None:
-            rows = self._cover_rows["edge"] = self._keyed_rows("edge")
+        rows = self._keyed_rows("edge")
         cur = rng.randrange(self.g.n)
         if not node_seen[cur]:
             node_seen[cur] = 1
@@ -396,14 +386,20 @@ class WalkPolicy:
     def _keyed_rows(self, target: str) -> list[tuple]:
         """The policy's rows with each slot's cover key inserted second:
         the neighbor itself, or the id in 0..m-1 of the edge to it (both
-        ends of an edge read the same id)."""
-        if target == "node":
-            keys = self.g.adjacency
-        elif target == "edge":
-            keys = _edge_id_rows(self.g)
-        else:
-            raise ValueError("target must be 'node' or 'edge'")
-        return [row[:1] + (krow,) + row[1:] for row, krow in zip(self._table, keys)]
+        ends of an edge read the same id). Built on first use per target
+        and cached; an unknown target raises ValueError."""
+        rows = self._cover_rows.get(target)
+        if rows is None:
+            if target == "node":
+                keys = self.g.adjacency
+            elif target == "edge":
+                keys = _edge_id_rows(self.g)
+            else:
+                raise ValueError("target must be 'node' or 'edge'")
+            rows = self._cover_rows[target] = [
+                row[:1] + (krow,) + row[1:] for row, krow in zip(self._table, keys)
+            ]
+        return rows
 
 
 def _edge_id_rows(g: Graph) -> list[list[int]]:
@@ -675,14 +671,17 @@ def _reciprocal_sum(dens) -> tuple[int, int]:
     return sum(lcm // den for den in dens), lcm
 
 
-def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcome]:
-    """Enumerate every DFS outcome with its exact rational probability.
+def enumerate_dfs(
+    g: Graph, budget: int = DEFAULT_ENUM_BUDGET
+) -> dict[tuple[int, ...], int]:
+    """The exact DFS law of g as ``{visit order: den}``, each visit order
+    a tuple with probability exactly ``1 / den``.
 
     Each visit order (which determines the tree) comes from exactly one
     sequence of choices, so it is one outcome with probability
     1 / (n * k_1 * k_2 * ...), where k_i is the number of candidates at
     its i-th step; a forced step (one candidate) adds a factor of 1.
-    Outcomes are sorted by visit order and their probabilities sum to
+    Keys come in increasing visit order and their probabilities sum to
     exactly 1. The enumeration is a loop (`_enumerate`) that opens a
     frame only at a branch, so no recursion limit bounds it; it raises
     EnumerationBudgetError once more than `budget` distinct nonempty
@@ -692,12 +691,7 @@ def enumerate_dfs(g: Graph, budget: int = DEFAULT_ENUM_BUDGET) -> list[DfsOutcom
     graph with n + 2m(n - 1) > budget (a path's exact count) is refused
     before any outcome is built.
     """
-    return [
-        DfsOutcome(
-            _search_record(order, [parent[v] for v in order[1:]]), Fraction(1, den)
-        )
-        for order, parent, den in _enumerate(g, budget)
-    ]
+    return {tuple(order): den for order, _, den in _enumerate(g, budget)}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from walksearch.invariance import (
 )
 from walksearch.samplers import (
     derive_rng,
-    enumerate_dfs,
     sample_dfs,
     sample_walk,
     validate_search_record,
@@ -54,6 +53,7 @@ from .corpus import (
     random_bounded_sparse_graph,
     random_connected_corpus,
 )
+from .test_samplers import edge_inclusion_reference
 
 
 @contextmanager
@@ -123,18 +123,15 @@ def test_criterion_2_edge_inclusion_bound():
         )
         violations = 0
         for g in corpus:
-            outcomes = enumerate_dfs(g)
+            reference = edge_inclusion_reference(g)
             d_max = degree_stats(g).d_max
             edges = sorted(g.edges())
             # run the public op end to end on every edge of every graph
             reports = edge_inclusion_probs(g)
             assert list(reports) == edges
             for e in edges:
-                prob = sum(
-                    (o.probability for o in outcomes if e in o.record.tree_edges),
-                    start=Fraction(0),
-                )
-                assert prob == reports[e].probability
+                prob = reports[e].probability
+                assert prob == reference[e]
                 tau_u = escape_set(g, e, e[0]).tau
                 tau_v = escape_set(g, e, e[1]).tau
                 tau_bound = min(Fraction(1, tau_u + 1), Fraction(1, tau_v + 1))

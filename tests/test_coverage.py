@@ -37,13 +37,21 @@ from walksearch.samplers import (
     WalkRecord,
     _enumerate,
     derive_rng,
+    enumerate_dfs,
     sample_dfs,
     sample_set,
     sample_walk,
 )
 
 from .corpus import all_connected_graphs_upto, all_labeled_connected_graphs_upto
-from .test_samplers import BULL, ORACLE_GRAPHS, PAW, DrawCounter, stdlib_cover_time
+from .test_samplers import (
+    BULL,
+    ORACLE_GRAPHS,
+    PAW,
+    DrawCounter,
+    enumerated_trees,
+    stdlib_cover_time,
+)
 
 DISCONNECTED_TWO_EDGES = Graph.from_edges(4, [(0, 1), (2, 3)])
 # one search of the tree part covers every edge before the isolated node
@@ -55,8 +63,9 @@ def full_coverage_law(g: Graph):
     """The exact chance that m independent searches cover every edge, as
     a function of m.
 
-    One `_enumerate` pass groups the DFS law by tree, each tree a bitmask
-    T over the sorted edges, with p(T) = w[T] / L in integers. One
+    The DFS law, its trees read by `enumerated_trees`, is grouped by
+    tree, each tree a bitmask T over the sorted edges, with p(T) =
+    w[T] / L in integers. One
     subset-sum pass over the 2^|E| masks turns w into f(U) = the sum of
     p(T) over trees T inside U. By inclusion-exclusion over the set S of
     edges that no search covers, P(m searches cover E) = sum over S of
@@ -64,12 +73,10 @@ def full_coverage_law(g: Graph):
     """
     edges = sorted(g.edges())
     bit = {e: 1 << i for i, e in enumerate(edges)}
+    trees = enumerated_trees(g)
     tree_dens: dict[int, list[int]] = {}
-    for order, parent, den in _enumerate(g, DEFAULT_ENUM_BUDGET):
-        mask = 0
-        for v in order[1:]:
-            u = parent[v]
-            mask |= bit[(u, v) if u < v else (v, u)]
+    for order, den in enumerate_dfs(g).items():
+        mask = sum(bit[e] for e in trees[order])
         tree_dens.setdefault(mask, []).append(den)
     lcm = math.lcm(*(den for dens in tree_dens.values() for den in dens))
     f = [0] * (1 << len(edges))
@@ -590,12 +597,27 @@ class TestCoverTimeOracle:
     def test_bad_target_or_cap_rejected_before_any_draw(self, policy):
         pol = WalkPolicy(path_graph(3), policy)
         rng = DrawCounter(0)
-        with pytest.raises(ValueError, match="target must be 'node' or 'edge'"):
-            pol.cover_time(rng, "edges", 5)
+        # an unknown target is refused before a bad cap
+        for cap in (5, 0):
+            with pytest.raises(ValueError, match="target must be 'node' or 'edge'"):
+                pol.cover_time(rng, "edges", cap)
         for cap in (0, -1):
             with pytest.raises(ValueError, match="cap must be >= 1"):
                 pol.cover_time(rng, "edge", cap)
         assert sum(rng.draws.values()) == 0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_one_policy_serves_both_targets(self, policy):
+        # each target reads its own rows, built once, whichever target a
+        # policy walked first
+        g = hex_chain(2)
+        for targets in (("node", "edge", "node"), ("edge", "node", "edge")):
+            pol = WalkPolicy(g, policy)
+            for target in targets:
+                fresh = WalkPolicy(g, policy)
+                assert pol.cover_time(random.Random(7), target, 10**4) == (
+                    fresh.cover_time(random.Random(7), target, 10**4)
+                )
 
 
 class TestCoverageCurve:

@@ -21,6 +21,7 @@ from walksearch.graphs import (
 )
 from walksearch.samplers import (
     SearchRecord,
+    WalkRecord,
     derive_rng,
     enumerate_dfs,
     sample_dfs,
@@ -203,6 +204,15 @@ class TestAnonymousTags:
         tags = anonymous_tags(path_search((0, 1, 2, 3)))
         assert all(tags.tags[v] == v + 1 for v in range(4))
 
+    def test_any_sequence_ranked_by_first_appearance(self):
+        # a plain sequence is read like a record; a node that repeats, as
+        # in a walk, keeps the rank of its first visit
+        walk = WalkRecord(nodes=(2, 0, 2, 1), policy="uniform", start=2)
+        for seq in (walk.nodes, walk):
+            assert anonymous_tags(seq).tags == {2: 1, 0: 2, 1: 3}
+        rec = path_search((1, 2, 0))
+        assert anonymous_tags(rec) == anonymous_tags(rec.visit_order)
+
     def test_apply_to_other_sequences(self):
         rec = path_search((2, 1, 0))
         tags = anonymous_tags(rec)
@@ -219,10 +229,10 @@ class TestAnonymousTags:
 
         def tag_law(graph):
             law = Counter()
-            for o in enumerate_dfs(graph):
-                tags = anonymous_tags(o.record).tags
+            for order, den in enumerate_dfs(graph).items():
+                tags = anonymous_tags(order).tags
                 key = tuple(tags[v] for v in range(graph.n))
-                law[key] += o.probability
+                law[key] += Fraction(1, den)
             return law
 
         g_law = tag_law(g)

@@ -31,14 +31,24 @@ from walksearch.invariance import (
 from walksearch.samplers import derive_rng, enumerate_dfs, sample_dfs
 
 from .corpus import all_labeled_connected_graphs_upto
-from .test_samplers import DFS_ORACLE_GRAPHS, DrawCounter, stdlib_dfs
+from .test_samplers import (
+    BULL,
+    DFS_ORACLE_GRAPHS,
+    DrawCounter,
+    exact_sampler_law,
+    stdlib_dfs,
+)
 
 
 def reference_law(g: Graph) -> dict:
-    """The DFS law of g in ``Fraction``s, ``{visit order: probability}``,
-    straight from the `DfsOutcome` records: the independent reference the
-    integer `SequenceDistribution` is held to."""
-    return {o.record.visit_order: o.probability for o in enumerate_dfs(g)}
+    """The DFS law of g in ``Fraction``s, ``{visit order: probability}``:
+    the visit-order marginal of `exact_sampler_law`, which runs the
+    reference search once per draw sequence. It is the independent
+    reference the integer `SequenceDistribution` is held to."""
+    law = Counter()
+    for (order, _), p in exact_sampler_law(g).items():
+        law[order] += p
+    return dict(law)
 
 
 def reference_pushforward(law: dict, perm) -> dict:
@@ -167,7 +177,7 @@ class TestExactInvariance:
         def no_enumeration(*args):
             raise AssertionError("enumerated")
 
-        monkeypatch.setattr("walksearch.invariance._enumerate", no_enumeration)
+        monkeypatch.setattr("walksearch.samplers._enumerate", no_enumeration)
         with pytest.raises(ValueError, match="not a permutation"):
             invariance_exact(path_graph(3), perm)
 
@@ -190,6 +200,29 @@ class TestIntegerLaw:
             d = dfs_distribution(g)
             assert d.dens == {seq: 1 / p for seq, p in reference.items()}
             assert_law_is(d, reference)
+
+    def test_law_is_the_enumerated_law(self):
+        # `dfs_distribution` holds the dict `enumerate_dfs` returns, keys
+        # strictly increasing
+        for g in all_labeled_connected_graphs_upto(5) + (hex_chain(2),):
+            law = enumerate_dfs(g)
+            assert law == dfs_distribution(g).dens
+            orders = list(law)
+            assert all(a < b for a, b in zip(orders, orders[1:]))
+
+    def test_one_enumeration_pass(self, monkeypatch):
+        calls = []
+        enumerate_ = samplers._enumerate
+
+        def counted(g, budget):
+            calls.append(budget)
+            return enumerate_(g, budget)
+
+        monkeypatch.setattr("walksearch.samplers._enumerate", counted)
+        for g in (hex_chain(2), BULL, cycle_graph(6)):
+            calls.clear()
+            dfs_distribution(g)
+            assert calls == [samplers.DEFAULT_ENUM_BUDGET]
 
     def test_sum_check_catches_a_dropped_outcome(self):
         for g in (path_graph(2), cycle_graph(4), star_graph(5), hex_chain(1)):
@@ -216,11 +249,12 @@ class TestIntegerLaw:
         # missing an outcome, or with one denominator off by one, must trip
         # the sum check whichever of the two it is
         calls = []
+        enumerate_ = samplers._enumerate
 
         def tampered(g, budget):
             outcomes = [
                 (tuple(order), parent, den)
-                for order, parent, den in samplers._enumerate(g, budget)
+                for order, parent, den in enumerate_(g, budget)
             ]
             if len(calls) == tampered_call:
                 if tamper == "drop":
@@ -231,7 +265,7 @@ class TestIntegerLaw:
             calls.append(g)
             yield from outcomes
 
-        monkeypatch.setattr("walksearch.invariance._enumerate", tampered)
+        monkeypatch.setattr("walksearch.samplers._enumerate", tampered)
         g = hex_chain(1)
         with pytest.raises(ValueError, match="sum"):
             invariance_exact(g, random_permutation(g.n, random.Random(4)))

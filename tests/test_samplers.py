@@ -193,6 +193,33 @@ def frame_per_state_enumerate(g: Graph, budget: int):
             parent[w] = u
 
 
+def enumerated_trees(g: Graph) -> dict[tuple[int, ...], frozenset]:
+    """``{visit order: tree edges}`` over the exact DFS law of g, the
+    edges (u, v) pairs with u < v as in a `SearchRecord`, read off the
+    parent array of one `_enumerate` pass (the root's entry is stale).
+    `enumerate_dfs` keeps only the visit orders; the tests that need a
+    law's trees read them here."""
+    trees = {}
+    for order, parent, _ in _enumerate(g, DEFAULT_ENUM_BUDGET):
+        trees[tuple(order)] = frozenset(
+            tuple(sorted((parent[v], v))) for v in order[1:]
+        )
+    return trees
+
+
+def edge_inclusion_reference(g: Graph) -> dict[tuple[int, int], Fraction]:
+    """Each edge's chance of lying in one random DFS tree, summed in
+    ``Fraction``s over the outcomes of `enumerate_dfs` whose tree holds it."""
+    law, trees = enumerate_dfs(g), enumerated_trees(g)
+    return {
+        e: sum(
+            (Fraction(1, den) for order, den in law.items() if e in trees[order]),
+            start=Fraction(0),
+        )
+        for e in sorted(g.edges())
+    }
+
+
 def row_limited(g: Graph, limit: int) -> Graph:
     """A copy of `g` that fails once more than `limit` of its neighbor
     lists have been read, so a loop that never ends fails instead."""
@@ -749,45 +776,40 @@ class TestRandomDfs:
 
 class TestExactEnumeration:
     def test_path3_distribution(self):
-        outs = enumerate_dfs(path_graph(3))
-        dist = {o.record.visit_order: o.probability for o in outs}
-        assert dist == {
-            (0, 1, 2): Fraction(1, 3),
-            (2, 1, 0): Fraction(1, 3),
-            (1, 0, 2): Fraction(1, 6),
-            (1, 2, 0): Fraction(1, 6),
-        }
+        law = enumerate_dfs(path_graph(3))
+        assert law == {(0, 1, 2): 3, (2, 1, 0): 3, (1, 0, 2): 6, (1, 2, 0): 6}
+        assert list(law) == [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)]
 
     def test_cycle3_six_equiprobable_orders(self):
-        outs = enumerate_dfs(cycle_graph(3))
-        assert len(outs) == 6
-        assert all(o.probability == Fraction(1, 6) for o in outs)
+        law = enumerate_dfs(cycle_graph(3))
+        assert len(law) == 6
+        assert set(law.values()) == {6}
 
     def test_single_node(self):
-        outs = enumerate_dfs(Graph.from_edges(1, ()))
-        assert len(outs) == 1
-        assert outs[0].probability == 1
-        assert outs[0].record.visit_order == (0,)
+        assert enumerate_dfs(Graph.from_edges(1, ())) == {(0,): 1}
 
     def test_cycle3_edge_inclusion_two_thirds(self):
-        outs = enumerate_dfs(cycle_graph(3))
-        for e in cycle_graph(3).edges():
-            p = sum(o.probability for o in outs if e in o.record.tree_edges)
-            assert p == Fraction(2, 3)
+        reference = edge_inclusion_reference(cycle_graph(3))
+        assert reference == dict.fromkeys(cycle_graph(3).edges(), Fraction(2, 3))
 
     def test_exact_edge_inclusion_sums_the_records(self):
-        # exact `edge_inclusion_probs` reads the enumeration's parent array
-        # (whose root entry is stale), not the records: same Fraction
+        # exact `edge_inclusion_probs` sums each edge's dens in integers;
+        # the reference sums Fractions over the law's trees: same Fraction
         for g in all_labeled_connected_graphs_upto(4) + (hex_chain(2), BULL):
-            outs = enumerate_dfs(g)
             reports = edge_inclusion_probs(g)
             assert set(reports) == g.edges()
+            reference = edge_inclusion_reference(g)
             for e, rep in reports.items():
-                p = sum(
-                    (o.probability for o in outs if e in o.record.tree_edges),
-                    start=Fraction(0),
-                )
-                assert rep.probability == p
+                assert rep.probability == reference[e]
+
+    def test_law_keeps_every_yield(self):
+        # one key per yield of the loop, with its den, in yield order
+        for g in all_labeled_connected_graphs_upto(5) + (hex_chain(2),):
+            yields = [
+                (tuple(order), den)
+                for order, _, den in _enumerate(g, DEFAULT_ENUM_BUDGET)
+            ]
+            assert list(enumerate_dfs(g).items()) == yields
 
     @staticmethod
     def assert_same_yields(g: Graph):
@@ -868,12 +890,10 @@ class TestExactEnumeration:
         # a budget of exactly the prefix count enumerates every graph, so
         # the floor checked before enumerating never refuses one that fits
         for g in all_labeled_connected_graphs_upto(5):
-            outs = enumerate_dfs(g)
-            prefixes = {
-                o.record.visit_order[:k] for o in outs for k in range(1, g.n + 1)
-            }
+            law = enumerate_dfs(g)
+            prefixes = {order[:k] for order in law for k in range(1, g.n + 1)}
             assert g.n + 2 * g.edge_count * (g.n - 1) <= len(prefixes)
-            assert enumerate_dfs(g, budget=len(prefixes)) == outs
+            assert enumerate_dfs(g, budget=len(prefixes)) == law
 
     def test_search_deeper_than_recursion_limit(self):
         # the enumerator is a loop, so a search deeper than the recursion
@@ -885,21 +905,18 @@ class TestExactEnumeration:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 40)
         try:
-            outs = enumerate_dfs(path_graph(n))
+            law = enumerate_dfs(path_graph(n))
         finally:
             sys.setrecursionlimit(limit)
         # an end root has one order; an interior root r goes left or right
         # first, each with probability 1/2
-        expected = {
-            tuple(range(n)): Fraction(1, n),
-            tuple(range(n - 1, -1, -1)): Fraction(1, n),
-        }
+        expected = {tuple(range(n)): n, tuple(range(n - 1, -1, -1)): n}
         for r in range(1, n - 1):
             left, right = tuple(range(r - 1, -1, -1)), tuple(range(r + 1, n))
-            expected[(r,) + left + right] = Fraction(1, 2 * n)
-            expected[(r,) + right + left] = Fraction(1, 2 * n)
-        assert len(outs) == 2 * n - 2
-        assert {o.record.visit_order: o.probability for o in outs} == expected
+            expected[(r,) + left + right] = 2 * n
+            expected[(r,) + right + left] = 2 * n
+        assert len(law) == 2 * n - 2
+        assert law == expected
 
     @pytest.mark.parametrize(
         "g, prefixes",
@@ -915,10 +932,8 @@ class TestExactEnumeration:
     def test_budget_counts_visit_order_prefixes(self, g, prefixes):
         # the budget trips exactly past the number of distinct nonempty
         # visit-order prefixes of the outcomes
-        outs = enumerate_dfs(g, budget=prefixes)
-        seen = {
-            o.record.visit_order[:k] for o in outs for k in range(1, g.n + 1)
-        }
+        law = enumerate_dfs(g, budget=prefixes)
+        seen = {order[:k] for order in law for k in range(1, g.n + 1)}
         assert len(seen) == prefixes
         with pytest.raises(
             EnumerationBudgetError, match=f"budget {prefixes - 1} exceeded"
@@ -927,19 +942,22 @@ class TestExactEnumeration:
 
     def test_probabilities_sum_to_one_on_small_corpus(self):
         for g in all_labeled_connected_graphs_upto(5):
-            outs = enumerate_dfs(g)
-            assert sum(o.probability for o in outs) == 1
-            for o in outs:
-                validate_search_record(g, o.record)
-            orders = [o.record.visit_order for o in outs]
+            law = enumerate_dfs(g)
+            assert sum(Fraction(1, den) for den in law.values()) == 1
+            trees = enumerated_trees(g)
+            assert trees.keys() == law.keys()
+            for order, tree in trees.items():
+                validate_search_record(
+                    g, SearchRecord(visit_order=order, tree_edges=tree, root=order[0])
+                )
+            orders = list(law)
             assert all(a < b for a, b in zip(orders, orders[1:]))
 
     @pytest.mark.parametrize("g", [PAW, BULL], ids=["paw", "bull"])
     def test_sampler_matches_enumeration(self, g):
         # total-variation distance between 1e5 sampled orders and the
         # exact law must be within 0.01
-        outs = enumerate_dfs(g)
-        exact = {o.record.visit_order: float(o.probability) for o in outs}
+        exact = {order: 1 / den for order, den in enumerate_dfs(g).items()}
         trials = 100_000
         counts = Counter(
             sample_dfs(g, derive_rng(99, i)).visit_order for i in range(trials)
@@ -957,10 +975,11 @@ class TestExactEnumeration:
             random_connected_corpus(20, seed=3)
         )
         for g in corpus:
+            trees = enumerated_trees(g)
             exact = Counter(
                 {
-                    (o.record.visit_order, o.record.tree_edges): o.probability
-                    for o in enumerate_dfs(g)
+                    (order, trees[order]): Fraction(1, den)
+                    for order, den in enumerate_dfs(g).items()
                 }
             )
             assert exact_sampler_law(g) == exact
